@@ -35,22 +35,17 @@ def main() -> int:
     lines = ["shape,eps,R,Q1,Q2,f,m_lower"]
     for shape in ("bump", "gaussian"):
         for eps in ladder:
-            cut = pl.CutoffSpec(eps=float(eps), shape=shape)
-            R = pl.pairing_term(mp, cut)
-            Q1 = pl.kinetic_term(mp, cut)
-            Q2 = pl.potential_term(mp, cut)
-            f = 1.0 + (Q1 - Q2) / 3.0 + 4.0 * R / 3.0
-            m_lower = float("inf") if f <= 0 else 1.0 / (2.0 * f)
-            lines.append(f"{shape},{eps:.6g},{R:.10g},{Q1:.10g},{Q2:.10g},"
-                         f"{f:.6g},{m_lower:.6g}")
+            rep = pl.bound_rhs(mp, pl.CutoffSpec(eps=float(eps), shape=shape))
+            lines.append(f"{shape},{eps:.6g},{rep.R:.10g},{rep.Q1:.10g},{rep.Q2:.10g},"
+                         f"{rep.f:.6g},{rep.m_lower:.6g}")
             print(lines[-1])
 
     endpoint = pl.bound_rhs(mp, pl.CutoffSpec(eps=1.0, shape="one"))
     lines.append(f"one,0,{endpoint.R:.10g},{endpoint.Q1:.10g},"
                  f"{endpoint.Q2:.10g},{endpoint.f:.6g},{endpoint.m_lower:.6g}")
     print(lines[-1])
-    print(f"identities at the endpoint: R = {endpoint.identity_neg32:.6f} (-> -3/2), "
-          f"Q1-Q2 = {endpoint.identity_3:.6f} (-> 3)", file=sys.stderr)
+    print(f"identities at the endpoint: R = {endpoint.R:.6f} (-> -3/2), "
+          f"Q1-Q2 = {endpoint.Q1 - endpoint.Q2:.6f} (-> 3)", file=sys.stderr)
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

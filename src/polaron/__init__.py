@@ -12,12 +12,7 @@ from .grid import (
     value_at_zero,
 )
 from .coulomb import coulomb_bilinear, coulomb_potential
-from .transforms import (
-    fourier_density,
-    fourier_radial,
-    fourier_radial_gradient,
-    interpolator,
-)
+from .transforms import fourier_density, fourier_radial, fourier_radial_gradient
 from .solver import (
     PekarState,
     SolverOptions,
@@ -55,7 +50,7 @@ __all__ = [
     "RadialGrid", "RadialFunction", "build_grid", "integrate_3d",
     "radial_derivative", "value_at_zero",
     "coulomb_potential", "coulomb_bilinear",
-    "fourier_radial", "fourier_density", "fourier_radial_gradient", "interpolator",
+    "fourier_radial", "fourier_density", "fourier_radial_gradient",
     "SolverOptions", "PekarState", "solve_pekar", "imaginary_time_oracle",
     "el_residual_position",
     "MomentumProfile", "RadialTestFunction", "momentum_profile",

@@ -20,14 +20,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config
 from .errors import ConvergenceError, DomainError, NumericalError, StepSizeError
 from .grid import build_grid
-from .massbound import (
-    CutoffSpec,
-    bound_rhs,
-    kinetic_term,
-    mass_coefficient,
-    pairing_term,
-    potential_term,
-)
+from .massbound import CutoffSpec, bound_rhs
 from .momentum import el_residual_momentum, field_energy, density_expectation
 from .momentum import MomentumProfile, RadialTestFunction, momentum_profile
 from .solver import PekarState, SolverOptions, el_residual_position, solve_pekar
@@ -125,14 +118,10 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def verification_rows(cfg: RunConfig, state: PekarState, mp: MomentumProfile,
+def verification_rows(state: PekarState, mp: MomentumProfile,
                       psi_hat_ok: bool = True) -> list[tuple]:
     """(check_name, computed, expected, tolerance, pass) for the identity suite."""
-    chi_one = CutoffSpec(eps=1.0, shape="one")
-    R0 = pairing_term(mp, chi_one)
-    Q10 = kinetic_term(mp, chi_one)
-    Q20 = potential_term(mp, chi_one, cfg.quad_reduced_n, cfg.quad_angular_nodes)
-    f0 = 1.0 + (Q10 - Q20) / 3.0 + 4.0 * R0 / 3.0
+    endpoint = bound_rhs(mp, CutoffSpec(eps=1.0, shape="one"))
     one = RadialTestFunction(lambda p: np.ones_like(p), bounded=True, name="1")
 
     rows = [
@@ -143,11 +132,10 @@ def verification_rows(cfg: RunConfig, state: PekarState, mp: MomentumProfile,
         ("plancherel", density_expectation(mp, one), 1.0, 1e-5),
         ("field_energy=D", field_energy(mp), state.D, 1e-4 * abs(state.D)),
         ("el_residual_position", el_residual_position(state), 0.0, 1e-6),
-        ("el_residual_momentum",
-         el_residual_momentum(mp, cfg.quad_reduced_n, cfg.quad_angular_nodes), 0.0, 1e-3),
-        ("R=-3/2", R0, -1.5, 1e-3),
-        ("Q1-Q2=3", Q10 - Q20, 3.0, 1e-2),
-        ("f=0", f0, 0.0, 2e-2),
+        ("el_residual_momentum", el_residual_momentum(mp), 0.0, 1e-3),
+        ("R=-3/2", endpoint.R, -1.5, 1e-3),
+        ("Q1-Q2=3", endpoint.Q1 - endpoint.Q2, 3.0, 1e-3),
+        ("f=0", endpoint.f, 0.0, 1e-3),
     ]
     return [(name, comp, exp, tol, abs(comp - exp) <= tol) for name, comp, exp, tol in rows]
 
@@ -166,7 +154,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
         # diagnostics must still be tabulated; the row records the failure
         mp = momentum_profile(state, pgrid, tail_floor=float("inf"))
         psi_hat_ok = False
-    rows = verification_rows(cfg, state, mp, psi_hat_ok)
+    rows = verification_rows(state, mp, psi_hat_ok)
     lines = [_artifact_header(cfg).rstrip("\n"), "check_name,computed,expected,tolerance,pass"]
     for name, comp, exp, tol, ok in rows:
         lines.append(f"{name},{_fmt(comp)},{_fmt(exp)},{_fmt(tol)},{_fmt(ok)}")
@@ -181,14 +169,11 @@ def cmd_massbound(cfg: RunConfig, out: Path) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     lines = [_artifact_header(cfg).rstrip("\n"), "eps,R,Q1,Q2,f,m_lower"]
-    for eps in cfg.cutoff_eps_list:
-        cut = CutoffSpec(eps=eps, shape=cfg.cutoff_shape)
-        rep = bound_rhs(mp, cut, cfg.quad_reduced_n, cfg.quad_angular_nodes)
-        lines.append(",".join(_fmt(v) for v in (eps, rep.R, rep.Q1, rep.Q2, rep.f, rep.m_lower)))
-    endpoint = bound_rhs(mp, CutoffSpec(eps=1.0, shape="one"),
-                         cfg.quad_reduced_n, cfg.quad_angular_nodes)
-    lines.append(",".join(_fmt(v) for v in (
-        0.0, endpoint.R, endpoint.Q1, endpoint.Q2, endpoint.f, endpoint.m_lower)))
+    reports = [(eps, bound_rhs(mp, CutoffSpec(eps=eps, shape=cfg.cutoff_shape)))
+               for eps in cfg.cutoff_eps_list]
+    reports.append((0.0, bound_rhs(mp, CutoffSpec(eps=1.0, shape="one"))))  # χ≡1 endpoint
+    for label, rep in reports:
+        lines.append(",".join(_fmt(v) for v in (label, rep.R, rep.Q1, rep.Q2, rep.f, rep.m_lower)))
     (out / "massbound.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return EXIT_OK
 

@@ -5,7 +5,6 @@ Example:
     {
       "grid.n": 3000, "grid.rmax": 30.0,
       "momentum.n": 4000, "momentum.pmax": 10.0,
-      "quad.reduced_n": 400, "quad.angular_nodes": 64,
       "solver.mixing": 0.5, "solver.tol_energy": 1e-10,
       "solver.tol_psi": 1e-8, "solver.max_iter": 300,
       "cutoff.shape": "bump", "cutoff.eps_list": [0.5, 0.2, 0.1, 0.05],
@@ -20,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,8 +34,6 @@ class RunConfig:
     grid_rmax: float = 30.0
     momentum_n: int = 4000
     momentum_pmax: float = 10.0
-    quad_reduced_n: int = 400
-    quad_angular_nodes: int = 64
     solver_mixing: float = 0.5
     solver_tol_energy: float = 1e-10
     solver_tol_psi: float = 1e-8
@@ -45,25 +43,24 @@ class RunConfig:
     output_dir: str = "out"
 
     def validate(self) -> None:
-        for key in ("grid.n", "momentum.n", "quad.reduced_n", "quad.angular_nodes",
-                    "solver.max_iter"):
+        for key in ("grid.n", "momentum.n", "solver.max_iter"):
             val = getattr(self, _attr(key))
             if not isinstance(val, int) or isinstance(val, bool) or val < 2:
                 raise ConfigError(f"{key} must be an integer >= 2, got {val!r}")
         for key in ("grid.rmax", "momentum.pmax", "solver.tol_energy", "solver.tol_psi"):
             val = getattr(self, _attr(key))
-            if not isinstance(val, (int, float)) or isinstance(val, bool) or not val > 0:
-                raise ConfigError(f"{key} must be a positive number, got {val!r}")
-        if not isinstance(self.solver_mixing, (int, float)) or not (0 < self.solver_mixing <= 1):
+            if not _finite(val) or not val > 0:
+                raise ConfigError(f"{key} must be a positive finite number, got {val!r}")
+        if not _finite(self.solver_mixing) or not (0 < self.solver_mixing <= 1):
             raise ConfigError(f"solver.mixing must lie in (0, 1], got {self.solver_mixing!r}")
         if self.cutoff_shape not in ("bump", "gaussian", "one"):
             raise ConfigError(f"cutoff.shape must be bump|gaussian|one, got {self.cutoff_shape!r}")
         eps = self.cutoff_eps_list
         if (not isinstance(eps, list) or not eps
-                or any(not isinstance(e, (int, float)) or isinstance(e, bool) or e <= 0 for e in eps)
+                or any(not _finite(e) or e <= 0 for e in eps)
                 or any(b >= a for a, b in zip(eps, eps[1:]))):
             raise ConfigError(
-                f"cutoff.eps_list must be a strictly decreasing list of positive numbers, got {eps!r}"
+                f"cutoff.eps_list must be a strictly decreasing list of positive finite numbers, got {eps!r}"
             )
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError(f"output.dir must be a non-empty string, got {self.output_dir!r}")
@@ -79,11 +76,17 @@ class RunConfig:
 _KEYS = (
     "grid.n", "grid.rmax",
     "momentum.n", "momentum.pmax",
-    "quad.reduced_n", "quad.angular_nodes",
     "solver.mixing", "solver.tol_energy", "solver.tol_psi", "solver.max_iter",
     "cutoff.shape", "cutoff.eps_list",
     "output.dir",
 )
+
+
+def _finite(val) -> bool:
+    """A finite JSON number: NaN and ±Infinity (which json accepts) and bools are not."""
+    if isinstance(val, bool):
+        return False
+    return isinstance(val, int) or (isinstance(val, float) and math.isfinite(val))
 
 
 def _attr(key: str) -> str:

@@ -29,10 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .grid import RadialFunction, build_grid, integrate_3d, value_at_zero
-from .momentum import MomentumProfile, _CHUNK, _angular_nodes
+from .grid import RadialFunction, integrate_3d
+from .momentum import MomentumProfile, _field_weights, _shell_sum
 from .solver import PekarState
-from .transforms import interpolator
 
 
 @dataclass
@@ -73,7 +72,10 @@ class CutoffSpec:
 
 @dataclass
 class MassBoundReport:
-    """One ε-slice of the inverse-mass bound plus the ε→0 identity values."""
+    """One ε-slice of the inverse-mass bound.
+
+    At the χ≡1 endpoint R → −3/2, Q1 − Q2 → 3 and f → 0.
+    """
 
     eps: float
     R: float
@@ -81,8 +83,6 @@ class MassBoundReport:
     Q2: float
     f: float
     m_lower: float
-    identity_neg32: float
-    identity_3: float
     mass_coeff: float
     f_nonpositive: bool = False
 
@@ -130,52 +130,25 @@ def kinetic_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
     return 4.0 * np.pi * math.fsum(mp.pgrid.weights * integrand)
 
 
-def potential_term(
-    mp: MomentumProfile,
-    cut: CutoffSpec,
-    reduced_n: int = 400,
-    angular_nodes: int = 64,
-) -> float:
-    """Q2(ε) by angular-reduced triple quadrature.
+def potential_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
+    """Q2(ε) by the shell reduction of the angular integral.
 
-    After the reduction the integrand is
+    With G(q) = χ(εq) ψ̂'(q), the weight p + kc = (q² + p² − k²)/(2p) and
+    dc = q dq/(pk), the double integral becomes
 
-        8 ρ̂(k) · p² χ(εp) ψ̂'(p) · χ(εq) [ψ̂'(q)/q] (p + kc),
-        q = sqrt(p² + k² + 2pkc),
+        Q2 = 4 Σ_ij w_i w_j (ρ̂(k_i)/k_i) G(p_j) [ΔA₂ + (p_j² − k_i²) ΔA₀],
 
-    where k²·(φ(k)/k) = k φ(k) = ρ̂(k)/(√2 π) has absorbed the field profile
-    (finite at k → 0), and ψ̂'(q)/q is interpolated as a ratio so that no
-    small-q division occurs.
+    ΔA_m = ∫_{|p_j−k_i|}^{p_j+k_i} q^m G(q) dq, where k²·(φ(k)/k) =
+    ρ̂(k)/(√2 π) has absorbed the field profile: three shell sums, with no
+    division by q.
     """
-    kgrid = build_grid(reduced_n, mp.pgrid.rmax)
-    c, wc = _angular_nodes(angular_nodes)
-
-    rho_hat_itp = interpolator(mp.rho_hat())
-    ratio_grid = mp.dpsi_hat.with_values(mp.dpsi_hat.values / mp.pgrid.nodes, "even")
-    ratio_itp = interpolator(ratio_grid, zero_value=value_at_zero(ratio_grid))
-
-    k = kgrid.nodes
-    k_factor = kgrid.weights * rho_hat_itp(k)
-
-    p = kgrid.nodes
-    chi_p = cut.chi(p)
-    p_factor = kgrid.weights * p**2 * chi_p * interpolator(mp.dpsi_hat, zero_value=0.0)(p)
-
-    if not np.any(chi_p != 0.0):
-        return 0.0
-
-    total = 0.0
-    rows = max(1, _CHUNK // (p.size * c.size))
-    for lo in range(0, k.size, rows):
-        hi = min(lo + rows, k.size)
-        kk = k[lo:hi, None, None]
-        pp = p[None, :, None]
-        cc = c[None, None, :]
-        q = np.sqrt(np.maximum(kk**2 + pp**2 + 2.0 * kk * pp * cc, 0.0))
-        inner = cut.chi(q) * ratio_itp(q) * (pp + kk * cc)
-        angular = inner @ wc
-        total += k_factor[lo:hi] @ (angular @ p_factor)
-    return float(8.0 * total)
+    pg = mp.pgrid
+    p = pg.nodes
+    G = cut.chi(p) * mp.dpsi_hat.values
+    a = _field_weights(mp)   # k and p share the grid, so k_i² is p**2 on the k side
+    shell =(_shell_sum(pg, a, p**2 * G) + p**2 * _shell_sum(pg, a, G)
+             - _shell_sum(pg, a * p**2, G))
+    return float(4.0 * (pg.weights * G) @ shell)
 
 
 def mass_coefficient(state: PekarState) -> float:
@@ -190,13 +163,8 @@ def _mass_coefficient_momentum(mp: MomentumProfile) -> float:
     return float(8.0 * np.pi / 3.0 * mp.pgrid.integrate(k**4 * mp.phi.values**2))
 
 
-def bound_rhs(
-    mp: MomentumProfile,
-    cut: CutoffSpec,
-    reduced_n: int = 400,
-    angular_nodes: int = 64,
-) -> MassBoundReport:
-    """Assemble f(ε) = 1 + (Q1 − Q2)/3 + 4R/3 and the χ≡1 identity values.
+def bound_rhs(mp: MomentumProfile, cut: CutoffSpec) -> MassBoundReport:
+    """Assemble f(ε) = 1 + (Q1 − Q2)/3 + 4R/3 for one cutoff.
 
     m_lower = 1/(2f) when f > 0; if quadrature noise pushes f ≤ 0 near the
     exact zero, m_lower is the +inf sentinel and the report is flagged.
@@ -205,24 +173,16 @@ def bound_rhs(
     """
     R = pairing_term(mp, cut)
     Q1 = kinetic_term(mp, cut)
-    Q2 = potential_term(mp, cut, reduced_n=reduced_n, angular_nodes=angular_nodes)
+    Q2 = potential_term(mp, cut)
     f = 1.0 + (Q1 - Q2) / 3.0 + 4.0 * R / 3.0
     nonpositive = f <= 0.0
-    m_lower = math.inf if nonpositive else 1.0 / (2.0 * f)
-
-    R0 = pairing_term(mp, _CHI_ONE)
-    Q10 = kinetic_term(mp, _CHI_ONE)
-    Q20 = potential_term(mp, _CHI_ONE, reduced_n=reduced_n, angular_nodes=angular_nodes)
-
     return MassBoundReport(
         eps=cut.eps,
         R=R,
         Q1=Q1,
         Q2=Q2,
         f=f,
-        m_lower=m_lower,
-        identity_neg32=R0,
-        identity_3=Q10 - Q20,
+        m_lower=math.inf if nonpositive else 1.0 / (2.0 * f),
         mass_coeff=_mass_coefficient_momentum(mp),
         f_nonpositive=nonpositive,
     )

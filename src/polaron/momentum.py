@@ -18,10 +18,17 @@ and the momentum-space Euler–Lagrange residual
 
 Double integrals of rotation-invariant integrands collapse by the angular
 reduction ∬ d³k d³p F = 8π² ∫ k² dk ∫ p² dp ∫_{−1}^{1} dc F with
-|p+k| = sqrt(p² + k² + 2pkc); the c integral uses Gauss–Legendre nodes and
-ψ̂ at |p+k| comes from monotone cubic interpolation.  Everywhere a 1/k would
-meet the field profile, the finite combination k φ(k) = ρ̂(k)/(√2 π) is used
-instead, so nothing singular is ever interpolated.
+|p+k| = q = sqrt(p² + k² + 2pkc).  Substituting q for c turns the angular
+integral into a shell integral,
+
+    ∫_{−1}^{1} F(|p+k|) dc = (1/pk) ∫_{|p−k|}^{p+k} q F(q) dq,
+
+and on the uniform momentum grid (p = jh, k = ih) both limits are nodes,
+i + j and |i − j|.  Each double integral is therefore a difference of an
+on-grid primitive, summed by `_shell_sum` as one FFT convolution in
+O(n log n); no value is ever needed between nodes, and the error is the
+grid's own, O((pmax/n)²).  Everywhere a 1/k would meet the field profile,
+the finite combination k φ(k) = ρ̂(k)/(√2 π) is used instead.
 """
 
 from __future__ import annotations
@@ -32,18 +39,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .grid import RadialFunction, RadialGrid, build_grid, integrate_3d
+from .grid import RadialFunction, RadialGrid, cumulative_primitive, integrate_3d
 from .solver import PekarState
-from .transforms import (
-    fourier_density,
-    fourier_radial,
-    fourier_radial_gradient,
-    interpolator,
-)
+from .transforms import fourier_density, fourier_radial, fourier_radial_gradient
 
 SQRT2_PI = np.sqrt(2.0) * np.pi
-
-_CHUNK = 2_000_000  # cap on elements of a (k, p, c) mesh slab
 
 
 @dataclass
@@ -139,89 +139,56 @@ def number_expectation(mp: MomentumProfile, g: RadialTestFunction) -> float:
     return field_energy(mp) * density_expectation(mp, g)
 
 
-def _reduced_nodes(pgrid: RadialGrid, reduced_n: int) -> RadialGrid:
-    return build_grid(reduced_n, pgrid.rmax)
+def _shell_sum(pgrid: RadialGrid, a: np.ndarray, integrand: np.ndarray) -> np.ndarray:
+    """s_j = Σ_i a_i (A[i+j] − A[|i−j|]) for j = 1..n, by one FFT convolution.
+
+    A[m] = ∫_0^{mh} F is the on-grid primitive of the integrand samples F
+    (A[0] = 0, held at A[n] beyond the grid, where F is taken as zero), so
+    s_j = Σ_i a_i ∫_{|p_j−k_i|}^{p_j+k_i} F(q) dq.  Extending a oddly and A
+    evenly to negative indices folds the Toeplitz term into the Hankel one,
+    s_j = Σ_{i=−n}^{n} a_i A[j+i], a single linear correlation.
+    """
+    n = pgrid.n
+    A = np.concatenate(([0.0], cumulative_primitive(pgrid, integrand)))
+    a_odd = np.concatenate((-a[::-1], [0.0], a))                  # i = −n..n
+    A_even = np.concatenate((A[:0:-1], A, np.full(n, A[-1])))     # m = −n..2n
+    size = 1 << (a_odd.size + A_even.size - 2).bit_length()
+    corr = np.fft.irfft(np.fft.rfft(a_odd[::-1], size) * np.fft.rfft(A_even, size), size)
+    return corr[2 * n + 1: 3 * n + 1]
 
 
-def _angular_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+def _field_weights(mp: MomentumProfile) -> np.ndarray:
+    """w_i ρ̂(k_i)/k_i: the k-side factor of the convolutions with φ(k)/k."""
+    return mp.pgrid.weights * mp.rho_hat().values / mp.pgrid.nodes
 
 
-def cross_expectation(
-    mp: MomentumProfile,
-    xi: RadialTestFunction,
-    g: RadialTestFunction,
-    reduced_n: int = 1200,
-    angular_nodes: int = 64,
-    swap_interpolation: bool = False,
-) -> float:
+def cross_expectation(mp: MomentumProfile, xi: RadialTestFunction, g: RadialTestFunction) -> float:
     """∬ dk dp φ(k) ξ(k) ψ̂(p+k) g(p+k) ψ̂(p) g(p).
 
-    Evaluated by angular reduction on reduced (k, p) grids; ψ̂ at the shifted
-    argument is interpolated, g and ξ are called directly.  ψ̂ is sharp on
-    the scale of the grid, so this functional needs a finer reduced grid
-    (default 1200) than the bound terms to reach 1e-3 accuracy.
+    After the shell reduction,
 
-    swap_interpolation evaluates the integral after the relabeling
-    p → p+k, which exchanges the on-grid and interpolated factors.  With a
-    symmetric angular rule the two quadratures coincide exactly, so this is
-    a structural identity check rather than an error estimate.
+        8π² Σ_ij w_i w_j k_i φ(k_i) ξ(k_i) p_j (ψ̂g)(p_j) [B(p_j+k_i) − B(|p_j−k_i|)],
+
+    with B the primitive of q (ψ̂g)(q); g and ξ are called on the grid only.
     """
-    kgrid = _reduced_nodes(mp.pgrid, reduced_n)
-    pgrid = kgrid
-    c, wc = _angular_nodes(angular_nodes)
-
-    rho_hat_itp = interpolator(mp.rho_hat())
-    psi_hat_itp = interpolator(mp.psi_hat)
-
-    k = kgrid.nodes
-    # k² φ(k) = k ρ̂(k)/(√2 π): finite at k → 0 although φ itself is not
-    k_factor = kgrid.weights * k * rho_hat_itp(k) / SQRT2_PI * xi(k)
-
-    p = pgrid.nodes
-    psi_g_on_grid = psi_hat_itp(p) * g(p)
-    p_factor = pgrid.weights * p**2 * psi_g_on_grid
-
-    sign = -1.0 if swap_interpolation else 1.0
-    total = 0.0
-    rows = max(1, _CHUNK // (p.size * c.size))
-    for lo in range(0, k.size, rows):
-        hi = min(lo + rows, k.size)
-        kk = k[lo:hi, None, None]
-        q = np.sqrt(np.maximum(kk**2 + p[None, :, None] ** 2 + sign * 2.0 * kk * p[None, :, None] * c[None, None, :], 0.0))
-        inner = psi_hat_itp(q) * g(q)
-        angular = inner @ wc                      # ∫ dc
-        total += k_factor[lo:hi] @ (angular @ p_factor)
-    return float(8.0 * np.pi**2 * total)
+    pg = mp.pgrid
+    p = pg.nodes
+    psi_g = mp.psi_hat.values * g(p)
+    k_factor = pg.weights * mp.rho_hat().values / SQRT2_PI * xi(p)   # w k φ(k) ξ(k)
+    shell = _shell_sum(pg, k_factor, p * psi_g)
+    return float(8.0 * np.pi**2 * ((pg.weights * p * psi_g) @ shell))
 
 
-def el_residual_momentum(
-    mp: MomentumProfile,
-    reduced_n: int = 400,
-    angular_nodes: int = 64,
-) -> float:
+def el_residual_momentum(mp: MomentumProfile) -> float:
     """Weighted L² norm of the momentum-space Euler–Lagrange defect.
 
-    The convolution term reduces to (2/π) ∫ dk ρ̂(k) ∫ dc ψ̂(|p+k|) after the
-    angular collapse.  Looser than the position-space residual by the extra
-    transform and interpolation error; ≤ 1e-3 for a converged state at
-    default resolution.
+    The convolution term is (2/π) ∫ dk ρ̂(k) ∫ dc ψ̂(|p+k|), which the shell
+    reduction turns into (2/π) (1/p) Σ_i w_i (ρ̂_i/k_i) [B(p+k_i) − B(|p−k_i|)]
+    with B the primitive of q ψ̂(q).  Looser than the position-space residual
+    by the extra transform error; ≤ 1e-3 for a converged state at default
+    resolution.
     """
-    kgrid = _reduced_nodes(mp.pgrid, reduced_n)
-    c, wc = _angular_nodes(angular_nodes)
-    psi_hat_itp = interpolator(mp.psi_hat)
-    rho_hat_itp = interpolator(mp.rho_hat())
-
-    k = kgrid.nodes
-    k_factor = kgrid.weights * rho_hat_itp(k)
-
     p = mp.pgrid.nodes
-    conv = np.empty_like(p)
-    rows = max(1, _CHUNK // (k.size * c.size))
-    for lo in range(0, p.size, rows):
-        hi = min(lo + rows, p.size)
-        pp = p[lo:hi, None, None]
-        q = np.sqrt(np.maximum(pp**2 + k[None, :, None] ** 2 + 2.0 * pp * k[None, :, None] * c[None, None, :], 0.0))
-        conv[lo:hi] = (psi_hat_itp(q) @ wc) @ k_factor
+    conv = _shell_sum(mp.pgrid, _field_weights(mp), p * mp.psi_hat.values) / p
     defect = (p**2 + mp.mu) * mp.psi_hat.values - (2.0 / np.pi) * conv
     return float(np.sqrt(4.0 * np.pi * mp.pgrid.integrate(p**2 * defect**2)))

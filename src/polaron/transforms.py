@@ -12,19 +12,16 @@ Both map real even radial profiles to real even radial profiles, and the
 unitary kernel is its own inverse, so applying `fourier_radial` twice with
 matched grids reproduces the input up to quadrature error.
 
-Off-grid evaluation of momentum profiles (needed by double integrals over
-|p+k|) uses monotone cubic interpolation with a synthetic node at p = 0 and
-clamping to zero beyond pmax.
+Every transform is a direct sum over the radial nodes, evaluated at the
+nodes of the target grid; momentum profiles are only ever needed there
+(see momentum.py for how the double integrals over |p+k| stay on the grid).
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .grid import RadialFunction, RadialGrid, value_at_zero
+from .grid import RadialFunction, RadialGrid
 
 
 _KERNEL_CHUNK = 8_000_000  # max elements of one sin/cos kernel slab
@@ -76,24 +73,3 @@ def fourier_radial_gradient(f: RadialFunction, pgrid: RadialGrid) -> RadialFunct
     vals = np.sqrt(2.0 / np.pi) * (cos_moment / p - sin_moment / p**2)
     return RadialFunction(pgrid, vals, "odd")
 
-
-def interpolator(f: RadialFunction, zero_value: float | None = None) -> Callable[[np.ndarray], np.ndarray]:
-    """Monotone cubic (PCHIP) evaluator for f at off-grid arguments.
-
-    A node at the origin is prepended; its value defaults to the quadratic
-    extrapolation from the three smallest grid nodes (pass zero_value to
-    override, e.g. 0.0 for odd profiles).  Arguments beyond the grid edge
-    evaluate to 0.
-    """
-    g = f.grid
-    if zero_value is None:
-        zero_value = value_at_zero(f)
-    x = np.concatenate(([0.0], g.nodes))
-    y = np.concatenate(([zero_value], f.values))
-    pch = PchipInterpolator(x, y, extrapolate=False)
-
-    def evaluate(q: np.ndarray) -> np.ndarray:
-        out = pch(np.abs(q))
-        return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
-
-    return evaluate

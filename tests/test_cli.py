@@ -11,7 +11,6 @@ from polaron.cli import main
 SMALL_CONFIG = {
     "grid.n": 1000, "grid.rmax": 25.0,
     "momentum.n": 800, "momentum.pmax": 6.0,
-    "quad.reduced_n": 200, "quad.angular_nodes": 32,
     "cutoff.eps_list": [0.5, 0.2],
 }
 
@@ -87,6 +86,18 @@ class TestConfigValidation:
         assert main(["solve", "--config", cfg]) == 2
         assert "eps_list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["quad.reduced_n", "quad.angular_nodes"])
+    def test_removed_quadrature_keys_rejected(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path / "c.json", {key: 400})
+        assert main(["verify", "--config", cfg]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_non_finite_number_rejected(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('{"cutoff.eps_list": [NaN]}')  # json accepts NaN
+        assert main(["massbound", "--config", str(path)]) == 2
+        assert "eps_list" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -120,6 +131,14 @@ class TestVerifyCommand:
         assert float(q_row[2]) == 3.0
 
 
+@pytest.mark.parametrize("command", ["verify", "massbound"])
+def test_two_node_momentum_grid_exits_cleanly(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "c.json", {"momentum.n": 2,
+                                             "output.dir": str(tmp_path / "out")})
+    assert main([command, "--config", cfg]) in (0, 1, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 class TestMassboundCommand:
     def test_sweep_structure(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"output.dir": str(tmp_path / "out")})
@@ -145,3 +164,13 @@ def test_thread_cap_env_var_stable(tmp_path):
         )
         outputs.append((tmp_path / out / "profiles.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_import_leaves_interpolate_and_signal_unloaded():
+    """`import polaron` pulls in neither scipy.interpolate nor scipy.signal,
+    which would each add most of a second to every interpreter start."""
+    code = ("import sys, polaron; "
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.signal') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                          text=True)
+    assert done.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -30,6 +31,21 @@ class TestConfigFromDict:
         ({"cutoff.eps_list": [0.1, 0.1]}, "eps_list"),
         ({"cutoff.eps_list": [0.1, -0.2]}, "eps_list"),
         ({"output.dir": ""}, "output.dir"),
+        # json accepts NaN and ±Infinity; bool is an int subclass
+        ({"cutoff.eps_list": [math.nan]}, "eps_list"),
+        ({"cutoff.eps_list": [0.5, math.nan]}, "eps_list"),
+        ({"cutoff.eps_list": [math.inf, 0.5]}, "eps_list"),
+        ({"cutoff.eps_list": [True]}, "eps_list"),
+        ({"grid.rmax": math.inf}, "grid.rmax"),
+        ({"grid.rmax": True}, "grid.rmax"),
+        ({"momentum.pmax": math.nan}, "momentum.pmax"),
+        ({"solver.tol_energy": math.inf}, "solver.tol_energy"),
+        ({"solver.tol_psi": math.nan}, "solver.tol_psi"),
+        ({"solver.mixing": True}, "solver.mixing"),
+        ({"solver.mixing": math.nan}, "solver.mixing"),
+        ({"grid.n": True}, "grid.n"),
+        ({"momentum.n": math.inf}, "momentum.n"),
+        ({"solver.max_iter": math.nan}, "solver.max_iter"),
     ])
     def test_invalid_values_name_the_field(self, doc, field):
         with pytest.raises(pl.ConfigError) as exc_info:

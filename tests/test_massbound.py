@@ -14,13 +14,6 @@ EPS_LADDER = [0.5, 0.2, 0.1, 0.05]
 F_LIPSCHITZ = 0.5
 
 
-def _f(mp, cut):
-    rep_R = pl.pairing_term(mp, cut)
-    rep_Q1 = pl.kinetic_term(mp, cut)
-    rep_Q2 = pl.potential_term(mp, cut)
-    return 1.0 + (rep_Q1 - rep_Q2) / 3.0 + 4.0 * rep_R / 3.0
-
-
 @pytest.fixture(scope="module")
 def sentinel_profile():
     """Gaussian profile with μ = 0 and a negligible field: f < 0 there."""
@@ -136,12 +129,20 @@ class TestPotentialTerm:
     def test_position_space_oracle(self, mp_default, state_default):
         q2 = pl.potential_term(mp_default, _CHI_ONE)
         oracle = pl.potential_term_position_oracle(state_default)
-        assert abs(q2 - oracle) <= 1e-2 * abs(oracle)
+        assert abs(q2 - oracle) <= 1e-4 * abs(oracle)
+
+    def test_oracle_gap_second_order(self, mp_default, state_default):
+        # halving the momentum step cuts the shell-sum error about fourfold
+        oracle = pl.potential_term_position_oracle(state_default)
+        mp_coarse = pl.momentum_profile(state_default, pl.build_grid(2000, 10.0))
+        gap_coarse = abs(pl.potential_term(mp_coarse, _CHI_ONE) - oracle)
+        gap_default = abs(pl.potential_term(mp_default, _CHI_ONE) - oracle)
+        assert gap_coarse >= 3.0 * gap_default
 
     def test_three_identity(self, mp_default):
         q1 = pl.kinetic_term(mp_default, _CHI_ONE)
         q2 = pl.potential_term(mp_default, _CHI_ONE)
-        assert abs(q1 - q2 - 3.0) < 1e-2
+        assert abs(q1 - q2 - 3.0) < 1e-3
 
     def test_huge_eps_support_vanishes(self, mp_default):
         cut = pl.CutoffSpec(eps=1e3, shape="bump")
@@ -151,10 +152,10 @@ class TestPotentialTerm:
 class TestBoundRhs:
     def test_endpoint_vanishes(self, mp_default):
         rep = pl.bound_rhs(mp_default, _CHI_ONE)
-        assert abs(rep.f) < 2e-2
+        assert abs(rep.f) < 1e-4
         assert rep.f == 1.0 + (rep.Q1 - rep.Q2) / 3.0 + 4.0 * rep.R / 3.0
-        assert abs(rep.identity_neg32 + 1.5) < 1e-3
-        assert abs(rep.identity_3 - 3.0) < 1e-2
+        assert abs(rep.R + 1.5) < 1e-3
+        assert abs(rep.Q1 - rep.Q2 - 3.0) < 1e-3
         assert not rep.f_nonpositive
 
     def test_eps_sequence_monotone(self, mp_default):
@@ -168,7 +169,7 @@ class TestBoundRhs:
 
     def test_eps_continuity(self, mp_default):
         ladder = [1.0, 0.8, 0.6, 0.5, 0.4, 0.3, 0.2, 0.15, 0.1, 0.075, 0.05]
-        fs = [_f(mp_default, pl.CutoffSpec(eps=e, shape="bump")) for e in ladder]
+        fs = [pl.bound_rhs(mp_default, pl.CutoffSpec(eps=e, shape="bump")).f for e in ladder]
         for (e1, f1), (e2, f2) in zip(zip(ladder, fs), zip(ladder[1:], fs[1:])):
             assert abs(f2 - f1) <= F_LIPSCHITZ * abs(e2 - e1)
 
@@ -177,15 +178,14 @@ class TestBoundRhs:
         assert abs(rep.f) < 5e-2
 
     def test_nonpositive_f_sentinel(self, sentinel_profile):
-        rep = pl.bound_rhs(sentinel_profile, _CHI_ONE, reduced_n=300)
+        rep = pl.bound_rhs(sentinel_profile, _CHI_ONE)
         assert rep.f < 0.0
         assert rep.f_nonpositive
         assert rep.m_lower == math.inf
 
     def test_all_entries_finite(self, mp_default):
         rep = pl.bound_rhs(mp_default, pl.CutoffSpec(eps=0.2, shape="bump"))
-        for field in ("eps", "R", "Q1", "Q2", "f", "m_lower",
-                      "identity_neg32", "identity_3", "mass_coeff"):
+        for field in ("eps", "R", "Q1", "Q2", "f", "m_lower", "mass_coeff"):
             assert np.isfinite(getattr(rep, field))
 
 

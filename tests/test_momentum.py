@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polaron as pl
-from polaron.momentum import SQRT2_PI
+from polaron.grid import cumulative_primitive
+from polaron.momentum import SQRT2_PI, _shell_sum
 
 ONE = pl.RadialTestFunction(lambda p: np.ones_like(p), name="1")
 ZERO = pl.RadialTestFunction(lambda p: np.zeros_like(p), name="0")
@@ -129,7 +130,7 @@ class TestNumberExpectation:
 class TestCrossExpectation:
     def test_zero_xi(self, mp_default):
         g = pl.RadialTestFunction(lambda p: np.exp(-p))
-        assert pl.cross_expectation(mp_default, ZERO, g, reduced_n=200) == 0.0
+        assert pl.cross_expectation(mp_default, ZERO, g) == 0.0
 
     def test_unit_g_reduces_to_radial_integral(self, mp_default):
         # ∫dp ψ̂(p+k)ψ̂(p) = ρ̂(k) collapses the double integral
@@ -139,35 +140,39 @@ class TestCrossExpectation:
         oracle = 4 * np.pi * pg.integrate(
             pg.nodes**2 * mp_default.phi.values * np.exp(-pg.nodes) * rho_hat.values)
         val = pl.cross_expectation(mp_default, xi, ONE)
-        assert abs(val - oracle) <= 1e-3 * abs(oracle)
+        assert abs(val - oracle) <= 1e-4 * abs(oracle)
 
     def test_sign_symmetry_of_g(self, mp_default):
         xi = pl.RadialTestFunction(lambda k: np.exp(-k))
         g_pos = pl.RadialTestFunction(lambda p: np.exp(-(p**2) / 4))
         g_neg = pl.RadialTestFunction(lambda p: -np.exp(-(p**2) / 4))
-        a = pl.cross_expectation(mp_default, xi, g_pos, reduced_n=200)
-        b = pl.cross_expectation(mp_default, xi, g_neg, reduced_n=200)
+        a = pl.cross_expectation(mp_default, xi, g_pos)
+        b = pl.cross_expectation(mp_default, xi, g_neg)
         assert abs(a - b) <= 1e-12 * abs(a)
-
-    def test_swap_interpolation_symmetric(self, mp_default):
-        xi = pl.RadialTestFunction(lambda k: np.exp(-k))
-        g = pl.RadialTestFunction(lambda p: np.exp(-(p**2) / 4))
-        a = pl.cross_expectation(mp_default, xi, g, reduced_n=400)
-        b = pl.cross_expectation(mp_default, xi, g, reduced_n=400, swap_interpolation=True)
-        assert abs(a - b) <= 1e-3 * abs(a)
-
-    def test_quadrature_robustness(self, mp_default):
-        xi = pl.RadialTestFunction(lambda k: np.exp(-k))
-        a = pl.cross_expectation(mp_default, xi, ONE, reduced_n=400)
-        b = pl.cross_expectation(mp_default, xi, ONE, reduced_n=800)
-        assert abs(a - b) <= 1e-2 * abs(a)
 
     def test_angular_reduction_closed_form(self, synthetic_gaussian_profile):
         # ∬ φ(k) ψ̂(p+k) ψ̂(p) with Gaussians has the closed form
         # π^{3/2} ∫ e^{-k²} e^{-k²/4} / (√2 π k) d³k = (4√2/5) π^{3/2}
-        val = pl.cross_expectation(synthetic_gaussian_profile, ONE, ONE, reduced_n=400)
+        val = pl.cross_expectation(synthetic_gaussian_profile, ONE, ONE)
         exact = 4 * np.sqrt(2) / 5 * np.pi**1.5
-        assert abs(val - exact) <= 2e-3 * exact
+        assert abs(val - exact) <= 5e-4 * exact
+
+
+def test_shell_sum_matches_direct_loop():
+    # s_j = Σ_i a_i (A[i+j] − A[|i−j|]) with A[0] = 0 and A held at A[n] beyond
+    # the grid, summed term by term against the FFT convolution
+    grid = pl.build_grid(200, 3.0)
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal(grid.n)
+    integrand = rng.standard_normal(grid.n)
+    A = np.concatenate(([0.0], cumulative_primitive(grid, integrand)))
+    n = grid.n
+    direct = np.array([
+        sum(a[i - 1] * (A[min(i + j, n)] - A[abs(i - j)]) for i in range(1, n + 1))
+        for j in range(1, n + 1)
+    ])
+    fast = _shell_sum(grid, a, integrand)
+    assert np.abs(fast - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
 def test_test_function_broadcasts_scalars():

@@ -74,25 +74,3 @@ def test_gradient_transform_gaussian(rgrid, pgrid):
     assert np.abs(dpsi_hat.values - exact).max() < 1e-6
     assert dpsi_hat.parity_hint == "odd"
 
-
-class TestInterpolator:
-    def test_matches_nodes_exactly(self, pgrid):
-        f = pl.RadialFunction(pgrid, np.exp(-pgrid.nodes))
-        itp = pl.interpolator(f)
-        assert np.allclose(itp(pgrid.nodes), f.values, rtol=0, atol=1e-14)
-
-    def test_clamps_beyond_edge(self, pgrid):
-        f = pl.RadialFunction(pgrid, np.exp(-pgrid.nodes))
-        itp = pl.interpolator(f)
-        assert np.all(itp(np.array([12.5, 50.0])) == 0.0)
-
-    def test_below_first_node(self, pgrid):
-        f = pl.RadialFunction(pgrid, np.exp(-pgrid.nodes**2))
-        itp = pl.interpolator(f)
-        q = np.array([1e-4, 1e-3, pgrid.h / 2])
-        assert np.all(np.abs(itp(q) - 1.0) < 1e-3)
-
-    def test_zero_value_override(self, pgrid):
-        f = pl.RadialFunction(pgrid, pgrid.nodes, "odd")
-        itp = pl.interpolator(f, zero_value=0.0)
-        assert abs(itp(np.array([pgrid.h / 3]))[0] - pgrid.h / 3) < 1e-12
