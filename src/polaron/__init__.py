@@ -9,7 +9,6 @@ from .grid import (
     build_grid,
     integrate_3d,
     radial_derivative,
-    value_at_zero,
 )
 from .coulomb import coulomb_bilinear, coulomb_potential
 from .transforms import fourier_density, fourier_radial, fourier_radial_gradient
@@ -33,7 +32,6 @@ from .momentum import (
 from .massbound import (
     CutoffSpec,
     MassBoundReport,
-    alpha_scaling,
     bound_rhs,
     kinetic_term,
     kinetic_term_position_oracle,
@@ -48,7 +46,7 @@ from .errors import ConvergenceError, DomainError, NumericalError, StepSizeError
 
 __all__ = [
     "RadialGrid", "RadialFunction", "build_grid", "integrate_3d",
-    "radial_derivative", "value_at_zero",
+    "radial_derivative",
     "coulomb_potential", "coulomb_bilinear",
     "fourier_radial", "fourier_density", "fourier_radial_gradient",
     "SolverOptions", "PekarState", "solve_pekar", "imaginary_time_oracle",
@@ -58,7 +56,7 @@ __all__ = [
     "number_expectation", "cross_expectation",
     "CutoffSpec", "MassBoundReport", "trial_profile", "pairing_term",
     "kinetic_term", "potential_term", "bound_rhs", "mass_coefficient",
-    "alpha_scaling", "kinetic_term_position_oracle", "potential_term_position_oracle",
+    "kinetic_term_position_oracle", "potential_term_position_oracle",
     "RunConfig", "ConfigError", "config_from_dict", "load_config",
     "ConvergenceError", "NumericalError", "DomainError", "StepSizeError",
 ]

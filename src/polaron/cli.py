@@ -4,8 +4,10 @@ All artifacts are deterministic for a fixed configuration: no timestamps,
 fixed key order, 17-significant-digit numeric fields, and every file embeds
 the resolved configuration plus its SHA-256 content hash.
 
-Exit codes: 0 success, 1 verification failure, 2 config error,
-3 numerical/convergence failure.
+Exit codes: 0 success, 1 verification failure (a failed verify.csv row, or
+a massbound χ≡1 endpoint with |f| above the f=0 tolerance), 2 config or
+output-directory error, 3 numerical/convergence failure.  `main` is the only
+place that maps exceptions to exit codes; each failure prints one stderr line.
 """
 
 from __future__ import annotations
@@ -20,15 +22,18 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config
 from .errors import ConvergenceError, DomainError, NumericalError, StepSizeError
 from .grid import build_grid
-from .massbound import CutoffSpec, bound_rhs
+from .massbound import _CHI_ONE, CutoffSpec, bound_rhs
 from .momentum import el_residual_momentum, field_energy, density_expectation
-from .momentum import MomentumProfile, RadialTestFunction, momentum_profile
+from .momentum import MomentumProfile, RadialTestFunction, momentum_profile, _noisy_sign_change
 from .solver import PekarState, SolverOptions, el_residual_position, solve_pekar
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# |f| allowed at the χ≡1 endpoint, by verify's f=0 row and by massbound's exit code
+F_ENDPOINT_TOL = 1e-3
 
 
 def _fmt(x) -> str:
@@ -100,19 +105,7 @@ def _write_profiles_csv(cfg: RunConfig, state: PekarState, mp: MomentumProfile, 
 
 
 def cmd_solve(cfg: RunConfig, out: Path) -> int:
-    try:
-        state, mp = run_pipeline(cfg)
-    except ConvergenceError as exc:
-        history = [{"energy": e, "dpsi": d} for e, d in exc.history]
-        (out / "residual_history.json").write_text(
-            json.dumps({"error": str(exc), "history": history}, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (NumericalError, StepSizeError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    state, mp = run_pipeline(cfg)
     _write_state_json(cfg, state, out)
     _write_profiles_csv(cfg, state, mp, out)
     return EXIT_OK
@@ -121,7 +114,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
 def verification_rows(state: PekarState, mp: MomentumProfile,
                       psi_hat_ok: bool = True) -> list[tuple]:
     """(check_name, computed, expected, tolerance, pass) for the identity suite."""
-    endpoint = bound_rhs(mp, CutoffSpec(eps=1.0, shape="one"))
+    endpoint = bound_rhs(mp, _CHI_ONE)
     one = RadialTestFunction(lambda p: np.ones_like(p), bounded=True, name="1")
 
     rows = [
@@ -135,26 +128,17 @@ def verification_rows(state: PekarState, mp: MomentumProfile,
         ("el_residual_momentum", el_residual_momentum(mp), 0.0, 1e-3),
         ("R=-3/2", endpoint.R, -1.5, 1e-3),
         ("Q1-Q2=3", endpoint.Q1 - endpoint.Q2, 3.0, 1e-3),
-        ("f=0", endpoint.f, 0.0, 1e-3),
+        ("f=0", endpoint.f, 0.0, F_ENDPOINT_TOL),
     ]
     return [(name, comp, exp, tol, abs(comp - exp) <= tol) for name, comp, exp, tol in rows]
 
 
 def cmd_verify(cfg: RunConfig, out: Path) -> int:
-    try:
-        state = run_solver(cfg)
-    except (ConvergenceError, NumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    pgrid = build_grid(cfg.momentum_n, cfg.momentum_pmax)
-    try:
-        mp = momentum_profile(state, pgrid)
-        psi_hat_ok = True
-    except DomainError:
-        # diagnostics must still be tabulated; the row records the failure
-        mp = momentum_profile(state, pgrid, tail_floor=float("inf"))
-        psi_hat_ok = False
-    rows = verification_rows(state, mp, psi_hat_ok)
+    state = run_solver(cfg)
+    # a sign fault of ψ̂ is tabulated as a failed row, not raised
+    mp = momentum_profile(state, build_grid(cfg.momentum_n, cfg.momentum_pmax),
+                          tail_floor=float("inf"))
+    rows = verification_rows(state, mp, _noisy_sign_change(mp.psi_hat) is None)
     lines = [_artifact_header(cfg).rstrip("\n"), "check_name,computed,expected,tolerance,pass"]
     for name, comp, exp, tol, ok in rows:
         lines.append(f"{name},{_fmt(comp)},{_fmt(exp)},{_fmt(tol)},{_fmt(ok)}")
@@ -163,19 +147,33 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_massbound(cfg: RunConfig, out: Path) -> int:
-    try:
-        state, mp = run_pipeline(cfg)
-    except (ConvergenceError, NumericalError, StepSizeError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    state, mp = run_pipeline(cfg)
     lines = [_artifact_header(cfg).rstrip("\n"), "eps,R,Q1,Q2,f,m_lower"]
     reports = [(eps, bound_rhs(mp, CutoffSpec(eps=eps, shape=cfg.cutoff_shape)))
                for eps in cfg.cutoff_eps_list]
-    reports.append((0.0, bound_rhs(mp, CutoffSpec(eps=1.0, shape="one"))))  # χ≡1 endpoint
+    endpoint = bound_rhs(mp, _CHI_ONE)
+    reports.append((0.0, endpoint))
     for label, rep in reports:
         lines.append(",".join(_fmt(v) for v in (label, rep.R, rep.Q1, rep.Q2, rep.f, rep.m_lower)))
     (out / "massbound.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if not abs(endpoint.f) <= F_ENDPOINT_TOL:
+        print(f"massbound: chi=1 endpoint f = {endpoint.f:.3g} misses 0 by more than "
+              f"{F_ENDPOINT_TOL:g}; the grids do not resolve the bound", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     return EXIT_OK
+
+
+def _write_history(exc: ConvergenceError, out: Path) -> None:
+    history = [{"energy": e, "dpsi": d} for e, d in exc.history]
+    (out / "residual_history.json").write_text(
+        json.dumps({"error": str(exc), "history": history}, indent=2) + "\n",
+        encoding="utf-8",
+    )
+
+
+def _fail(code: int, prefix: str, exc: BaseException) -> int:
+    print(f"{prefix}: {' '.join(str(exc).split())}", file=sys.stderr)  # one line
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -197,15 +195,25 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (ConfigError, UnicodeDecodeError, OSError) as exc:
+        return _fail(EXIT_CONFIG, "config error", exc)
 
     out = Path(args.out) if args.out else Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     handler = {"solve": cmd_solve, "verify": cmd_verify, "massbound": cmd_massbound}[args.command]
-    return handler(cfg, out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        # floating-point faults raise instead of warning on stderr
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            try:
+                return handler(cfg, out)
+            except ConvergenceError as exc:
+                _write_history(exc, out)
+                raise
+    except (ConvergenceError, NumericalError, DomainError, StepSizeError,
+            ValueError, ArithmeticError) as exc:
+        return _fail(EXIT_NUMERICAL, "error", exc)
+    except OSError as exc:
+        return _fail(EXIT_CONFIG, "output error", exc)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ def coulomb_potential(rho: RadialFunction) -> RadialFunction:
     inner = cumulative_primitive(g, r**2 * rho.values)   # ∫_0^r s² ρ
     outer = cumulative_primitive(g, r * rho.values)      # ∫_0^r s ρ
     phi = 4.0 * np.pi * (inner / r + (outer[-1] - outer))
-    return RadialFunction(g, phi, "even")
+    return RadialFunction(g, phi)
 
 
 def coulomb_bilinear(a: RadialFunction, b: RadialFunction) -> float:

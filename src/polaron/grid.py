@@ -41,16 +41,10 @@ class RadialGrid:
 
 @dataclass
 class RadialFunction:
-    """Samples of a radial profile on a RadialGrid.
-
-    parity_hint records how the even 3d extension behaves near the origin
-    ('even': finite value, zero slope; 'odd': vanishes linearly).  It is
-    metadata for extrapolation and documentation, not enforced.
-    """
+    """Samples of a radial profile on a RadialGrid (finite, read-only)."""
 
     grid: RadialGrid
     values: np.ndarray
-    parity_hint: str = "even"
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)  # private copy, frozen below
@@ -60,13 +54,11 @@ class RadialFunction:
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite (no NaN/Inf)")
-        if self.parity_hint not in ("even", "odd"):
-            raise ValueError(f"unknown parity_hint {self.parity_hint!r}")
         vals.setflags(write=False)
         self.values = vals
 
-    def with_values(self, values: np.ndarray, parity_hint: str | None = None) -> "RadialFunction":
-        return RadialFunction(self.grid, values, parity_hint or self.parity_hint)
+    def with_values(self, values: np.ndarray) -> "RadialFunction":
+        return RadialFunction(self.grid, values)
 
 
 def build_grid(n: int, rmax: float) -> RadialGrid:
@@ -112,7 +104,6 @@ def radial_derivative(f: RadialFunction) -> RadialFunction:
     """Second-order finite-difference df/dr (central interior, one-sided ends).
 
     Exact on quadratics at every node.  Requires at least 4 nodes.
-    The parity hint flips: the derivative of an even profile is odd.
     """
     g = f.grid
     if g.n < 4:
@@ -123,11 +114,4 @@ def radial_derivative(f: RadialFunction) -> RadialFunction:
     out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
     out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    flipped = "odd" if f.parity_hint == "even" else "even"
-    return RadialFunction(g, out, flipped)
-
-
-def value_at_zero(f: RadialFunction) -> float:
-    """Quadratic extrapolation of f to r = 0 from the three smallest nodes."""
-    v = f.values
-    return float(3.0 * v[0] - 3.0 * v[1] + v[2])
+    return RadialFunction(g, out)

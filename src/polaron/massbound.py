@@ -39,26 +39,23 @@ class CutoffSpec:
     """Radial cutoff χ(εp) with χ(0) = 1.
 
     shape 'bump' is the standard compactly supported mollifier
-    exp(1 − 1/(1 − (s/s*)²)) on |s| < s*; 'gaussian' (not compactly
-    supported, for sensitivity studies) is exp(−(s/s*)²); 'one' is the
-    formal ε = 0 endpoint χ ≡ 1.
+    exp(1 − 1/(1 − s²)) on |s| < 1, s = εp; 'gaussian' (not compactly
+    supported, for sensitivity studies) is exp(−s²); 'one' is the formal
+    ε = 0 endpoint χ ≡ 1.
     """
 
     eps: float
     shape: str = "bump"
-    support_radius: float = 1.0
 
     def __post_init__(self):
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.shape not in ("bump", "gaussian", "one"):
             raise ValueError(f"unknown cutoff shape {self.shape!r}")
-        if self.support_radius <= 0:
-            raise ValueError("support_radius must be positive")
 
     def chi(self, p: np.ndarray) -> np.ndarray:
         """χ evaluated at εp (vectorized; exact zeros outside a bump's support)."""
-        s = np.asarray(self.eps * p, dtype=float) / self.support_radius
+        s = np.asarray(self.eps * p, dtype=float)
         if self.shape == "one":
             return np.ones_like(s)
         if self.shape == "gaussian":
@@ -83,8 +80,6 @@ class MassBoundReport:
     Q2: float
     f: float
     m_lower: float
-    mass_coeff: float
-    f_nonpositive: bool = False
 
 
 _CHI_ONE = CutoffSpec(eps=1.0, shape="one")
@@ -93,10 +88,11 @@ _CHI_ONE = CutoffSpec(eps=1.0, shape="one")
 def trial_profile(mp: MomentumProfile, cut: CutoffSpec) -> RadialFunction:
     """Radial scalar h(p) of the trial direction t(p) = p h(p).
 
-    h(p) = ψ̂'(p) χ(εp) / (p ψ̂(p)).  As p → 0 the ratio ψ̂'(p)/p tends to
-    ψ̂''(0) (quadratic extrapolation from the smallest nodes), so t itself
-    vanishes at the origin.  Raises DomainError if ψ̂ is not strictly
-    positive somewhere inside the cutoff's support.
+    h(p) = ψ̂'(p) χ(εp) / (p ψ̂(p)) at the grid nodes (p = 0 is not a node),
+    and exactly zero outside the cutoff's support.  ψ̂' vanishes linearly,
+    so h stays finite as p → 0 and t itself vanishes at the origin.
+    Raises DomainError if ψ̂ is not strictly positive somewhere inside the
+    cutoff's support.
     """
     p = mp.pgrid.nodes
     chi = cut.chi(p)
@@ -107,7 +103,7 @@ def trial_profile(mp: MomentumProfile, cut: CutoffSpec) -> RadialFunction:
     vals[support] = (
         mp.dpsi_hat.values[support] * chi[support] / (p[support] * mp.psi_hat.values[support])
     )
-    return RadialFunction(mp.pgrid, vals, "even")
+    return RadialFunction(mp.pgrid, vals)
 
 
 def pairing_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
@@ -157,42 +153,24 @@ def mass_coefficient(state: PekarState) -> float:
     return float(8.0 * np.pi / 3.0 * integrate_3d(quartic))
 
 
-def _mass_coefficient_momentum(mp: MomentumProfile) -> float:
-    # Plancherel route: ∫ ρ² d³x = ∫_0^∞ k⁴ φ(k)² dk
-    k = mp.pgrid.nodes
-    return float(8.0 * np.pi / 3.0 * mp.pgrid.integrate(k**4 * mp.phi.values**2))
-
-
 def bound_rhs(mp: MomentumProfile, cut: CutoffSpec) -> MassBoundReport:
     """Assemble f(ε) = 1 + (Q1 − Q2)/3 + 4R/3 for one cutoff.
 
     m_lower = 1/(2f) when f > 0; if quadrature noise pushes f ≤ 0 near the
-    exact zero, m_lower is the +inf sentinel and the report is flagged.
-    The mass coefficient is evaluated from the field profile (Plancherel
-    route), keeping the report a pure function of the momentum data.
+    exact zero, m_lower is the +inf sentinel.
     """
     R = pairing_term(mp, cut)
     Q1 = kinetic_term(mp, cut)
     Q2 = potential_term(mp, cut)
     f = 1.0 + (Q1 - Q2) / 3.0 + 4.0 * R / 3.0
-    nonpositive = f <= 0.0
     return MassBoundReport(
         eps=cut.eps,
         R=R,
         Q1=Q1,
         Q2=Q2,
         f=f,
-        m_lower=math.inf if nonpositive else 1.0 / (2.0 * f),
-        mass_coeff=_mass_coefficient_momentum(mp),
-        f_nonpositive=nonpositive,
+        m_lower=math.inf if f <= 0.0 else 1.0 / (2.0 * f),
     )
-
-
-def alpha_scaling(state: PekarState, coeff: float, alpha: float) -> tuple[float, float]:
-    """Leading strong-coupling predictions (α² eP, α⁴ coeff)."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return alpha**2 * state.eP, alpha**4 * coeff
 
 
 def kinetic_term_position_oracle(state: PekarState) -> float:

@@ -44,6 +44,7 @@ from .solver import PekarState
 from .transforms import fourier_density, fourier_radial, fourier_radial_gradient
 
 SQRT2_PI = np.sqrt(2.0) * np.pi
+_TAIL_FLOOR = 1e-6   # ψ̂'s noise floor relative to its maximum (see momentum_profile)
 
 
 @dataclass
@@ -59,7 +60,7 @@ class MomentumProfile:
     def rho_hat(self) -> RadialFunction:
         """Raw-convention density transform, recovered exactly from φ."""
         vals = SQRT2_PI * self.pgrid.nodes * self.phi.values
-        return RadialFunction(self.pgrid, vals, "even")
+        return RadialFunction(self.pgrid, vals)
 
 
 @dataclass
@@ -80,10 +81,21 @@ class RadialTestFunction:
         return np.broadcast_to(out, x.shape)
 
 
+def _noisy_sign_change(psi_hat: RadialFunction, tail_floor: float = _TAIL_FLOOR) -> int | None:
+    """Index of the first non-positive sample of ψ̂ if a later sample recovers
+    to tail_floor·max(ψ̂) or above, else None (see `momentum_profile`)."""
+    v = psi_hat.values
+    nonpos = v <= 0.0
+    if not nonpos.any():
+        return None
+    first = int(np.argmax(nonpos))
+    return first if np.any(v[first:] >= tail_floor * v.max()) else None
+
+
 def momentum_profile(
     state: PekarState,
     pgrid: RadialGrid,
-    tail_floor: float = 1e-6,
+    tail_floor: float = _TAIL_FLOOR,
 ) -> MomentumProfile:
     """Transform a converged state to momentum space.
 
@@ -100,18 +112,15 @@ def momentum_profile(
     is O(noise²).  Pass tail_floor=inf to skip the check.
     """
     psi_hat = fourier_radial(state.psi, pgrid)
-    v = psi_hat.values
-    nonpos = v <= 0.0
-    if nonpos.any():
-        first = int(np.argmax(nonpos))
-        if np.any(v[first:] >= tail_floor * v.max()):
-            raise DomainError(
-                f"transform sign-indefinite above the noise floor (first sign "
-                f"change at p={pgrid.nodes[first]:g}); increase rmax or decrease pmax"
-            )
+    first = _noisy_sign_change(psi_hat, tail_floor)
+    if first is not None:
+        raise DomainError(
+            f"transform sign-indefinite above the noise floor (first sign "
+            f"change at p={pgrid.nodes[first]:g}); increase rmax or decrease pmax"
+        )
     dpsi_hat = fourier_radial_gradient(state.psi, pgrid)
     rho_hat = fourier_density(state.rho, pgrid)
-    phi = RadialFunction(pgrid, rho_hat.values / (SQRT2_PI * pgrid.nodes), "odd")
+    phi = RadialFunction(pgrid, rho_hat.values / (SQRT2_PI * pgrid.nodes))
     return MomentumProfile(
         pgrid=pgrid,
         psi_hat=psi_hat,
@@ -129,7 +138,7 @@ def field_energy(mp: MomentumProfile) -> float:
 def density_expectation(mp: MomentumProfile, g: RadialTestFunction) -> float:
     """∫ |ψ̂(p)|² g(|p|) d³p."""
     vals = mp.psi_hat.values**2 * g(mp.pgrid.nodes)
-    return integrate_3d(RadialFunction(mp.pgrid, vals, "even"))
+    return integrate_3d(RadialFunction(mp.pgrid, vals))
 
 
 def number_expectation(mp: MomentumProfile, g: RadialTestFunction) -> float:

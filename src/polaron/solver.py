@@ -122,7 +122,7 @@ def _ground_pair(grid: RadialGrid, w_pot: np.ndarray) -> tuple[float, np.ndarray
 
 def _energies(grid: RadialGrid, u: np.ndarray) -> tuple[float, float, RadialFunction]:
     psi = u / grid.nodes
-    rho = RadialFunction(grid, psi**2, "even")
+    rho = RadialFunction(grid, psi**2)
     T = _kinetic_energy(grid, u)
     D = coulomb_bilinear(rho, rho)
     return T, D, rho
@@ -130,7 +130,7 @@ def _energies(grid: RadialGrid, u: np.ndarray) -> tuple[float, float, RadialFunc
 
 def _state_from_u(grid: RadialGrid, u: np.ndarray, iterations: int, residual: float) -> PekarState:
     T, D, rho = _energies(grid, u)
-    psi = RadialFunction(grid, u / grid.nodes, "even")
+    psi = RadialFunction(grid, u / grid.nodes)
     return PekarState(
         psi=psi,
         rho=rho,
@@ -158,7 +158,7 @@ def solve_pekar(opts: SolverOptions) -> PekarState:
     history: list[tuple[float, float]] = []
 
     for k in range(1, opts.max_iter + 1):
-        phi = coulomb_potential(RadialFunction(grid, rho_mix, "even"))
+        phi = coulomb_potential(RadialFunction(grid, rho_mix))
         _, u = _ground_pair(grid, -2.0 * phi.values)
         u = _normalize_u(grid, u)
         psi = u / grid.nodes

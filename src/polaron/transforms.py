@@ -48,14 +48,14 @@ def fourier_radial(f: RadialFunction, pgrid: RadialGrid) -> RadialFunction:
     """Unitary radial Fourier transform of a real radial profile."""
     p = pgrid.nodes
     vals = np.sqrt(2.0 / np.pi) * _sine_moment(f, p) / p
-    return RadialFunction(pgrid, vals, "even")
+    return RadialFunction(pgrid, vals)
 
 
 def fourier_density(rho: RadialFunction, pgrid: RadialGrid) -> RadialFunction:
     """Raw-convention transform ρ̂(p); ρ̂(p→0) → ∫ρ d³x."""
     p = pgrid.nodes
     vals = 4.0 * np.pi * _sine_moment(rho, p) / p
-    return RadialFunction(pgrid, vals, "even")
+    return RadialFunction(pgrid, vals)
 
 
 def fourier_radial_gradient(f: RadialFunction, pgrid: RadialGrid) -> RadialFunction:
@@ -71,5 +71,5 @@ def fourier_radial_gradient(f: RadialFunction, pgrid: RadialGrid) -> RadialFunct
     cos_moment = _moment(f, p, np.cos, g.nodes**2)
     sin_moment = _sine_moment(f, p)
     vals = np.sqrt(2.0 / np.pi) * (cos_moment / p - sin_moment / p**2)
-    return RadialFunction(pgrid, vals, "odd")
+    return RadialFunction(pgrid, vals)
 

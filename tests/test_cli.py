@@ -1,11 +1,26 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import polaron
 from polaron.cli import main
+
+# child interpreters import the same package as this one, installed or not
+_SRC = str(Path(polaron.__file__).resolve().parents[1])
+
+
+def _child_env(**extra):
+    path = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 # fast, well-behaved configuration for CLI plumbing tests
 SMALL_CONFIG = {
@@ -61,11 +76,13 @@ class TestSolveCommand:
         assert not (tmp_path / "ignored").exists()
 
     def test_convergence_failure_exit3_with_history(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", {"solver.max_iter": 2,
-                                                 "output.dir": str(tmp_path / "out")})
-        assert main(["solve", "--config", cfg]) == 3
-        history = json.loads((tmp_path / "out" / "residual_history.json").read_text())
-        assert len(history["history"]) == 2
+        # every command writes the SCF history when the solve fails
+        cfg = write_config(tmp_path / "c.json", {"solver.max_iter": 2})
+        for command in ("solve", "verify", "massbound"):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 3
+            history = json.loads((out / "residual_history.json").read_text())
+            assert len(history["history"]) == 2
 
 
 class TestConfigValidation:
@@ -106,6 +123,12 @@ class TestConfigValidation:
         path.write_text("{not json")
         assert main(["solve", "--config", str(path)]) == 2
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["solve", "--config", str(path)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
 
 class TestVerifyCommand:
     def test_default_config_all_rows_pass(self, tmp_path):
@@ -133,10 +156,76 @@ class TestVerifyCommand:
 
 @pytest.mark.parametrize("command", ["verify", "massbound"])
 def test_two_node_momentum_grid_exits_cleanly(tmp_path, capsys, command):
+    # two momentum nodes resolve nothing: verify's rows and massbound's
+    # χ≡1 endpoint (f ≈ 1) both miss their tolerances
     cfg = write_config(tmp_path / "c.json", {"momentum.n": 2,
                                              "output.dir": str(tmp_path / "out")})
-    assert main([command, "--config", cfg]) in (0, 1, 3)
+    assert main([command, "--config", cfg]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command,overrides", [
+    ("solve", {"grid.rmax": 1e-300}),
+    ("verify", {"grid.rmax": 1e-300}),
+    ("massbound", {"grid.rmax": 1e-300}),
+    ("verify", {"momentum.pmax": 1e300}),
+])
+def test_numerical_breakdown_exits_3_with_one_line(tmp_path, capsys, command, overrides):
+    cfg = write_config(tmp_path / "c.json", overrides)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "massbound"])
+def test_out_naming_a_file_exits_2_with_one_line(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "c.json")
+    target = tmp_path / "taken"
+    target.write_text("")
+    assert main([command, "--config", cfg, "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+_POSITIVE = st.one_of(st.floats(1e-300, 1e300), st.sampled_from([1e-300, 1e300]),
+                     st.integers(1, 50))
+_VALID_DOCS = st.fixed_dictionaries({}, optional={
+    "grid.n": st.integers(2, 300), "grid.rmax": _POSITIVE,   # sizes capped: small kernels
+    "momentum.n": st.integers(2, 300), "momentum.pmax": _POSITIVE,
+    "solver.mixing": st.floats(1e-300, 1.0), "solver.tol_energy": _POSITIVE,
+    "solver.tol_psi": _POSITIVE, "solver.max_iter": st.integers(2, 300),
+    "cutoff.shape": st.sampled_from(["bump", "gaussian", "one"]),
+    "cutoff.eps_list": st.lists(_POSITIVE, min_size=1, max_size=4)
+                         .map(lambda e: sorted(set(e), reverse=True)),
+})
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.lists(st.floats(), max_size=3),
+    st.floats(allow_nan=True, allow_infinity=True), st.integers(-2, 10),
+    st.sampled_from([1e-300, 1e300, -1e300, 0.0, -1.0, [], [0.1, 0.1], [0.2, float("nan")]]),
+)
+_KEYS = ["grid.n", "grid.rmax", "momentum.n", "momentum.pmax", "solver.mixing",
+         "solver.tol_energy", "solver.tol_psi", "solver.max_iter", "cutoff.shape",
+         "cutoff.eps_list", "output.dir", "grid.npts", ""]
+# a valid document, or one with a single key replaced by junk (or an unknown key)
+_CONFIG_DOCS = _VALID_DOCS | st.builds(lambda doc, key, val: {**doc, key: val},
+                                       _VALID_DOCS, st.sampled_from(_KEYS), _JUNK)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=50, deadline=None)
+@given(doc=_CONFIG_DOCS, command=st.sampled_from(["solve", "verify", "massbound"]))
+def test_any_config_document_gives_an_exit_code(doc, command):
+    """The exit-code contract: every config document yields 0, 1, 2 or 3 and
+    at most one stderr line, never an escaping exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2, 3)
+    assert len(err.getvalue().splitlines()) <= 1
 
 
 class TestMassboundCommand:
@@ -156,7 +245,7 @@ def test_thread_cap_env_var_stable(tmp_path):
     cfg_path.write_text(json.dumps(dict(SMALL_CONFIG)))
     outputs = []
     for threads, out in (("1", "t1"), ("2", "t2")):
-        env = dict(os.environ, POLARON_THREADS=threads)
+        env = _child_env(POLARON_THREADS=threads)
         subprocess.run(
             [sys.executable, "-m", "polaron", "solve", "--config", str(cfg_path),
              "--out", str(tmp_path / out)],
@@ -172,5 +261,5 @@ def test_import_leaves_interpolate_and_signal_unloaded():
     code = ("import sys, polaron; "
             "print(sorted(m for m in ('scipy.interpolate', 'scipy.signal') if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
-                          text=True)
+                          text=True, env=_child_env())
     assert done.stdout.strip() == "[]"

@@ -47,11 +47,6 @@ class TestRadialFunction:
         with pytest.raises(ValueError):
             pl.RadialFunction(g, np.ones(9))
 
-    def test_rejects_unknown_parity(self):
-        g = pl.build_grid(8, 1.0)
-        with pytest.raises(ValueError):
-            pl.RadialFunction(g, np.ones(8), "both")
-
 
 class TestIntegrate3d:
     def test_unit_ball_volume(self):
@@ -110,14 +105,3 @@ class TestRadialDerivative:
         g = pl.build_grid(3, 1.0)
         with pytest.raises(ValueError):
             pl.radial_derivative(pl.RadialFunction(g, np.ones(3)))
-
-    def test_parity_flips(self):
-        g = pl.build_grid(16, 1.0)
-        f = pl.RadialFunction(g, g.nodes**2, "even")
-        assert pl.radial_derivative(f).parity_hint == "odd"
-
-
-def test_value_at_zero_exact_on_quadratic():
-    g = pl.build_grid(32, 1.0)
-    f = pl.RadialFunction(g, 3.0 * g.nodes**2 - 2.0 * g.nodes + 0.7)
-    assert abs(pl.value_at_zero(f) - 0.7) < 1e-12
