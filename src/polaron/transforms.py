@@ -1,4 +1,4 @@
-"""Radial Fourier transforms by direct sine/cosine quadrature.
+"""Radial Fourier transforms as chirp-z sums on the momentum grid.
 
 Two conventions coexist and are named everywhere they are used:
 
@@ -12,9 +12,18 @@ Both map real even radial profiles to real even radial profiles, and the
 unitary kernel is its own inverse, so applying `fourier_radial` twice with
 matched grids reproduces the input up to quadrature error.
 
-Every transform is a direct sum over the radial nodes, evaluated at the
-nodes of the target grid; momentum profiles are only ever needed there
+Every transform is the grid quadrature of a sine or cosine moment, evaluated
+at the nodes of the target grid; momentum profiles are only ever needed there
 (see momentum.py for how the double integrals over |p+k| stay on the grid).
+With r_i = i h_r and p_j = j h_p both moments are parts of one sum,
+
+    X_j = Σ_i c_i e^{−iθij},   θ = h_r h_p,   c_i = w_i r_i^k f(r_i),
+
+(sine moment −Im X, cosine moment Re X), and ij = (i² + j² − (j−i)²)/2 makes
+it a chirp-z transform (Bluestein 1969): X_j = e^{−iθj²/2} Σ_i
+(c_i e^{−iθi²/2}) e^{iθ(j−i)²/2}, one FFT convolution in O((N+M) log(N+M))
+time and O(N+M) memory.  Each phase θs²/2 is an exact integer square times θ/2,
+so it carries one rounding, as the product p_j r_i of the direct sum does.
 """
 
 from __future__ import annotations
@@ -24,38 +33,30 @@ import numpy as np
 from .grid import RadialFunction, RadialGrid
 
 
-_KERNEL_CHUNK = 8_000_000  # max elements of one sin/cos kernel slab
-
-
-def _moment(f: RadialFunction, p: np.ndarray, oscillator, radial_weight: np.ndarray) -> np.ndarray:
-    """∫_0^rmax w(r) osc(pr) f(r) dr for each p, chunked to bound memory."""
+def _chirp_moment(f: RadialFunction, pgrid: RadialGrid, k: int) -> np.ndarray:
+    """X_j = Σ_i w_i r_i^k f(r_i) e^{−i p_j r_i} at every node p_j, by one
+    FFT convolution with the chirp e^{iθm²/2}, m = j − i from 1−N to M−1."""
     g = f.grid
-    coeff = g.weights * radial_weight * f.values
-    out = np.empty_like(p)
-    rows = max(1, _KERNEL_CHUNK // g.n)
-    for lo in range(0, p.size, rows):
-        hi = min(lo + rows, p.size)
-        out[lo:hi] = oscillator(np.outer(p[lo:hi], g.nodes)) @ coeff
-    return out
-
-
-def _sine_moment(f: RadialFunction, p: np.ndarray) -> np.ndarray:
-    """∫_0^rmax r sin(pr) f(r) dr for each p, by grid quadrature."""
-    return _moment(f, p, np.sin, f.grid.nodes)
+    n, m = g.n, pgrid.n
+    squares = np.arange(max(n, m) + 1, dtype=float) ** 2
+    chirp = np.exp(0.5j * (g.h * pgrid.h) * squares)                 # e^{iθs²/2}
+    a = g.weights * g.nodes**k * f.values * chirp[1:n + 1].conj()    # i = 1..N
+    b = chirp[np.abs(np.arange(1 - n, m))]                            # m = 1−N..M−1
+    size = 1 << (n + m - 2).bit_length()                              # ≥ N+M−1: no wrap
+    conv = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))
+    return chirp[1:m + 1].conj() * conv[n - 1:n + m - 1]
 
 
 def fourier_radial(f: RadialFunction, pgrid: RadialGrid) -> RadialFunction:
     """Unitary radial Fourier transform of a real radial profile."""
-    p = pgrid.nodes
-    vals = np.sqrt(2.0 / np.pi) * _sine_moment(f, p) / p
-    return RadialFunction(pgrid, vals)
+    sin_moment = -_chirp_moment(f, pgrid, 1).imag
+    return RadialFunction(pgrid, np.sqrt(2.0 / np.pi) * sin_moment / pgrid.nodes)
 
 
 def fourier_density(rho: RadialFunction, pgrid: RadialGrid) -> RadialFunction:
     """Raw-convention transform ρ̂(p); ρ̂(p→0) → ∫ρ d³x."""
-    p = pgrid.nodes
-    vals = 4.0 * np.pi * _sine_moment(rho, p) / p
-    return RadialFunction(pgrid, vals)
+    sin_moment = -_chirp_moment(rho, pgrid, 1).imag
+    return RadialFunction(pgrid, 4.0 * np.pi * sin_moment / pgrid.nodes)
 
 
 def fourier_radial_gradient(f: RadialFunction, pgrid: RadialGrid) -> RadialFunction:
@@ -66,10 +67,8 @@ def fourier_radial_gradient(f: RadialFunction, pgrid: RadialGrid) -> RadialFunct
     More accurate than finite-differencing the transform, and exact about the
     cancellation structure at small p (ψ̂' vanishes linearly).
     """
-    g = f.grid
     p = pgrid.nodes
-    cos_moment = _moment(f, p, np.cos, g.nodes**2)
-    sin_moment = _sine_moment(f, p)
+    cos_moment = _chirp_moment(f, pgrid, 2).real
+    sin_moment = -_chirp_moment(f, pgrid, 1).imag
     vals = np.sqrt(2.0 / np.pi) * (cos_moment / p - sin_moment / p**2)
     return RadialFunction(pgrid, vals)
-

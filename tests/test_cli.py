@@ -191,8 +191,8 @@ def test_out_naming_a_file_exits_2_with_one_line(tmp_path, capsys, command):
 _POSITIVE = st.one_of(st.floats(1e-300, 1e300), st.sampled_from([1e-300, 1e300]),
                      st.integers(1, 50))
 _VALID_DOCS = st.fixed_dictionaries({}, optional={
-    "grid.n": st.integers(2, 300), "grid.rmax": _POSITIVE,   # sizes capped: small kernels
-    "momentum.n": st.integers(2, 300), "momentum.pmax": _POSITIVE,
+    "grid.n": st.integers(2, 4000), "grid.rmax": _POSITIVE,   # up to the default grid sizes
+    "momentum.n": st.integers(2, 4000), "momentum.pmax": _POSITIVE,
     "solver.mixing": st.floats(1e-300, 1.0), "solver.tol_energy": _POSITIVE,
     "solver.tol_psi": _POSITIVE, "solver.max_iter": st.integers(2, 300),
     "cutoff.shape": st.sampled_from(["bump", "gaussian", "one"]),
@@ -256,9 +256,12 @@ def test_thread_cap_env_var_stable(tmp_path):
 
 
 def test_import_leaves_interpolate_and_signal_unloaded():
-    """`import polaron` pulls in neither scipy.interpolate nor scipy.signal,
-    which would each add most of a second to every interpreter start."""
+    """Neither `import polaron` nor a first transform call pulls in
+    scipy.interpolate or scipy.signal, which would each add most of a second
+    to every interpreter start (a lazy import only moves it to the first call)."""
     code = ("import sys, polaron; "
+            "g = polaron.build_grid(20, 5.0); "
+            "polaron.fourier_radial_gradient(polaron.RadialFunction(g, g.nodes), g); "
             "print(sorted(m for m in ('scipy.interpolate', 'scipy.signal') if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                           text=True, env=_child_env())

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import polaron as pl
+from conftest import MOMENTUM_GRID
+from polaron.transforms import _chirp_moment
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +78,48 @@ def test_gradient_transform_gaussian(rgrid, pgrid):
     exact = -pgrid.nodes * np.pi**-0.75 * np.exp(-pgrid.nodes**2 / 2)
     assert np.abs(dpsi_hat.values - exact).max() < 1e-6
 
+
+def _direct_moment(f, pgrid, k, oscillator):
+    """Σ_i w_i r_i^k f(r_i) osc(p_j r_i) for every p_j: the O(N_p·N_r) direct
+    quadrature, the oracle of the chirp-z sum, in 256-row slabs."""
+    g = f.grid
+    c = g.weights * g.nodes**k * f.values
+    return np.concatenate([oscillator(np.outer(p, g.nodes)) @ c
+                           for p in np.array_split(pgrid.nodes, -(-pgrid.n // 256))])
+
+
+def _random_profile(n, rmax):
+    return pl.RadialFunction(pl.build_grid(n, rmax), np.random.default_rng(n).standard_normal(n))
+
+
+@pytest.mark.parametrize("source, pgrid_shape", [
+    ("state_default", MOMENTUM_GRID),   # 3000/30 → 4000/10
+    ("state_fine", MOMENTUM_GRID),      # 6000/40 → 4000/10
+    # small and lopsided sizes, where an index slip in the convolution shows
+    ((2, 1.0), (2, 1.5)),
+    ((3, 2.0), (5, 3.0)),
+    ((7, 3.0), (3, 2.0)),
+    ((300, 12.0), (200, 8.0)),
+])
+def test_chirp_moments_match_direct_sum(request, source, pgrid_shape):
+    f = request.getfixturevalue(source).psi if isinstance(source, str) else _random_profile(*source)
+    pgrid = pl.build_grid(*pgrid_shape)
+    sin_direct = _direct_moment(f, pgrid, 1, np.sin)
+    cos_direct = _direct_moment(f, pgrid, 2, np.cos)
+    sin_fast = -_chirp_moment(f, pgrid, 1).imag
+    cos_fast = _chirp_moment(f, pgrid, 2).real
+    assert np.abs(sin_fast - sin_direct).max() <= 1e-12 * np.abs(sin_direct).max()
+    assert np.abs(cos_fast - cos_direct).max() <= 1e-12 * np.abs(cos_direct).max()
+
+
+def test_momentum_profile_memory_stays_linear(state_fine):
+    # a dense N_p×N_r kernel at 6000/40 → 4000/10 holds 192 MB (128 MB even in
+    # 8M-element slabs); the chirp-z transforms hold O(N_r + N_p) arrays, ~1 MB
+    pgrid = pl.build_grid(*MOMENTUM_GRID)
+    tracemalloc.start()
+    try:
+        pl.momentum_profile(state_fine, pgrid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
