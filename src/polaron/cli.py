@@ -85,22 +85,21 @@ def _write_state_json(cfg: RunConfig, state: PekarState, out: Path) -> None:
     )
 
 
+def _csv_rows(*columns: np.ndarray) -> list[str]:
+    """One line per node, each column's float as `_fmt` writes it ("%.17g")."""
+    row = ",".join(["%.17g"] * len(columns))
+    return [row % values for values in zip(*(c.tolist() for c in columns))]
+
+
 def _write_profiles_csv(cfg: RunConfig, state: PekarState, mp: MomentumProfile, out: Path) -> None:
     from .coulomb import coulomb_potential
 
     phi_pos = coulomb_potential(state.rho)
-    lines = [_artifact_header(cfg).rstrip("\n")]
-    lines.append("r,psi,rho,Phi")
-    g = state.psi.grid
-    for i in range(g.n):
-        lines.append(",".join(_fmt(v) for v in (
-            g.nodes[i], state.psi.values[i], state.rho.values[i], phi_pos.values[i])))
-    lines.append("")
-    lines.append("p,psi_hat,dpsi_hat,phi")
-    pg = mp.pgrid
-    for i in range(pg.n):
-        lines.append(",".join(_fmt(v) for v in (
-            pg.nodes[i], mp.psi_hat.values[i], mp.dpsi_hat.values[i], mp.phi.values[i])))
+    g, pg = state.psi.grid, mp.pgrid
+    lines = [_artifact_header(cfg).rstrip("\n"), "r,psi,rho,Phi"]
+    lines += _csv_rows(g.nodes, state.psi.values, state.rho.values, phi_pos.values)
+    lines += ["", "p,psi_hat,dpsi_hat,phi"]
+    lines += _csv_rows(pg.nodes, mp.psi_hat.values, mp.dpsi_hat.values, mp.phi.values)
     (out / "profiles.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -12,8 +12,11 @@ Note the factor 2 in the effective potential: the interaction term carries no
 1/2, so differentiating the double integral doubles it.
 
 On the radial reduction u(r) = r ψ(r) with Dirichlet walls u(0) = u(rmax) = 0
-the linearized operator is the symmetric tridiagonal −d²/dr² + W, W = −2Φ.
-Each SCF step solves its lowest eigenpair and mixes densities:
+the linearized operator is the symmetric tridiagonal H = −d²/dr² + W, W = −2Φ.
+Each SCF step finds its lowest eigenpair by inverse iteration warm-started
+from the current iterate, with shifts certified to lie below the spectrum
+(an O(n) LDLᵀ factorization with positive pivots, see `_ground_pair`), and
+mixes densities:
 
     ρ_{k+1} = (1 − β) ρ_k + β |ψ_new|².
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .coulomb import coulomb_bilinear, coulomb_potential
 from .errors import ConvergenceError, NumericalError, StepSizeError
@@ -107,17 +110,85 @@ def _kinetic_energy(grid: RadialGrid, u: np.ndarray) -> float:
     return 4.0 * np.pi * grid.integrate(u * _apply_kinetic(u, grid.h))
 
 
-def _ground_pair(grid: RadialGrid, w_pot: np.ndarray) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of −d²/dr² + W on interior nodes r_1..r_{n−1}."""
+# inverse iteration in `_ground_pair`
+_STEP_TOL = 1e-12
+_SHIFT_FLOOR = 1e-10
+_SOLVES_PER_SHIFT = 3
+_MAX_SHIFTS = 100
+
+
+def _factor_below(diag: np.ndarray, off: np.ndarray, lam: float, delta: float,
+                  w_min: float) -> tuple[np.ndarray, np.ndarray, bool]:
+    """LDLᵀ factors of H − σI at the first σ = λ − 4ᵏδ (k = 0, 1, ...) with
+    positive pivots, plus whether k = 0 passed.
+
+    Positive pivots put σ below the lowest eigenvalue λ₀ by Sylvester's law of
+    inertia.  σ = min W is always below λ₀ (−d²/dr² is positive definite);
+    δ grows fourfold per try, so the search reaches it after at most
+    log₄((λ − min W)/δ) + 1 tries.
+    """
+    first = True
+    while lam - delta > w_min:
+        d, e, info = dpttrf(diag - (lam - delta), off)
+        if info == 0:
+            return d, e, first
+        delta *= 4.0
+        first = False
+    d, e, info = dpttrf(diag - w_min, off)
+    if info != 0:
+        raise NumericalError("no shift below the spectrum: H − min(W) is not positive definite")
+    return d, e, first
+
+
+def _ground_pair(grid: RadialGrid, w_pot: np.ndarray,
+                 u: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of H = −d²/dr² + W on interior nodes r_1..r_{n−1},
+    by inverse iteration from the guess u (the wall value u[-1] is ignored).
+
+    Each shift lies δ below the Rayleigh quotient λ of the unit iterate x,
+    δ = max(‖Hx − λx‖, _SHIFT_FLOOR, 4 eps ‖H‖) grown fourfold until
+    `_factor_below` certifies it below λ₀, so the iteration converges to the
+    lowest pair from any guess; it is re-centred after _SOLVES_PER_SHIFT
+    solves.  (Pivot rounding moves the inertia of H − σI by up to about
+    eps ‖H‖/4, measured for rmax from 1e-6 to 1e3; a smaller δ may never
+    pass.)  The iterate settles once a solve moves it by at most _STEP_TOL,
+    and is returned when the next shift passes at its first δ, which proves
+    λ₀ ∈ (λ − δ, λ]: a settled excited pair fails that test and iterates on.
+
+    Every call makes at least one solve, so the SCF iterate follows each
+    change of W.  A certified x that a solve no longer moves is kept rather
+    than replaced by the solve's rounding, so the SCF can reach an exact
+    fixed point where its energy change is below rounding.
+    """
     h = grid.h
-    diag = 2.0 / h**2 + w_pot[:-1]
-    off = np.full(grid.n - 2, -1.0 / h**2)
-    try:
-        vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
-    u = np.append(vecs[:, 0], 0.0)
-    return float(vals[0]), u
+    w_in = w_pot[:-1]
+    diag = 2.0 / h**2 + w_in
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(u))):
+        raise NumericalError("eigenstep got a non-finite potential, grid step or guess")
+    if diag.size == 1:  # one interior node: H is a number
+        return float(diag[0]), np.array([1.0, 0.0])
+    off = np.full(diag.size - 1, -1.0 / h**2)
+    w_min = float(w_in.min())
+    floor = max(_SHIFT_FLOOR, 4.0 * np.finfo(float).eps * (np.abs(diag).max() + 2.0 / h**2))
+    x = u[:-1] / np.linalg.norm(u[:-1])
+    settled = False
+    for _ in range(_MAX_SHIFTS):
+        hx = _apply_kinetic(np.append(x, 0.0), h)[:-1] + w_in * x
+        lam = float(x @ hx)
+        delta = max(float(np.linalg.norm(hx - lam * x)), floor)
+        d, e, first = _factor_below(diag, off, lam, delta, w_min)
+        if settled and first:
+            return lam, np.append(x, 0.0)
+        for _ in range(_SOLVES_PER_SHIFT):
+            # (H − σI)⁻¹ is positive definite, so y·x > 0: no sign flip
+            y = dpttrs(d, e, x)[0]
+            y /= np.linalg.norm(y)
+            step = np.linalg.norm(y - x)
+            if step <= _STEP_TOL and first:  # certified and still: keep x
+                break
+            x = y
+        settled = step <= _STEP_TOL
+    raise NumericalError(f"inverse iteration did not settle in {_MAX_SHIFTS} shifts")
 
 
 def _energies(grid: RadialGrid, u: np.ndarray) -> tuple[float, float, RadialFunction]:
@@ -128,8 +199,9 @@ def _energies(grid: RadialGrid, u: np.ndarray) -> tuple[float, float, RadialFunc
     return T, D, rho
 
 
-def _state_from_u(grid: RadialGrid, u: np.ndarray, iterations: int, residual: float) -> PekarState:
-    T, D, rho = _energies(grid, u)
+def _state_from_u(grid: RadialGrid, u: np.ndarray, T: float, D: float, rho: RadialFunction,
+                  iterations: int, residual: float) -> PekarState:
+    """Package u with the energies T, D and density ρ that `_energies` gave for it."""
     psi = RadialFunction(grid, u / grid.nodes)
     return PekarState(
         psi=psi,
@@ -157,19 +229,20 @@ def solve_pekar(opts: SolverOptions) -> PekarState:
     e_prev = np.inf
     history: list[tuple[float, float]] = []
 
+    x = u  # the eigenstep starts from its own last output, so a settled one recurs exactly
     for k in range(1, opts.max_iter + 1):
         phi = coulomb_potential(RadialFunction(grid, rho_mix))
-        _, u = _ground_pair(grid, -2.0 * phi.values)
-        u = _normalize_u(grid, u)
+        _, x = _ground_pair(grid, -2.0 * phi.values, x)
+        u = _normalize_u(grid, x)
         psi = u / grid.nodes
 
-        T, D, _ = _energies(grid, u)
+        T, D, rho = _energies(grid, u)
         e_new = T - D
         dpsi = np.sqrt(4.0 * np.pi * grid.integrate((u - grid.nodes * psi_prev) ** 2))
         history.append((e_new, dpsi))
 
         if abs(e_new - e_prev) <= opts.tol_energy and dpsi <= opts.tol_psi:
-            return _state_from_u(grid, u, iterations=k, residual=dpsi)
+            return _state_from_u(grid, u, T, D, rho, iterations=k, residual=dpsi)
 
         rho_mix = (1.0 - opts.mixing) * rho_mix + opts.mixing * psi**2
         psi_prev = psi
@@ -179,7 +252,8 @@ def solve_pekar(opts: SolverOptions) -> PekarState:
         f"SCF did not converge in {opts.max_iter} iterations "
         f"(last dE={abs(history[-1][0] - history[-2][0]) if len(history) > 1 else np.inf:.3e}, "
         f"last |dpsi|={history[-1][1]:.3e})",
-        last_state=_state_from_u(grid, u, iterations=opts.max_iter, residual=history[-1][1]),
+        last_state=_state_from_u(grid, u, T, D, rho, iterations=opts.max_iter,
+                                 residual=history[-1][1]),
         history=history,
     )
 
@@ -215,13 +289,14 @@ def imaginary_time_oracle(opts: SolverOptions, step: float = 1e-3) -> PekarState
                 f"step={step:g} exceeds the stability limit for h={grid.h:g}"
             )
         if abs(e_new - e_prev) <= opts.tol_energy:
-            return _state_from_u(grid, u, iterations=k, residual=abs(e_new - e_prev))
+            return _state_from_u(grid, u, T, D, rho, iterations=k, residual=abs(e_new - e_prev))
         e_prev = e_new
 
     raise ConvergenceError(
         f"imaginary-time flow did not stagnate below {opts.tol_energy:g} "
         f"in {opts.max_iter} steps",
-        last_state=_state_from_u(grid, u, iterations=opts.max_iter, residual=abs(e_new - e_prev)),
+        last_state=_state_from_u(grid, u, T, D, rho, iterations=opts.max_iter,
+                                 residual=abs(e_new - e_prev)),
     )
 
 

@@ -7,12 +7,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polaron
-from polaron.cli import main
+from polaron.cli import _csv_rows, _fmt, main
 
 # child interpreters import the same package as this one, installed or not
 _SRC = str(Path(polaron.__file__).resolve().parents[1])
@@ -83,6 +84,17 @@ class TestSolveCommand:
             assert main([command, "--config", cfg, "--out", str(out)]) == 3
             history = json.loads((out / "residual_history.json").read_text())
             assert len(history["history"]) == 2
+
+
+def test_csv_rows_write_each_value_as_fmt():
+    # the profiles.csv writer formats whole rows at once; each field must
+    # stay `_fmt` of its value, so the artifact bytes do not change
+    rng = np.random.default_rng(3)
+    special = [0.0, -0.0, 5e-324, 1e-300, -2.5e300, 1 / 3, 1e16, 123456789.0]
+    columns = [np.array(special + list(rng.standard_normal(8) * 10.0**k))
+               for k in (-200, -5, 0, 200)]
+    expected = [",".join(_fmt(c[i]) for c in columns) for i in range(columns[0].size)]
+    assert _csv_rows(*columns) == expected
 
 
 class TestConfigValidation:
@@ -162,6 +174,17 @@ def test_two_node_momentum_grid_exits_cleanly(tmp_path, capsys, command):
                                              "output.dir": str(tmp_path / "out")})
     assert main([command, "--config", cfg]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,code", [("solve", 3), ("verify", 1), ("massbound", 3)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_or_two_interior_radial_nodes_exit_cleanly(tmp_path, capsys, n, command, code):
+    # the ground state of one or two interior nodes resolves nothing: verify
+    # tabulates the misses, the ψ̂ sign check of solve and massbound raises
+    cfg = write_config(tmp_path / "c.json", {"grid.n": n})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

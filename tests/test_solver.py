@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 import polaron as pl
 from conftest import ORACLE_GRID, ORACLE_STEP
+from polaron import solver
 
 # four-digit ground-state energy, locked against the imaginary-time flow on
 # an independent grid plus refinement (see test_acceptance)
@@ -128,3 +130,116 @@ class TestPositionResidual:
         r1 = residual_with(1e-3)
         r2 = residual_with(5e-4)
         assert 1.5 < r1 / r2 < 2.5
+
+
+def _oracle_pairs(grid, w_pot, count):
+    """The `count` lowest eigenpairs of H = −d²/dr² + W on the interior nodes,
+    by LAPACK bisection and inverse iteration (stebz + stein).
+
+    Each λ is the Rayleigh quotient of its vector with −d²/dr² summed as
+    squared differences: stebz's own value carries an error of eps·‖H‖
+    (≈ 1e-11 relative on the state grids), the quotient one of ~1e-15.
+    """
+    h = grid.h
+    diag = 2.0 / h**2 + w_pot[:-1]
+    off = np.full(grid.n - 2, -1.0 / h**2)
+    _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
+    pairs = []
+    for x in vecs.T:
+        kinetic = np.sum(np.diff(np.concatenate(([0.0], x, [0.0])))**2) / h**2
+        pairs.append((kinetic + w_pot[:-1] @ x**2, x))
+    return pairs
+
+
+def _state_potential(state):
+    return state.psi.grid, -2.0 * pl.coulomb_potential(state.rho).values
+
+
+def _random_potential(n, seed=5):
+    grid = pl.build_grid(n, 5.0)
+    return grid, -np.random.default_rng(seed).uniform(0.0, 20.0, n)
+
+
+@pytest.fixture(scope="module")
+def eigen_cases(state_default, state_fine):
+    """(label, grid, W, warm guess) on the two state grids and seeded random
+    potentials, including one and two interior nodes (grid.n 2 and 3)."""
+    cases = [(f"state{s.psi.grid.n}", *_state_potential(s), s.psi.grid.nodes * s.psi.values)
+             for s in (state_default, state_fine)]
+    for n in (2, 3, 7, 400):
+        grid, w = _random_potential(n)
+        cases.append((f"random{n}", grid, w, None))
+    return cases
+
+
+@pytest.mark.parametrize("guess", ["warm", "initial", "excited"])
+def test_ground_pair_matches_eigh_oracle(eigen_cases, guess):
+    """From a warm iterate, the SCF's starting profile or the oracle's first
+    excited vector, the eigenstep returns the lowest pair."""
+    checked = 0
+    for label, grid, w, warm in eigen_cases:
+        pairs = _oracle_pairs(grid, w, min(2, grid.n - 1))
+        if guess == "warm":
+            if warm is None:
+                continue
+            u0 = warm
+        elif guess == "initial":
+            u0 = solver._initial_u(grid, "hydrogenic")
+        else:
+            if len(pairs) < 2:
+                continue
+            u0 = np.append(pairs[1][1], 0.0)
+        lam, u = solver._ground_pair(grid, w, u0)
+        lam0, x0 = pairs[0]
+        assert abs(lam - lam0) <= 1e-12 * abs(lam0), label
+        assert u[-1] == 0.0 and abs(np.linalg.norm(u) - 1.0) <= 1e-14, label
+        x = np.sign(u[:-1] @ x0) * u[:-1]
+        assert np.max(np.abs(x - x0)) <= 1e-9, label
+        checked += 1
+    assert checked >= 2
+
+
+def test_ground_pair_keeps_a_settled_iterate(state_default):
+    # once its unit normalization has settled (one call), the returned vector
+    # comes back bit for bit, so the SCF can reach an exact fixed point where
+    # its energy change is below rounding; a solve would move it in the last
+    # digits on every call
+    grid, w = _state_potential(state_default)
+    u = grid.nodes * state_default.psi.values
+    for _ in range(2):
+        _, u = solver._ground_pair(grid, w, u)
+    assert np.array_equal(solver._ground_pair(grid, w, u)[1], u)
+
+
+def test_ground_pair_rejects_non_finite_input():
+    grid, w = _random_potential(50)
+    u = solver._initial_u(grid, "hydrogenic")
+    for bad_w, bad_u in ((np.where(grid.nodes > 2.0, np.nan, w), u),
+                         (w, np.where(grid.nodes > 2.0, np.inf, u))):
+        with pytest.raises(pl.NumericalError, match="non-finite"):
+            solver._ground_pair(grid, bad_w, bad_u)
+
+
+# (800, 1e-3): a box so small that a converged vector's residual (~eps‖H‖/4)
+# falls below the rounding of the LDLᵀ pivots.  In it and in (3000, 1e-7) the
+# energies (~1e7, ~1e15) meet tol_energy only at an exact fixed point, reached
+# after a number of steps that rounding decides, so there only the states are
+# compared.
+@pytest.mark.parametrize("grid,same_steps", [((800, 20.0), True), ((800, 1e-3), False),
+                                             ((3000, 1e-7), False)])
+def test_scf_matches_eigh_driven_scf(monkeypatch, grid, same_steps):
+    """The warm-started eigenstep leaves the SCF trajectory where an SCF that
+    solves each step's pair with the dense-spectrum oracle puts it."""
+    opts = pl.SolverOptions(grid=grid)
+    fast = pl.solve_pekar(opts)
+
+    def oracle_step(grid, w_pot, u):
+        lam, x = _oracle_pairs(grid, w_pot, 1)[0]
+        return lam, np.append(x, 0.0)
+
+    monkeypatch.setattr(solver, "_ground_pair", oracle_step)
+    ref = pl.solve_pekar(opts)
+    assert fast.iterations == ref.iterations or not same_steps
+    scale = np.max(np.abs(ref.psi.values))
+    assert np.max(np.abs(fast.psi.values - ref.psi.values)) <= 1e-10 * scale
+    assert abs(fast.eP - ref.eP) <= 1e-13 * abs(ref.eP)
