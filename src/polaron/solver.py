@@ -15,10 +15,17 @@ On the radial reduction u(r) = r ψ(r) with Dirichlet walls u(0) = u(rmax) = 0
 the linearized operator is the symmetric tridiagonal H = −d²/dr² + W, W = −2Φ.
 Each SCF step finds its lowest eigenpair by inverse iteration warm-started
 from the current iterate, with shifts certified to lie below the spectrum
-(an O(n) LDLᵀ factorization with positive pivots, see `_ground_pair`), and
-mixes densities:
+(an O(n) LDLᵀ factorization with positive pivots, see `_ground_pair`).  The
+input density is then updated by Anderson (Pulay, "DIIS") mixing of the
+residual f_k = ρ_out,k − ρ_in,k with ρ_out,k = |ψ_new|²:
 
-    ρ_{k+1} = (1 − β) ρ_k + β |ψ_new|².
+    ρ_in,k+1 = ρ_in,k + β f_k − Σ_j γ_j (Δρ_in,j + β Δf_j),
+
+where Δ are the differences between successive steps over the last
+`_DEPTH` steps, and γ minimizes ‖f_k − Σ_j γ_j Δf_j‖ in the 3d L² norm.
+With no history this is the linear step (1 − β) ρ_in,k + β ρ_out,k.  Φ is
+linear in ρ, so the input potential is carried along as the same
+combination of potentials already computed: one Coulomb solve per step.
 
 An explicit imaginary-time gradient flow on the same reduced problem serves
 as an algorithmically independent cross-check (`imaginary_time_oracle`).
@@ -31,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .coulomb import coulomb_bilinear, coulomb_potential
+from .coulomb import coulomb_potential
 from .errors import ConvergenceError, NumericalError, StepSizeError
-from .grid import RadialFunction, RadialGrid, build_grid
+from .grid import RadialFunction, RadialGrid, build_grid, integrate_3d
 
 
 @dataclass
@@ -41,7 +48,8 @@ class SolverOptions:
     """Configuration of the ground-state search.
 
     grid is (n, rmax); init selects the starting profile ('hydrogenic' for
-    e^{-r}, 'gaussian' for e^{-r²/2}); mixing is the density-mixing weight β.
+    e^{-r}, 'gaussian' for e^{-r²/2}); mixing is the damping β of the
+    Anderson density mixing, the weight of the linear step it starts from.
     """
 
     grid: tuple[int, float] = (3000, 30.0)
@@ -159,6 +167,13 @@ def _ground_pair(grid: RadialGrid, w_pot: np.ndarray,
     change of W.  A certified x that a solve no longer moves is kept rather
     than replaced by the solve's rounding, so the SCF can reach an exact
     fixed point where its energy change is below rounding.
+
+    Limit: when the lowest state is localized away from the guess (a
+    component of ~1e-50 along it) or nearly degenerate (a gap of ~1e-11),
+    as in random or symmetric multi-well potentials, inverse iteration can
+    exhaust _MAX_SHIFTS and raise NumericalError where a dense solver
+    returns the pair.  The SCF's W = −2Φ is monotone in r, and no CLI run
+    has been seen to reach this.
     """
     h = grid.h
     w_in = w_pot[:-1]
@@ -191,12 +206,15 @@ def _ground_pair(grid: RadialGrid, w_pot: np.ndarray,
     raise NumericalError(f"inverse iteration did not settle in {_MAX_SHIFTS} shifts")
 
 
-def _energies(grid: RadialGrid, u: np.ndarray) -> tuple[float, float, RadialFunction]:
+def _energies(grid: RadialGrid,
+              u: np.ndarray) -> tuple[float, float, RadialFunction, RadialFunction]:
+    """T, D, ρ and Φ_ρ of the normalized profile u; D = ∫ρΦ as in `coulomb_bilinear`."""
     psi = u / grid.nodes
     rho = RadialFunction(grid, psi**2)
     T = _kinetic_energy(grid, u)
-    D = coulomb_bilinear(rho, rho)
-    return T, D, rho
+    phi = coulomb_potential(rho)
+    D = integrate_3d(rho.with_values(rho.values * phi.values))
+    return T, D, rho, phi
 
 
 def _state_from_u(grid: RadialGrid, u: np.ndarray, T: float, D: float, rho: RadialFunction,
@@ -215,43 +233,107 @@ def _state_from_u(grid: RadialGrid, u: np.ndarray, T: float, D: float, rho: Radi
     )
 
 
+# Anderson mixing in `solve_pekar`: history depth, and the share of its norm a
+# residual difference must keep outside the span of the newer ones to be used
+_DEPTH = 5
+_RCOND = 1e-10
+
+
+def _anderson_gamma(dfw: np.ndarray, order: list[int], fw: np.ndarray,
+                    q: np.ndarray) -> np.ndarray:
+    """γ minimizing ‖fw − Σ_j γ_j dfw[j]‖₂ over the rows j in `order` (newest
+    first), indexed like the rows of dfw; q is scratch space of dfw's shape.
+
+    Modified Gram–Schmidt: a row whose part orthogonal to the rows before it
+    in `order` is at most _RCOND of its norm is dropped (γ_j = 0).
+    """
+    m = len(order)
+    r = np.zeros((m, m))
+    kept = []
+    for a, j in enumerate(order):
+        v = q[a]
+        v[:] = dfw[j]
+        norm = np.linalg.norm(v)
+        for b in kept:
+            r[b, a] = q[b] @ v
+            v -= r[b, a] * q[b]
+        r[a, a] = np.linalg.norm(v)
+        if r[a, a] > _RCOND * norm:
+            v /= r[a, a]
+            kept.append(a)
+    rest = fw.copy()
+    c = np.zeros(m)
+    for b in kept:
+        c[b] = q[b] @ rest
+        rest -= c[b] * q[b]
+    g = np.zeros(m)
+    for a in reversed(kept):
+        g[a] = (c[a] - r[a, a + 1:] @ g[a + 1:]) / r[a, a]
+    gamma = np.zeros(len(dfw))
+    gamma[order] = g
+    return gamma
+
+
 def solve_pekar(opts: SolverOptions) -> PekarState:
     """Self-consistent minimization of the Pekar energy.
 
-    Converges when both the energy change and the L² change of ψ drop below
-    their tolerances.  Raises ConvergenceError (carrying the iteration
-    history) if max_iter is exhausted first.
+    Converges when the energy change, the L² change of ψ and the relative
+    self-consistency residual ‖ρ_out − ρ_in‖/‖ρ_out‖ (3d L² norms) all drop
+    below their tolerances (the last two below tol_psi).  Raises
+    ConvergenceError (carrying the iteration history) if max_iter is
+    exhausted first.
     """
     grid = build_grid(*opts.grid)
+    n, beta = grid.n, opts.mixing
     u = _normalize_u(grid, _initial_u(grid, opts.init))
     psi_prev = u / grid.nodes
-    rho_mix = psi_prev**2
+    sw = np.sqrt(grid.weights) * grid.nodes  # ‖sw·v‖₂ ∝ the 3d L² norm of v
+    # input (ρ, Φ) and residual (ρ_out − ρ_in, Φ_out − Φ_in), each stacked
+    mix, mix_prev = np.empty(2 * n), np.empty(2 * n)
+    res, res_prev = np.empty(2 * n), np.empty(2 * n)
+    mix[:n] = psi_prev**2
+    mix[n:] = coulomb_potential(RadialFunction(grid, mix[:n])).values
+    steps = np.empty((_DEPTH, 2 * n))  # Δmix + β Δres of past steps, a ring
+    dfw = np.empty((_DEPTH, n))        # sw·Δ(ρ_out − ρ_in), same slots
+    scratch = np.empty((_DEPTH, n))
     e_prev = np.inf
     history: list[tuple[float, float]] = []
 
     x = u  # the eigenstep starts from its own last output, so a settled one recurs exactly
     for k in range(1, opts.max_iter + 1):
-        phi = coulomb_potential(RadialFunction(grid, rho_mix))
-        _, x = _ground_pair(grid, -2.0 * phi.values, x)
+        _, x = _ground_pair(grid, -2.0 * mix[n:], x)
         u = _normalize_u(grid, x)
         psi = u / grid.nodes
 
-        T, D, rho = _energies(grid, u)
+        T, D, rho, phi = _energies(grid, u)
         e_new = T - D
         dpsi = np.sqrt(4.0 * np.pi * grid.integrate((u - grid.nodes * psi_prev) ** 2))
         history.append((e_new, dpsi))
+        res[:n] = rho.values - mix[:n]
+        res[n:] = phi.values - mix[n:]
+        scf = float(np.linalg.norm(sw * res[:n]) / np.linalg.norm(sw * rho.values))
 
-        if abs(e_new - e_prev) <= opts.tol_energy and dpsi <= opts.tol_psi:
+        if abs(e_new - e_prev) <= opts.tol_energy and max(dpsi, scf) <= opts.tol_psi:
             return _state_from_u(grid, u, T, D, rho, iterations=k, residual=dpsi)
 
-        rho_mix = (1.0 - opts.mixing) * rho_mix + opts.mixing * psi**2
+        if k > 1:
+            slot = (k - 2) % _DEPTH
+            steps[slot] = (mix - mix_prev) + beta * (res - res_prev)
+            dfw[slot] = sw * (res[:n] - res_prev[:n])
+        mix_prev[:] = mix
+        res_prev[:] = res
+        count = min(k - 1, _DEPTH)
+        gamma = _anderson_gamma(dfw, [(k - 2 - i) % _DEPTH for i in range(count)],
+                                sw * res[:n], scratch)
+        mix += beta * res - gamma[:count] @ steps[:count]
         psi_prev = psi
         e_prev = e_new
 
     raise ConvergenceError(
         f"SCF did not converge in {opts.max_iter} iterations "
         f"(last dE={abs(history[-1][0] - history[-2][0]) if len(history) > 1 else np.inf:.3e}, "
-        f"last |dpsi|={history[-1][1]:.3e})",
+        f"last |dpsi|={history[-1][1]:.3e}, "
+        f"last |rho_out-rho_in|/|rho_out|={scf:.3e})",
         last_state=_state_from_u(grid, u, T, D, rho, iterations=opts.max_iter,
                                  residual=history[-1][1]),
         history=history,
@@ -272,16 +354,15 @@ def imaginary_time_oracle(opts: SolverOptions, step: float = 1e-3) -> PekarState
     u = _normalize_u(grid, _initial_u(grid, opts.init))
     r = grid.nodes
 
-    T, D, rho = _energies(grid, u)
+    T, D, rho, phi = _energies(grid, u)
     e_prev = T - D
     for k in range(1, opts.max_iter + 1):
-        phi = coulomb_potential(rho)
         grad = _apply_kinetic(u, grid.h) - 2.0 * phi.values * u
         u = u - step * grad
         u[-1] = 0.0  # Dirichlet wall
         u = _normalize_u(grid, u)
 
-        T, D, rho = _energies(grid, u)
+        T, D, rho, phi = _energies(grid, u)
         e_new = T - D
         if e_new > e_prev + 1e-12:
             raise StepSizeError(

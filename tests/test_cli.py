@@ -86,6 +86,16 @@ class TestSolveCommand:
             assert len(history["history"]) == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "massbound"])
+def test_mixing_too_small_to_move_exits_3(tmp_path, capsys, command):
+    # ρ_in never moves, so ψ settles on a density it does not reproduce; the
+    # self-consistency residual keeps that from passing as converged
+    cfg = write_config(tmp_path / "c.json", {"solver.mixing": 1e-300})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "rho_out-rho_in" in err
+
+
 def test_csv_rows_write_each_value_as_fmt():
     # the profiles.csv writer formats whole rows at once; each field must
     # stay `_fmt` of its value, so the artifact bytes do not change

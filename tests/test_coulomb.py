@@ -69,6 +69,21 @@ def test_bilinear_symmetry(w1, w2, a1, a2):
     assert abs(s_ab - s_ba) <= 1e-10 * abs(s_ab)
 
 
+def test_potential_is_linear_in_the_density():
+    # the SCF carries Φ of its mixed density as the mix of the potentials it
+    # already has, which rests on this identity (a negative tail included)
+    g = pl.build_grid(3000, 30.0)
+    r = g.nodes
+    rng = np.random.default_rng(11)
+    rho1 = np.exp(-2 * r) / np.pi
+    rho2 = np.exp(-(r / 3) ** 2) * (1.0 + 0.1 * rng.standard_normal(g.n))
+    a, b = 0.7, -1.9
+    phi1 = pl.coulomb_potential(pl.RadialFunction(g, rho1)).values
+    phi2 = pl.coulomb_potential(pl.RadialFunction(g, rho2)).values
+    mixed = pl.coulomb_potential(pl.RadialFunction(g, a * rho1 + b * rho2)).values
+    assert np.max(np.abs(mixed - (a * phi1 + b * phi2))) <= 1e-14 * np.max(np.abs(mixed))
+
+
 def test_mismatched_grids_rejected():
     a = pl.RadialFunction(pl.build_grid(100, 5.0), np.ones(100))
     b = pl.RadialFunction(pl.build_grid(200, 5.0), np.ones(200))

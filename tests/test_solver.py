@@ -37,6 +37,7 @@ class TestSolvePekar:
         assert st.mu == 2 * st.D - st.T
         # Lagrange multiplier λ = T − 2D is exactly −μ
         assert st.T - 2 * st.D == -st.mu
+        assert st.D == pl.coulomb_bilinear(st.rho, st.rho)
 
     def test_state_invariants(self, state_default):
         st = state_default
@@ -60,6 +61,37 @@ class TestSolvePekar:
         a = pl.solve_pekar(pl.SolverOptions(grid=(800, 20.0)))
         b = pl.solve_pekar(pl.SolverOptions(grid=(800, 20.0), init="gaussian"))
         assert abs(a.eP - b.eP) < 1e-8
+
+    def test_few_iterations(self, state_default, state_fine):
+        small = pl.solve_pekar(pl.SolverOptions(grid=(800, 20.0)))
+        assert max(st.iterations for st in (state_default, state_fine, small)) <= 20
+
+    def test_one_coulomb_solve_per_iteration(self, monkeypatch):
+        # one for the initial density, then one per step for the new density:
+        # the mixed density's potential is the same mix of known potentials
+        calls = []
+        original = pl.coulomb_potential
+
+        def counted(rho):
+            calls.append(1)
+            return original(rho)
+
+        for module in (solver, pl.coulomb):
+            monkeypatch.setattr(module, "coulomb_potential", counted)
+        st = pl.solve_pekar(pl.SolverOptions(grid=(800, 20.0)))
+        assert len(calls) <= st.iterations + 1
+
+    def test_damping_does_not_move_the_fixed_point(self):
+        # the damping β sets the path to the fixed point, not the point
+        eps = [pl.solve_pekar(pl.SolverOptions(grid=(800, 20.0), mixing=beta)).eP
+               for beta in (1e-3, 0.05, 0.5, 1.0)]
+        assert max(eps) - min(eps) <= 1e-12
+
+    def test_unmoved_density_is_not_converged(self):
+        # at β = 1e-300 the input density never moves and ψ stops changing;
+        # only the self-consistency residual tells that apart from convergence
+        with pytest.raises(pl.ConvergenceError, match="rho_out-rho_in"):
+            pl.solve_pekar(pl.SolverOptions(grid=(800, 20.0), mixing=1e-300))
 
     def test_convergence_failure_carries_history(self):
         with pytest.raises(pl.ConvergenceError) as exc_info:
@@ -209,6 +241,23 @@ def test_ground_pair_keeps_a_settled_iterate(state_default):
     for _ in range(2):
         _, u = solver._ground_pair(grid, w, u)
     assert np.array_equal(solver._ground_pair(grid, w, u)[1], u)
+
+
+def test_ground_pair_on_a_density_with_a_negative_tail(state_default):
+    # a mixed density can dip below zero where ρ is tiny; its potential still
+    # gives a finite W, whose lowest pair the eigenstep must find
+    grid = state_default.psi.grid
+    rho = state_default.rho.values.copy()
+    tail = grid.nodes > 12.0
+    rho[tail] = -1e-4 * np.abs(np.sin(7.0 * grid.nodes[tail])) * rho[tail].max()
+    assert rho.min() < 0.0
+    w = -2.0 * pl.coulomb_potential(pl.RadialFunction(grid, rho)).values
+    lam0, x0 = _oracle_pairs(grid, w, 1)[0]
+    for u0 in (grid.nodes * state_default.psi.values, solver._initial_u(grid, "hydrogenic")):
+        lam, u = solver._ground_pair(grid, w, u0)
+        assert abs(lam - lam0) <= 1e-12 * abs(lam0)
+        x = np.sign(u[:-1] @ x0) * u[:-1]
+        assert np.max(np.abs(x - x0)) <= 1e-9
 
 
 def test_ground_pair_rejects_non_finite_input():
