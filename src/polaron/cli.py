@@ -163,7 +163,7 @@ def cmd_massbound(cfg: RunConfig, out: Path) -> int:
 
 
 def _write_history(exc: ConvergenceError, out: Path) -> None:
-    history = [{"energy": e, "dpsi": d} for e, d in exc.history]
+    history = [{"energy": e, "dpsi": d, "scf": s} for e, d, s in exc.history]
     (out / "residual_history.json").write_text(
         json.dumps({"error": str(exc), "history": history}, indent=2) + "\n",
         encoding="utf-8",

@@ -51,6 +51,13 @@ class RunConfig:
             val = getattr(self, _attr(key))
             if not _finite(val) or not val > 0:
                 raise ConfigError(f"{key} must be a positive finite number, got {val!r}")
+        # inside where the run's floats leave their range: the initial norm h²e^{-2h}
+        # underflows above h ≈ 350, ρΦ ~ h⁻⁴ below ~1e-77, 1/p² below ~1e-100, p⁷ above ~1e44
+        h, pmax = self.grid_rmax / self.grid_n, self.momentum_pmax
+        if not 1e-50 <= h <= 300:
+            raise ConfigError(f"grid.rmax / grid.n must lie in [1e-50, 300], got {h!r}")
+        if not 1e-50 * self.momentum_n <= pmax <= 1e40:
+            raise ConfigError(f"momentum.pmax must lie in [1e-50 * momentum.n, 1e40], got {pmax!r}")
         if not _finite(self.solver_mixing) or not (0 < self.solver_mixing <= 1):
             raise ConfigError(f"solver.mixing must lie in (0, 1], got {self.solver_mixing!r}")
         if self.cutoff_shape not in ("bump", "gaussian", "one"):

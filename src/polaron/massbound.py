@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError
 from .grid import RadialFunction, integrate_3d
-from .momentum import MomentumProfile, _field_weights, _shell_sum
+from .momentum import MomentumProfile, _field_weights, _spectra, _window
 from .solver import PekarState
 
 
@@ -135,15 +135,17 @@ def potential_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
         Q2 = 4 Σ_ij w_i w_j (ρ̂(k_i)/k_i) G(p_j) [ΔA₂ + (p_j² − k_i²) ΔA₀],
 
     ΔA_m = ∫_{|p_j−k_i|}^{p_j+k_i} q^m G(q) dq, where k²·(φ(k)/k) =
-    ρ̂(k)/(√2 π) has absorbed the field profile: three shell sums, with no
-    division by q.
+    ρ̂(k)/(√2 π) has absorbed the field profile: three shell sums s₁ + p² s₂ − s₃
+    with no division by q, added as spectra: s₁ − s₃ is one inverse FFT of
+    F(a)F(A[q²G]) − F(ak²)F(A[G]), s₂ one of F(a)F(A[G]), a = wρ̂/k.
     """
     pg = mp.pgrid
     p = pg.nodes
     G = cut.chi(p) * mp.dpsi_hat.values
     a = _field_weights(mp)   # k and p share the grid, so k_i² is p**2 on the k side
-    shell =(_shell_sum(pg, a, p**2 * G) + p**2 * _shell_sum(pg, a, G)
-             - _shell_sum(pg, a * p**2, G))
+    fa, fA = _spectra(pg, a, G)
+    fa_k2, fA_q2 = _spectra(pg, a * p**2, p**2 * G)
+    shell = _window(fa * fA_q2 - fa_k2 * fA, pg.n) + p**2 * _window(fa * fA, pg.n)
     return float(4.0 * (pg.weights * G) @ shell)
 
 

@@ -25,10 +25,12 @@ integral into a shell integral,
 
 and on the uniform momentum grid (p = jh, k = ih) both limits are nodes,
 i + j and |i − j|.  Each double integral is therefore a difference of an
-on-grid primitive, summed by `_shell_sum` as one FFT convolution in
+on-grid primitive, summed by `_shell_sum` as one FFT correlation in
 O(n log n); no value is ever needed between nodes, and the error is the
 grid's own, O((pmax/n)²).  Everywhere a 1/k would meet the field profile,
 the finite combination k φ(k) = ρ̂(k)/(√2 π) is used instead.
+Only n of its 5n+1 outputs are read, so its circular length need only exceed
+3n, and sums that are added (Q2 in massbound.py) are added as spectra.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from .errors import DomainError
 from .grid import RadialFunction, RadialGrid, cumulative_primitive, integrate_3d
 from .solver import PekarState
-from .transforms import fourier_density, fourier_radial, fourier_radial_gradient
+from .transforms import fourier_profile
 
 SQRT2_PI = np.sqrt(2.0) * np.pi
 _TAIL_FLOOR = 1e-6   # ψ̂'s noise floor relative to its maximum (see momentum_profile)
@@ -92,11 +94,8 @@ def _noisy_sign_change(psi_hat: RadialFunction, tail_floor: float = _TAIL_FLOOR)
     return first if np.any(v[first:] >= tail_floor * v.max()) else None
 
 
-def momentum_profile(
-    state: PekarState,
-    pgrid: RadialGrid,
-    tail_floor: float = _TAIL_FLOOR,
-) -> MomentumProfile:
+def momentum_profile(state: PekarState, pgrid: RadialGrid,
+                     tail_floor: float = _TAIL_FLOOR) -> MomentumProfile:
     """Transform a converged state to momentum space.
 
     ψ̂ of the minimizer is strictly positive, but it decays so fast
@@ -111,23 +110,15 @@ def momentum_profile(
     kept as computed; its contribution to every functional in this module
     is O(noise²).  Pass tail_floor=inf to skip the check.
     """
-    psi_hat = fourier_radial(state.psi, pgrid)
+    psi_hat, dpsi_hat, rho_hat = fourier_profile(state.psi, pgrid, state.rho)
     first = _noisy_sign_change(psi_hat, tail_floor)
     if first is not None:
         raise DomainError(
             f"transform sign-indefinite above the noise floor (first sign "
             f"change at p={pgrid.nodes[first]:g}); increase rmax or decrease pmax"
         )
-    dpsi_hat = fourier_radial_gradient(state.psi, pgrid)
-    rho_hat = fourier_density(state.rho, pgrid)
     phi = RadialFunction(pgrid, rho_hat.values / (SQRT2_PI * pgrid.nodes))
-    return MomentumProfile(
-        pgrid=pgrid,
-        psi_hat=psi_hat,
-        dpsi_hat=dpsi_hat,
-        phi=phi,
-        mu=state.mu,
-    )
+    return MomentumProfile(pgrid=pgrid, psi_hat=psi_hat, dpsi_hat=dpsi_hat, phi=phi, mu=state.mu)
 
 
 def field_energy(mp: MomentumProfile) -> float:
@@ -148,22 +139,36 @@ def number_expectation(mp: MomentumProfile, g: RadialTestFunction) -> float:
     return field_energy(mp) * density_expectation(mp, g)
 
 
+def _spectra(pgrid: RadialGrid, a: np.ndarray, integrand: np.ndarray) -> tuple:
+    """Field- and primitive-side spectra of `_shell_sum`: the odd extension of a,
+    reversed (i = n..−n), and the even extension of A (m = −n..2n), both at the
+    circular length L, the power of two ≥ 3n+1."""
+    n = pgrid.n
+    A = np.concatenate(([0.0], cumulative_primitive(pgrid, integrand)))
+    size = 1 << (3 * n).bit_length()
+    return (np.fft.rfft(np.concatenate((a[::-1], [0.0], -a)), size),
+            np.fft.rfft(np.concatenate((A[:0:-1], A, np.full(n, A[-1]))), size))
+
+
+def _window(spectrum: np.ndarray, n: int) -> np.ndarray:
+    """Outputs j = 1..n of the correlation with this product of spectra."""
+    return np.fft.irfft(spectrum)[2 * n + 1: 3 * n + 1]
+
+
 def _shell_sum(pgrid: RadialGrid, a: np.ndarray, integrand: np.ndarray) -> np.ndarray:
-    """s_j = Σ_i a_i (A[i+j] − A[|i−j|]) for j = 1..n, by one FFT convolution.
+    """s_j = Σ_i a_i (A[i+j] − A[|i−j|]) for j = 1..n, by one FFT correlation.
 
     A[m] = ∫_0^{mh} F is the on-grid primitive of the integrand samples F
     (A[0] = 0, held at A[n] beyond the grid, where F is taken as zero), so
     s_j = Σ_i a_i ∫_{|p_j−k_i|}^{p_j+k_i} F(q) dq.  Extending a oddly and A
     evenly to negative indices folds the Toeplitz term into the Hankel one,
-    s_j = Σ_{i=−n}^{n} a_i A[j+i], a single linear correlation.
+    s_j = Σ_{i=−n}^{n} a_i A[j+i], a single linear correlation: output t = j + 2n
+    of the 2n+1 reversed a against the 3n+1 A, nonzero for t = 0..5n only.  A
+    circular length L folds t ± L onto t; for L ≥ 3n+1 and t in 2n+1..3n both
+    lie outside 0..5n, so the window is exact without room for all 5n+1 outputs.
     """
-    n = pgrid.n
-    A = np.concatenate(([0.0], cumulative_primitive(pgrid, integrand)))
-    a_odd = np.concatenate((-a[::-1], [0.0], a))                  # i = −n..n
-    A_even = np.concatenate((A[:0:-1], A, np.full(n, A[-1])))     # m = −n..2n
-    size = 1 << (a_odd.size + A_even.size - 2).bit_length()
-    corr = np.fft.irfft(np.fft.rfft(a_odd[::-1], size) * np.fft.rfft(A_even, size), size)
-    return corr[2 * n + 1: 3 * n + 1]
+    field, primitive = _spectra(pgrid, a, integrand)
+    return _window(field * primitive, pgrid.n)
 
 
 def _field_weights(mp: MomentumProfile) -> np.ndarray:

@@ -297,7 +297,7 @@ def solve_pekar(opts: SolverOptions) -> PekarState:
     dfw = np.empty((_DEPTH, n))        # sw·Δ(ρ_out − ρ_in), same slots
     scratch = np.empty((_DEPTH, n))
     e_prev = np.inf
-    history: list[tuple[float, float]] = []
+    history: list[tuple[float, float, float]] = []   # (energy, dpsi, scf) per step
 
     x = u  # the eigenstep starts from its own last output, so a settled one recurs exactly
     for k in range(1, opts.max_iter + 1):
@@ -308,10 +308,10 @@ def solve_pekar(opts: SolverOptions) -> PekarState:
         T, D, rho, phi = _energies(grid, u)
         e_new = T - D
         dpsi = np.sqrt(4.0 * np.pi * grid.integrate((u - grid.nodes * psi_prev) ** 2))
-        history.append((e_new, dpsi))
         res[:n] = rho.values - mix[:n]
         res[n:] = phi.values - mix[n:]
         scf = float(np.linalg.norm(sw * res[:n]) / np.linalg.norm(sw * rho.values))
+        history.append((e_new, dpsi, scf))
 
         if abs(e_new - e_prev) <= opts.tol_energy and max(dpsi, scf) <= opts.tol_psi:
             return _state_from_u(grid, u, T, D, rho, iterations=k, residual=dpsi)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polaron
+import polaron.cli
 from polaron.cli import _csv_rows, _fmt, main
 
 # child interpreters import the same package as this one, installed or not
@@ -84,6 +85,16 @@ class TestSolveCommand:
             assert main([command, "--config", cfg, "--out", str(out)]) == 3
             history = json.loads((out / "residual_history.json").read_text())
             assert len(history["history"]) == 2
+            assert all(set(step) == {"energy", "dpsi", "scf"} for step in history["history"])
+
+    def test_history_shows_the_unconverged_self_consistency(self, tmp_path):
+        # at β = 1e-300 energy and ψ stop moving; only the self-consistency
+        # residual ‖ρ_out − ρ_in‖/‖ρ_out‖ of each step shows the failure
+        cfg = write_config(tmp_path / "c.json", {"solver.mixing": 1e-300})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        history = json.loads((tmp_path / "out" / "residual_history.json").read_text())["history"]
+        assert len(history) == 300
+        assert history[-1]["dpsi"] <= 1e-8 and history[-1]["scf"] > 1e-8   # solver.tol_psi
 
 
 @pytest.mark.parametrize("command", ["solve", "verify", "massbound"])
@@ -198,17 +209,38 @@ def test_one_or_two_interior_radial_nodes_exit_cleanly(tmp_path, capsys, n, comm
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("command,overrides", [
-    ("solve", {"grid.rmax": 1e-300}),
-    ("verify", {"grid.rmax": 1e-300}),
-    ("massbound", {"grid.rmax": 1e-300}),
-    ("verify", {"momentum.pmax": 1e300}),
+@pytest.mark.parametrize("command,overrides,key", [
+    ("solve", {"grid.rmax": 1e-300}, "grid.rmax"),
+    ("verify", {"grid.rmax": 1e-300}, "grid.rmax"),
+    ("massbound", {"grid.rmax": 1e-300}, "grid.rmax"),
+    ("verify", {"momentum.pmax": 1e300}, "momentum.pmax"),
+    # a step whose initial profile e^{-r} underflows, and a momentum step below 1e-50
+    ("verify", {"grid.n": 2, "grid.rmax": 1e5}, "grid.rmax"),
+    ("verify", {"momentum.pmax": 1e-300}, "momentum.pmax"),
 ])
-def test_numerical_breakdown_exits_3_with_one_line(tmp_path, capsys, command, overrides):
+def test_unrepresentable_scales_exit_2_naming_the_key(tmp_path, capsys, command, overrides, key):
+    # these grids once ran into a floating-point fault (exit 3, naming only
+    # the numpy operation); validation now rejects them before any work
     cfg = write_config(tmp_path / "c.json", overrides)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["solve", "verify", "massbound"])
+def test_floating_point_fault_exits_3_with_one_line(tmp_path, capsys, monkeypatch, command):
+    # main() runs each command with floating-point faults raised, so a fault
+    # left to the numerics is one stderr line and exit 3, not a warning
+    def faulty_solve(opts):
+        return np.ones(1) / np.zeros(1)
+
+    monkeypatch.setattr(polaron.cli, "solve_pekar", faulty_solve)
+    cfg = write_config(tmp_path / "c.json")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.splitlines() == ["error: divide by zero encountered in divide"]
 
 
 @pytest.mark.parametrize("command", ["solve", "verify", "massbound"])

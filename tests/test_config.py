@@ -46,11 +46,31 @@ class TestConfigFromDict:
         ({"grid.n": True}, "grid.n"),
         ({"momentum.n": math.inf}, "momentum.n"),
         ({"solver.max_iter": math.nan}, "solver.max_iter"),
+        # scales whose floats leave the normal range (radial step outside
+        # [1e-50, 300], momentum step below 1e-50, pmax above 1e40)
+        ({"grid.rmax": 1e-300}, "grid.rmax"),
+        ({"grid.n": 10, "grid.rmax": 1e-50}, "grid.rmax"),
+        ({"grid.n": 2, "grid.rmax": 601.0}, "grid.rmax"),
+        ({"momentum.pmax": 1e300}, "momentum.pmax"),
+        ({"momentum.pmax": 1e41}, "momentum.pmax"),
+        ({"momentum.n": 10, "momentum.pmax": 1e-50}, "momentum.pmax"),
     ])
     def test_invalid_values_name_the_field(self, doc, field):
         with pytest.raises(pl.ConfigError) as exc_info:
             config_from_dict(doc)
         assert field in str(exc_info.value)
+
+    @pytest.mark.parametrize("doc", [
+        {"grid.n": 2, "grid.rmax": 600.0}, {"grid.n": 2, "grid.rmax": 2e-50},
+        {"momentum.pmax": 1e40}, {"momentum.n": 2, "momentum.pmax": 2e-50},
+    ] + [  # the README's f(ε) sweep configurations
+        {"cutoff.shape": shape, "output.dir": f"sweep_{shape}",
+         "cutoff.eps_list": [1.0, 0.7616, 0.58, 0.4417, 0.3364, 0.2562,
+                             0.1951, 0.1486, 0.1132, 0.0862, 0.06565, 0.05]}
+        for shape in ("bump", "gaussian")
+    ])
+    def test_scale_bounds_are_inclusive_and_keep_readme_configs(self, doc):
+        config_from_dict(doc)
 
     def test_unknown_key(self):
         with pytest.raises(pl.ConfigError):

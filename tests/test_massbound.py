@@ -5,6 +5,7 @@ import pytest
 
 import polaron as pl
 from polaron.massbound import _CHI_ONE
+from polaron.grid import cumulative_primitive
 from polaron.momentum import SQRT2_PI
 
 EPS_LADDER = [0.5, 0.2, 0.1, 0.05]
@@ -107,6 +108,29 @@ class TestPairingTerm:
         mask = chi != 0.0
         restricted = 4 * np.pi * math.fsum((pg.weights * integrand)[mask])
         assert pl.pairing_term(mp_default, cut) == restricted
+
+
+@pytest.mark.parametrize("cut", [_CHI_ONE, pl.CutoffSpec(eps=0.2, shape="bump"),
+                                 pl.CutoffSpec(eps=0.2, shape="gaussian")],
+                         ids=["one", "bump", "gaussian"])
+def test_potential_term_matches_its_shell_sum_definition(state_default, cut):
+    # Q2 = 4 Σ_ij w_i w_j (ρ̂_i/k_i) G_j [ΔA₂ + (p_j² − k_i²) ΔA₀], ΔA_m the
+    # difference A_m[i+j] − A_m[|i−j|] of the primitive of q^m G (held at its
+    # last value beyond the grid), summed directly over all pairs (i, j)
+    mp = pl.momentum_profile(state_default, pl.build_grid(200, 10.0))
+    pg = mp.pgrid
+    n, p, w = pg.n, pg.nodes, pg.weights
+    G = cut.chi(p) * mp.dpsi_hat.values
+    a = w * mp.rho_hat().values / p
+    i, j = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1), indexing="ij")
+
+    def delta(integrand):
+        A = np.concatenate(([0.0], cumulative_primitive(pg, integrand)))
+        return A[np.minimum(i + j, n)] - A[np.abs(i - j)]
+
+    pairs = delta(p**2 * G) + (p[j - 1] ** 2 - p[i - 1] ** 2) * delta(G)
+    direct = 4.0 * np.sum(a[i - 1] * (w * G)[j - 1] * pairs)
+    assert abs(pl.potential_term(mp, cut) - direct) <= 1e-12 * abs(direct)
 
 
 class TestKineticTerm:

@@ -160,19 +160,20 @@ class TestCrossExpectation:
 
 def test_shell_sum_matches_direct_loop():
     # s_j = Σ_i a_i (A[i+j] − A[|i−j|]) with A[0] = 0 and A held at A[n] beyond
-    # the grid, summed term by term against the FFT convolution
-    grid = pl.build_grid(200, 3.0)
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal(grid.n)
-    integrand = rng.standard_normal(grid.n)
-    A = np.concatenate(([0.0], cumulative_primitive(grid, integrand)))
-    n = grid.n
-    direct = np.array([
-        sum(a[i - 1] * (A[min(i + j, n)] - A[abs(i - j)]) for i in range(1, n + 1))
-        for j in range(1, n + 1)
-    ])
-    fast = _shell_sum(grid, a, integrand)
-    assert np.abs(fast - direct).max() <= 1e-12 * np.abs(direct).max()
+    # the grid, summed term by term against the FFT correlation; an off-by-one
+    # in the read window or the circular length shows first at tiny n
+    for n in (2, 3, 5, 200):
+        grid = pl.build_grid(n, 3.0)
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal(n)
+        integrand = rng.standard_normal(n)
+        A = np.concatenate(([0.0], cumulative_primitive(grid, integrand)))
+        direct = np.array([
+            sum(a[i - 1] * (A[min(i + j, n)] - A[abs(i - j)]) for i in range(1, n + 1))
+            for j in range(1, n + 1)
+        ])
+        fast = _shell_sum(grid, a, integrand)
+        assert np.abs(fast - direct).max() <= 1e-12 * np.abs(direct).max(), n
 
 
 def test_test_function_broadcasts_scalars():

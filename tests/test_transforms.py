@@ -5,7 +5,8 @@ import pytest
 
 import polaron as pl
 from conftest import MOMENTUM_GRID
-from polaron.transforms import _chirp_moment
+from polaron.momentum import SQRT2_PI
+from polaron.transforms import _chirp_moment, fourier_profile
 
 
 @pytest.fixture(scope="module")
@@ -106,8 +107,8 @@ def test_chirp_moments_match_direct_sum(request, source, pgrid_shape):
     pgrid = pl.build_grid(*pgrid_shape)
     sin_direct = _direct_moment(f, pgrid, 1, np.sin)
     cos_direct = _direct_moment(f, pgrid, 2, np.cos)
-    sin_fast = -_chirp_moment(f, pgrid, 1).imag
-    cos_fast = _chirp_moment(f, pgrid, 2).real
+    X = _chirp_moment(f.grid, pgrid, (1, f.values), (2, f.values))
+    sin_fast, cos_fast = -X[0].imag, X[1].real
     assert np.abs(sin_fast - sin_direct).max() <= 1e-12 * np.abs(sin_direct).max()
     assert np.abs(cos_fast - cos_direct).max() <= 1e-12 * np.abs(cos_direct).max()
 
@@ -123,3 +124,32 @@ def test_momentum_profile_memory_stays_linear(state_fine):
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+@pytest.mark.parametrize("source, pgrid_shape", [
+    ("state_default", MOMENTUM_GRID),
+    ("state_fine", MOMENTUM_GRID),
+    ((2, 1.0), (2, 1.5)),
+    ((3, 2.0), (5, 3.0)),
+    ((7, 3.0), (3, 2.0)),
+    ((300, 12.0), (200, 8.0)),
+])
+def test_stacked_profile_matches_one_row_transforms(request, source, pgrid_shape):
+    # the rows of one chirp-z call give what the one-row functions give: ψ̂, ψ̂'
+    # and ρ̂ of `fourier_profile`, and ψ̂, ψ̂' and φ of `momentum_profile`
+    pgrid = pl.build_grid(*pgrid_shape)
+    if isinstance(source, str):
+        state = request.getfixturevalue(source)
+        psi, rho = state.psi, state.rho
+        mp = pl.momentum_profile(state, pgrid)
+        stacked = (mp.psi_hat, mp.dpsi_hat, mp.phi)
+    else:
+        psi = _random_profile(*source)
+        rho = psi.with_values(np.random.default_rng(1).standard_normal(psi.grid.n))
+        stacked = fourier_profile(psi, pgrid, rho)
+    rho_hat = pl.fourier_density(rho, pgrid).values
+    phi = rho_hat / (SQRT2_PI * pgrid.nodes) if isinstance(source, str) else rho_hat
+    one_row = (pl.fourier_radial(psi, pgrid).values,
+               pl.fourier_radial_gradient(psi, pgrid).values, phi)
+    for fast, ref in zip(stacked, one_row):
+        assert np.abs(fast.values - ref).max() <= 1e-13 * np.abs(ref).max()
