@@ -51,8 +51,8 @@ class RunConfig:
             val = getattr(self, _attr(key))
             if not _finite(val) or not val > 0:
                 raise ConfigError(f"{key} must be a positive finite number, got {val!r}")
-        # inside where the run's floats leave their range: the initial norm h²e^{-2h}
-        # underflows above h ≈ 350, ρΦ ~ h⁻⁴ below ~1e-77, 1/p² below ~1e-100, p⁷ above ~1e44
+        # inside where the run's floats leave their range: the initial norm h²e^{-5h/8}
+        # underflows above h ≈ 1150, ρΦ ~ h⁻⁴ below ~1e-77, 1/p² below ~1e-100, p⁷ above ~1e44
         h, pmax = self.grid_rmax / self.grid_n, self.momentum_pmax
         if not 1e-50 <= h <= 300:
             raise ConfigError(f"grid.rmax / grid.n must lie in [1e-50, 300], got {h!r}")
@@ -69,6 +69,8 @@ class RunConfig:
             raise ConfigError(
                 f"cutoff.eps_list must be a strictly decreasing list of positive finite numbers, got {eps!r}"
             )
+        if eps[0] * pmax > 1e150:  # keeps εp, and the gaussian cutoff's (εp)², finite
+            raise ConfigError(f"cutoff.eps_list times momentum.pmax must not exceed 1e150, got {eps[0]!r}")
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError(f"output.dir must be a non-empty string, got {self.output_dir!r}")
 

@@ -33,6 +33,7 @@ as an algorithmically independent cross-check (`imaginary_time_oracle`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +48,10 @@ from .grid import RadialFunction, RadialGrid, build_grid, integrate_3d
 class SolverOptions:
     """Configuration of the ground-state search.
 
-    grid is (n, rmax); init selects the starting profile ('hydrogenic' for
-    e^{-r}, 'gaussian' for e^{-r²/2}); mixing is the damping β of the
-    Anderson density mixing, the weight of the linear step it starts from.
+    grid is (n, rmax); init selects the starting profile, the least-energy
+    member of its family ('hydrogenic' for e^{-5r/16}, 'gaussian' for
+    e^{-r²/(9π)}); mixing is the damping β of the Anderson density mixing,
+    the weight of the linear step it starts from.
     """
 
     grid: tuple[int, float] = (3000, 30.0)
@@ -88,12 +90,16 @@ class PekarState:
 
 
 def _initial_u(grid: RadialGrid, tag: str) -> np.ndarray:
+    """The Pekar minimizer within the start's family, with u = 0 at the wall.
+
+    E(β) = β² − 5β/8 for ψ = e^{−βr} is least, −25/256, at β = 5/16, and
+    E(s) = 3/(2s²) − √(2/π)/s for ψ = e^{−r²/(2s²)} is least, −1/(3π), at
+    s² = 9π/2.
+    """
     r = grid.nodes
-    if tag == "gaussian":
-        psi0 = np.exp(-0.5 * r**2)
-    else:
-        psi0 = np.exp(-r)
-    return r * psi0
+    u = r * (np.exp(-r**2 / (9.0 * np.pi)) if tag == "gaussian" else np.exp(-5.0 * r / 16.0))
+    u[-1] = 0.0
+    return u
 
 
 def _normalize_u(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
@@ -178,27 +184,33 @@ def _ground_pair(grid: RadialGrid, w_pot: np.ndarray,
     h = grid.h
     w_in = w_pot[:-1]
     diag = 2.0 / h**2 + w_in
-    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(u))):
+    if not (np.isfinite(diag).all() and np.isfinite(u).all()):
         raise NumericalError("eigenstep got a non-finite potential, grid step or guess")
     if diag.size == 1:  # one interior node: H is a number
         return float(diag[0]), np.array([1.0, 0.0])
-    off = np.full(diag.size - 1, -1.0 / h**2)
+    c = -1.0 / h**2
+    off = np.full(diag.size - 1, c)
     w_min = float(w_in.min())
     floor = max(_SHIFT_FLOOR, 4.0 * np.finfo(float).eps * (np.abs(diag).max() + 2.0 / h**2))
-    x = u[:-1] / np.linalg.norm(u[:-1])
+    x = u[:-1] / math.sqrt(u[:-1] @ u[:-1])
+    r = np.empty_like(x)  # Hx, then Hx − λx, then each solve's step y − x
     settled = False
     for _ in range(_MAX_SHIFTS):
-        hx = _apply_kinetic(np.append(x, 0.0), h)[:-1] + w_in * x
-        lam = float(x @ hx)
-        delta = max(float(np.linalg.norm(hx - lam * x)), floor)
+        np.multiply(diag, x, out=r)
+        r[1:] += c * x[:-1]
+        r[:-1] += c * x[1:]
+        lam = float(x @ r)
+        r -= lam * x
+        delta = max(math.sqrt(r @ r), floor)
         d, e, first = _factor_below(diag, off, lam, delta, w_min)
         if settled and first:
             return lam, np.append(x, 0.0)
         for _ in range(_SOLVES_PER_SHIFT):
             # (H − σI)⁻¹ is positive definite, so y·x > 0: no sign flip
             y = dpttrs(d, e, x)[0]
-            y /= np.linalg.norm(y)
-            step = np.linalg.norm(y - x)
+            y /= math.sqrt(y @ y)
+            np.subtract(y, x, out=r)
+            step = math.sqrt(r @ r)
             if step <= _STEP_TOL and first:  # certified and still: keep x
                 break
             x = y

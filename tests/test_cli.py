@@ -214,12 +214,16 @@ def test_one_or_two_interior_radial_nodes_exit_cleanly(tmp_path, capsys, n, comm
     ("verify", {"grid.rmax": 1e-300}, "grid.rmax"),
     ("massbound", {"grid.rmax": 1e-300}, "grid.rmax"),
     ("verify", {"momentum.pmax": 1e300}, "momentum.pmax"),
-    # a step whose initial profile e^{-r} underflows, and a momentum step below 1e-50
+    # a step whose initial profile e^{-5r/16} underflows, and a momentum step below 1e-50
     ("verify", {"grid.n": 2, "grid.rmax": 1e5}, "grid.rmax"),
     ("verify", {"momentum.pmax": 1e-300}, "momentum.pmax"),
+    # cutoffs whose εp or (εp)² overflows on the momentum grid
+    ("massbound", {"cutoff.shape": "gaussian", "cutoff.eps_list": [1e200]}, "cutoff.eps_list"),
+    ("massbound", {"cutoff.shape": "bump", "cutoff.eps_list": [1e308]}, "cutoff.eps_list"),
+    ("massbound", {"cutoff.shape": "one", "cutoff.eps_list": [1e308]}, "cutoff.eps_list"),
 ])
 def test_unrepresentable_scales_exit_2_naming_the_key(tmp_path, capsys, command, overrides, key):
-    # these grids once ran into a floating-point fault (exit 3, naming only
+    # these configs once ran into a floating-point fault (exit 3, naming only
     # the numpy operation); validation now rejects them before any work
     cfg = write_config(tmp_path / "c.json", overrides)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2

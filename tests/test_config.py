@@ -54,6 +54,11 @@ class TestConfigFromDict:
         ({"momentum.pmax": 1e300}, "momentum.pmax"),
         ({"momentum.pmax": 1e41}, "momentum.pmax"),
         ({"momentum.n": 10, "momentum.pmax": 1e-50}, "momentum.pmax"),
+        # ε·pmax above 1e150, where εp or the gaussian cutoff's (εp)² overflows
+        ({"cutoff.shape": "gaussian", "cutoff.eps_list": [1e200]}, "cutoff.eps_list"),
+        ({"cutoff.shape": "bump", "cutoff.eps_list": [1e308, 0.5]}, "cutoff.eps_list"),
+        ({"cutoff.shape": "one", "cutoff.eps_list": [1e308]}, "cutoff.eps_list"),
+        ({"momentum.pmax": 1e40, "cutoff.eps_list": [1e111]}, "cutoff.eps_list"),
     ])
     def test_invalid_values_name_the_field(self, doc, field):
         with pytest.raises(pl.ConfigError) as exc_info:
@@ -68,6 +73,8 @@ class TestConfigFromDict:
          "cutoff.eps_list": [1.0, 0.7616, 0.58, 0.4417, 0.3364, 0.2562,
                              0.1951, 0.1486, 0.1132, 0.0862, 0.06565, 0.05]}
         for shape in ("bump", "gaussian")
+    ] + [  # ε·pmax at its bound, 1e150
+        {"momentum.pmax": 1.0, "cutoff.eps_list": [1e150], "cutoff.shape": "gaussian"},
     ])
     def test_scale_bounds_are_inclusive_and_keep_readme_configs(self, doc):
         config_from_dict(doc)

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import polaron as pl
-from conftest import ORACLE_GRID, ORACLE_STEP
+from conftest import DEFAULT_GRID, ORACLE_GRID, ORACLE_STEP
 from polaron import solver
 
 # four-digit ground-state energy, locked against the imaginary-time flow on
@@ -64,7 +64,19 @@ class TestSolvePekar:
 
     def test_few_iterations(self, state_default, state_fine):
         small = pl.solve_pekar(pl.SolverOptions(grid=(800, 20.0)))
-        assert max(st.iterations for st in (state_default, state_fine, small)) <= 20
+        assert max(st.iterations for st in (state_default, state_fine, small)) <= 11
+
+    def test_lapack_call_budget(self, monkeypatch):
+        # the eigensteps of a default solve: factorizations (one per shift
+        # tried) and triangular solves
+        calls = {"dpttrf": 0, "dpttrs": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(solver, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(solver, name, counted)
+        pl.solve_pekar(pl.SolverOptions(grid=DEFAULT_GRID))
+        assert calls["dpttrf"] <= 29 and calls["dpttrs"] <= 46
 
     def test_one_coulomb_solve_per_iteration(self, monkeypatch):
         # one for the initial density, then one per step for the new density:
@@ -99,6 +111,37 @@ class TestSolvePekar:
         err = exc_info.value
         assert err.last_state is not None
         assert len(err.history) == 3
+
+
+class TestInitialProfiles:
+    """Each start is the Pekar minimizer within its trial family."""
+
+    @staticmethod
+    def _energy(grid, u):
+        T, D, _, _ = solver._energies(grid, solver._normalize_u(grid, u))
+        return T - D
+
+    def test_hydrogenic_start_near_its_family_minimum(self):
+        # E(β) = β² − 5β/8 for e^{−βr}: −25/256 at β = 5/16
+        grid = pl.build_grid(*DEFAULT_GRID)
+        assert abs(self._energy(grid, solver._initial_u(grid, "hydrogenic")) + 25 / 256) <= 1e-4
+
+    def test_gaussian_start_is_its_family_minimum(self):
+        # E(s) = 3/(2s²) − √(2/π)/s for e^{−r²/(2s²)}: −1/(3π) at s² = 9π/2
+        grid = pl.build_grid(*DEFAULT_GRID)
+        u0 = solver._initial_u(grid, "gaussian")
+        e0 = self._energy(grid, u0)
+        assert abs(e0 + 1 / (3 * np.pi)) <= 1e-6
+        r = grid.nodes
+        for scale in (0.99, 1.01):
+            u = r * np.exp(-r**2 / (9 * np.pi * scale**2))
+            u[-1] = 0.0
+            assert self._energy(grid, u) > e0
+
+    @pytest.mark.parametrize("tag", ["hydrogenic", "gaussian"])
+    def test_start_vanishes_at_the_wall(self, tag):
+        # the flow oracle's grid ends at r = 20, where r e^{−5r/16} is still 0.039
+        assert solver._initial_u(pl.build_grid(*ORACLE_GRID), tag)[-1] == 0.0
 
 
 class TestImaginaryTimeOracle:
