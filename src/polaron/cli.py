@@ -37,10 +37,10 @@ F_ENDPOINT_TOL = 1e-3
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), ".17g")
+    if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
-    if isinstance(x, float):
-        return format(x, ".17g")
     return str(x)
 
 
@@ -85,10 +85,120 @@ def _write_state_json(cfg: RunConfig, state: PekarState, out: Path) -> None:
     )
 
 
-def _csv_rows(*columns: np.ndarray) -> list[str]:
-    """One line per node, each column's float as `_fmt` writes it ("%.17g")."""
-    row = ",".join(["%.17g"] * len(columns))
-    return [row % values for values in zip(*(c.tolist() for c in columns))]
+# A profiles.csv field is `_fmt` of a double x: C "%.17g", the 17-digit decimal
+# D = round(|x|·10^(16−X)), X the decimal exponent of x, in fixed notation for X in
+# [−4, 16] and in scientific notation otherwise, trailing zeros and a bare point
+# stripped.  `_csv_rows` forms |x|·10^(16−X) in long double from powers of ten parsed
+# from strings, each correctly rounded, so after the two roundings of half an ulp it
+# lies within about eps·10^17 of the exact product.  A field whose product lies in
+# [10^16, 10^17 − ½) and more than _MARGIN = 2·eps·10^17 from 10^16 and from every
+# rounding tie is written from D; every other field (±0, inf, nan and about 4% of
+# ordinary values) is formatted by `_fmt`.  Where long double is plain double _MARGIN
+# exceeds ½ and every field takes `_fmt`.
+_POW10 = np.array([np.longdouble(f"1e{s}") for s in range(-292, 341)])  # 10^s at s + 292
+_MARGIN = float(2 * np.finfo(np.longdouble).eps * 1e17)
+_LOW, _HIGH = _POW10[308] + _MARGIN, _POW10[309] - 0.5
+_NX = 633      # decimal exponents −324 … 308
+_WIDTH = 32    # bytes per field, NUL padded: sign and "0.0…" right-aligned in 0–5,
+               # digits and point in 6–23, exponent and separator from 24
+_K = np.arange(18, dtype=np.int8)[:, None]
+
+
+def _word(text: str) -> np.uint64:
+    """The 8 bytes of text, NUL padded."""
+    return np.frombuffer(text.encode().ljust(8, b"\0"), np.uint64)[0]
+
+
+def _layout_tables() -> tuple[np.ndarray, ...]:
+    """Per decimal exponent (from −324): a field's first word (sign and "0.0…" but its
+    last character, for x > 0, then for x < 0), its last word (exponent and separator,
+    for inner, then for last columns), the digit P the point follows (−1: the point,
+    or a zero after it, goes before the digits) and the character after digit P."""
+    lead, tail, point, mark = [], [], [], []
+    for x in range(-324, 309):
+        fixed = -4 <= x <= 16
+        small = "0." + "0" * (-x - 1) if fixed and x < 0 else ""
+        lead.append(small[:-1])
+        mark.append(small[-1:] or ".")
+        tail.append("" if fixed else f"e{x:+03d}")
+        point.append(max(x, -1) if fixed else 0)
+    first = [_word((sign + t).rjust(6, "\0")) for sign in ("", "-") for t in lead]
+    last = [_word(t + sep) for sep in ",\n" for t in tail]
+    return (np.array(first), np.array(last), np.array(point, np.int8),
+            np.frombuffer("".join(mark).encode(), np.uint8))
+
+
+_FIRST, _LAST, _POINT, _MARK = _layout_tables()
+
+
+def _round17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, X + 324, exact): each value's 17-digit decimal D and decimal exponent X,
+    and whether the rounding of D is proven (only for ordinary values)."""
+    exact = np.isfinite(v) & (v != 0)
+    ax = np.where(exact, np.abs(v), 1.0)
+    X = np.floor(np.log10(ax)).astype(np.intp)   # may be one off next to a power of ten
+    y = ax.astype(np.longdouble)
+    y *= _POW10[308 - X]
+    exact &= (y >= _LOW) & (y <= _HIGH)
+    y[~exact] = _LOW
+    D = y.astype(np.int64)
+    y -= D
+    frac = y.astype(np.float64)
+    exact &= np.abs(frac - 0.5) > _MARGIN
+    D += frac > 0.5
+    return D, X + 324, exact
+
+
+def _digit_chars(D: np.ndarray) -> np.ndarray:
+    """The digits of each D in [10^16, 10^17) as characters, most significant first,
+    in rows 0–16 of an (18, n) uint8 array whose row 17 is NUL."""
+    dig = np.zeros((18, D.size), np.uint8)
+    high = (D // 10**9).astype(np.int32)
+    part = (D - high * np.int64(10**9)).astype(np.int32)
+    for k in range(16, -1, -1):
+        if k == 7:
+            part = high
+        q = part // 10
+        dig[k] = part - q * 10 + 48
+        part = q
+    return dig
+
+
+def _csv_rows(*columns: np.ndarray) -> bytes:
+    """The lines of the columns side by side, each float as `_fmt` writes it."""
+    c = len(columns)
+    v = np.stack(columns, axis=1).ravel()
+    D, X, exact = _round17(v)
+    dig = _digit_chars(D)
+    # strip trailing zeros behind the point; only a D ending in 0 has any
+    P = _POINT[X]
+    last = np.full(v.size, 16, np.int8)   # the last digit kept
+    zero = np.flatnonzero(dig[16] == 48)
+    if zero.size:
+        tail = dig[:17, zero]
+        last[zero] = ((tail != 48) * _K[:17]).max(axis=0)
+        tail *= _K[:17] <= np.maximum(last[zero], P[zero])
+        dig[:17, zero] = tail
+
+    buf = np.empty((v.size, _WIDTH), np.uint8)
+    words = buf.view(np.uint64)
+    words[:, 0] = _FIRST[X + _NX * np.signbit(v)]
+    # character 6 + j: digit j up to digit P, the mark after it, then digit j − 1
+    buf[:, 6] = dig[0]
+    shifted = dig[1:] - dig[:-1]   # a uint8 blend of the two
+    shifted *= _K[1:] <= P
+    shifted += dig[:-1]
+    buf[:, 7:24] = shifted.T
+    buf.ravel()[np.arange(7, v.size * _WIDTH, _WIDTH) + P] = (last > P) * _MARK[X]
+    X[c - 1::c] += _NX   # the separator: ",", or "\n" after the last column
+    words[:, 3] = _LAST[X]
+
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        text = [_fmt(x) for x in v[slow].tolist()]
+        buf[slow, :24] = np.array(text, dtype="S24").view(np.uint8).reshape(-1, 24)
+        words[slow, 3] = _LAST[324 + _NX * (slow % c == c - 1)]
+    return buf[buf != 0].tobytes()
 
 
 def _write_profiles_csv(cfg: RunConfig, state: PekarState, mp: MomentumProfile, out: Path) -> None:
@@ -96,11 +206,12 @@ def _write_profiles_csv(cfg: RunConfig, state: PekarState, mp: MomentumProfile, 
 
     phi_pos = coulomb_potential(state.rho)
     g, pg = state.psi.grid, mp.pgrid
-    lines = [_artifact_header(cfg).rstrip("\n"), "r,psi,rho,Phi"]
-    lines += _csv_rows(g.nodes, state.psi.values, state.rho.values, phi_pos.values)
-    lines += ["", "p,psi_hat,dpsi_hat,phi"]
-    lines += _csv_rows(pg.nodes, mp.psi_hat.values, mp.dpsi_hat.values, mp.phi.values)
-    (out / "profiles.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out / "profiles.csv").write_bytes(b"".join((
+        f"{_artifact_header(cfg)}r,psi,rho,Phi\n".encode(),
+        _csv_rows(g.nodes, state.psi.values, state.rho.values, phi_pos.values),
+        b"\np,psi_hat,dpsi_hat,phi\n",
+        _csv_rows(pg.nodes, mp.psi_hat.values, mp.dpsi_hat.values, mp.phi.values),
+    )))
 
 
 def cmd_solve(cfg: RunConfig, out: Path) -> int:

@@ -24,6 +24,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 
+# Upper bounds on the sizes, far above any grid the paper's numbers need: a `verify`
+# on 10^6/10^3 nodes peaks at 454 MB and profiles.csv takes about 85 B per node.
+_MAX_NODES = 10**7
+_MAX_ITER = 10**5
+
+
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
@@ -43,10 +49,11 @@ class RunConfig:
     output_dir: str = "out"
 
     def validate(self) -> None:
-        for key in ("grid.n", "momentum.n", "solver.max_iter"):
+        for key, top in (("grid.n", _MAX_NODES), ("momentum.n", _MAX_NODES),
+                         ("solver.max_iter", _MAX_ITER)):
             val = getattr(self, _attr(key))
-            if not isinstance(val, int) or isinstance(val, bool) or val < 2:
-                raise ConfigError(f"{key} must be an integer >= 2, got {val!r}")
+            if not isinstance(val, int) or isinstance(val, bool) or not 2 <= val <= top:
+                raise ConfigError(f"{key} must be an integer in [2, {top}], got {val!r}")
         for key in ("grid.rmax", "momentum.pmax", "solver.tol_energy", "solver.tol_psi"):
             val = getattr(self, _attr(key))
             if not _finite(val) or not val > 0:

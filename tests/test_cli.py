@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 
 import polaron
 import polaron.cli
-from polaron.cli import _csv_rows, _fmt, main
+from polaron.cli import _csv_rows, _fmt, main, run_pipeline
+from polaron.config import config_from_dict
+from polaron.coulomb import coulomb_potential
 
 # child interpreters import the same package as this one, installed or not
 _SRC = str(Path(polaron.__file__).resolve().parents[1])
@@ -107,15 +110,91 @@ def test_mixing_too_small_to_move_exits_3(tmp_path, capsys, command):
     assert len(err.splitlines()) == 1 and "rho_out-rho_in" in err
 
 
+def _fmt_rows(*columns):
+    """The reference for `_csv_rows`: each field `_fmt` of its value, row by row."""
+    rows = zip(*(c.tolist() for c in columns))
+    return "".join(",".join(_fmt(x) for x in row) + "\n" for row in rows).encode()
+
+
+def _assert_csv_rows_match_fmt(values, ncols):
+    values = np.asarray(values, dtype=np.float64)[: len(values) // ncols * ncols]
+    columns = [values[j::ncols].copy() for j in range(ncols)]
+    # as `main` runs it: no input may raise a floating-point error
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        assert _csv_rows(*columns) == _fmt_rows(*columns)
+
+
+_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308, 1e16,
+          99999999999999999.0, 1e17, 1e-4, 9.9999999999999995e-05, 1e-5]
+
+
 def test_csv_rows_write_each_value_as_fmt():
-    # the profiles.csv writer formats whole rows at once; each field must
+    # the profiles.csv writer formats whole columns at once; each field must
     # stay `_fmt` of its value, so the artifact bytes do not change
     rng = np.random.default_rng(3)
     special = [0.0, -0.0, 5e-324, 1e-300, -2.5e300, 1 / 3, 1e16, 123456789.0]
     columns = [np.array(special + list(rng.standard_normal(8) * 10.0**k))
                for k in (-200, -5, 0, 200)]
-    expected = [",".join(_fmt(c[i]) for c in columns) for i in range(columns[0].size)]
-    assert _csv_rows(*columns) == expected
+    assert _csv_rows(*columns) == _fmt_rows(*columns)
+    edges = _EDGES + [-x for x in _EDGES]
+    for ncols in (1, 2, 3, 4):
+        _assert_csv_rows_match_fmt(edges * ncols, ncols)
+    # every exponent class, with its neighbours and powers of ten
+    powers = np.array([float(f"1e{s}") for s in range(-323, 309)])
+    near = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    _assert_csv_rows_match_fmt(np.concatenate([near, -near]), 4)
+    # 16-digit integers with exact halves in the 17th digit, and short decimals
+    _assert_csv_rows_match_fmt(1e15 + 0.25 * np.arange(1, 4001), 4)
+    _assert_csv_rows_match_fmt(np.round(rng.random(4000) * 1000, 3), 4)
+    _assert_csv_rows_match_fmt(rng.integers(0, 2**64, 40000, dtype=np.uint64).view(np.float64), 4)
+
+
+_BIT_PATTERNS = st.integers(0, 2**64 - 1).map(lambda b: np.uint64(b).view(np.float64).item())
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(_BIT_PATTERNS | st.floats(), min_size=1, max_size=40),
+       ncols=st.integers(1, 4))
+def test_csv_rows_match_fmt_on_any_double(values, ncols):
+    _assert_csv_rows_match_fmt(values, ncols)
+
+
+def test_powers_of_ten_are_correctly_rounded():
+    # the kernel's error bound rests on each 10^s being within half an ulp
+    for s, power in zip(range(-292, 341), polaron.cli._POW10):
+        if not np.isfinite(power):   # above the range of a plain-double long double
+            continue
+        ulp = Fraction(2) ** (int(np.frexp(power)[1]) - np.finfo(np.longdouble).nmant - 1)
+        assert abs(Fraction(*power.as_integer_ratio()) - Fraction(10) ** s) <= ulp / 2
+
+
+def test_fmt_writes_numpy_scalars_as_python_values():
+    assert (_fmt(np.True_), _fmt(np.False_), _fmt(True)) == ("true", "false", "true")
+    assert _fmt(np.float32(0.1)) == "0.10000000149011612" == _fmt(float(np.float32(0.1)))
+    assert _fmt(np.float64(0.1)) == _fmt(0.1) == "0.10000000000000001"
+    assert (_fmt(np.int64(7)), _fmt(7), _fmt("f=0")) == ("7", "7", "f=0")
+
+
+def test_solve_writes_profiles_as_fmt_of_the_state(tmp_path, monkeypatch):
+    # the whole file, against the line-by-line `_fmt` rendering of the same
+    # state's arrays; and most fields take the vectorized path, not `_fmt`
+    fallback = []
+    monkeypatch.setattr(polaron.cli, "_fmt", lambda x: fallback.append(x) or _fmt(x))
+    cfg = write_config(tmp_path / "c.json")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    state, mp = run_pipeline(config_from_dict(SMALL_CONFIG))
+    g, pg, phi = state.psi.grid, mp.pgrid, coulomb_potential(state.rho)
+    expected = b"".join([
+        polaron.cli._artifact_header(config_from_dict(SMALL_CONFIG)).encode(),
+        b"r,psi,rho,Phi\n",
+        _fmt_rows(g.nodes, state.psi.values, state.rho.values, phi.values),
+        b"\np,psi_hat,dpsi_hat,phi\n",
+        _fmt_rows(pg.nodes, mp.psi_hat.values, mp.dpsi_hat.values, mp.phi.values),
+    ])
+    assert (tmp_path / "out" / "profiles.csv").read_bytes() == expected
+    if np.finfo(np.longdouble).nmant >= 63:   # else every field falls back by design
+        fields = 4 * (SMALL_CONFIG["grid.n"] + SMALL_CONFIG["momentum.n"])
+        assert 0 < len(fallback) <= 0.1 * fields
 
 
 class TestConfigValidation:

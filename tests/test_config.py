@@ -79,6 +79,16 @@ class TestConfigFromDict:
     def test_scale_bounds_are_inclusive_and_keep_readme_configs(self, doc):
         config_from_dict(doc)
 
+    @pytest.mark.parametrize("key,top", [
+        ("grid.n", 10**7), ("momentum.n", 10**7), ("solver.max_iter", 10**5),
+    ])
+    def test_sizes_are_bounded_above(self, key, top):
+        # validation only: no solve runs at these sizes
+        assert getattr(config_from_dict({key: top}), key.replace(".", "_")) == top
+        with pytest.raises(pl.ConfigError) as exc_info:
+            config_from_dict({key: top + 1})
+        assert key in str(exc_info.value)
+
     def test_unknown_key(self):
         with pytest.raises(pl.ConfigError):
             config_from_dict({"grid.size": 100})
