@@ -33,6 +33,7 @@ from .massbound import (
     CutoffSpec,
     MassBoundReport,
     bound_rhs,
+    bound_sweep,
     kinetic_term,
     kinetic_term_position_oracle,
     mass_coefficient,
@@ -55,7 +56,7 @@ __all__ = [
     "el_residual_momentum", "field_energy", "density_expectation",
     "number_expectation", "cross_expectation",
     "CutoffSpec", "MassBoundReport", "trial_profile", "pairing_term",
-    "kinetic_term", "potential_term", "bound_rhs", "mass_coefficient",
+    "kinetic_term", "potential_term", "bound_rhs", "bound_sweep", "mass_coefficient",
     "kinetic_term_position_oracle", "potential_term_position_oracle",
     "RunConfig", "ConfigError", "config_from_dict", "load_config",
     "ConvergenceError", "NumericalError", "DomainError", "StepSizeError",

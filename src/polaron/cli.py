@@ -22,7 +22,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config
 from .errors import ConvergenceError, DomainError, NumericalError, StepSizeError
 from .grid import build_grid
-from .massbound import _CHI_ONE, CutoffSpec, bound_rhs
+from .massbound import _CHI_ONE, CutoffSpec, bound_rhs, bound_sweep
 from .momentum import el_residual_momentum, field_energy, density_expectation
 from .momentum import MomentumProfile, RadialTestFunction, momentum_profile, _noisy_sign_change
 from .solver import PekarState, SolverOptions, el_residual_position, solve_pekar
@@ -88,16 +88,20 @@ def _write_state_json(cfg: RunConfig, state: PekarState, out: Path) -> None:
 # A profiles.csv field is `_fmt` of a double x: C "%.17g", the 17-digit decimal
 # D = round(|x|·10^(16−X)), X the decimal exponent of x, in fixed notation for X in
 # [−4, 16] and in scientific notation otherwise, trailing zeros and a bare point
-# stripped.  `_csv_rows` forms |x|·10^(16−X) in long double from powers of ten parsed
-# from strings, each correctly rounded, so after the two roundings of half an ulp it
-# lies within about eps·10^17 of the exact product.  A field whose product lies in
-# [10^16, 10^17 − ½) and more than _MARGIN = 2·eps·10^17 from 10^16 and from every
-# rounding tie is written from D; every other field (±0, inf, nan and about 4% of
-# ordinary values) is formatted by `_fmt`.  Where long double is plain double _MARGIN
+# stripped.  `_csv_rows` forms y = |x|·10^(16−X) in long double from powers of ten
+# parsed from strings, each correctly rounded.  |x| converts exactly, and the power
+# and the product each carry one rounding of at most eps/2 relative (eps the long
+# double's spacing at 1), so y lies within (1 + eps/2)² − 1 ≈ eps·y of the exact
+# product z; y − ⌊y⌋ is exact, and its rounding to a double moves it by at most 2^−54.
+# A field is written from D only where y ≥ _LOW = 10^16·(1 + 2·eps) (to within an ulp
+# of 10^16, 2^−10), so z > 10^16 and X is its exponent, where y ≤ 10^17 − ½, and where
+# |frac − ½| > 2·eps·D: each margin is about twice the error bound, so y and z round
+# to the same D.  Every other field (±0, inf, nan and about 2% of ordinary values)
+# is formatted by `_fmt`.  Where long double is plain double 2·eps·D ≥ 2·eps·10^16
 # exceeds ½ and every field takes `_fmt`.
 _POW10 = np.array([np.longdouble(f"1e{s}") for s in range(-292, 341)])  # 10^s at s + 292
-_MARGIN = float(2 * np.finfo(np.longdouble).eps * 1e17)
-_LOW, _HIGH = _POW10[308] + _MARGIN, _POW10[309] - 0.5
+_MARGIN = float(2 * np.finfo(np.longdouble).eps)   # relative
+_LOW, _HIGH = _POW10[308] * (1 + np.longdouble(_MARGIN)), _POW10[309] - 0.5
 _NX = 633      # decimal exponents −324 … 308
 _WIDTH = 32    # bytes per field, NUL padded: sign and "0.0…" right-aligned in 0–5,
                # digits and point in 6–23, exponent and separator from 24
@@ -144,7 +148,7 @@ def _round17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     D = y.astype(np.int64)
     y -= D
     frac = y.astype(np.float64)
-    exact &= np.abs(frac - 0.5) > _MARGIN
+    exact &= np.abs(frac - 0.5) > _MARGIN * D
     D += frac > 0.5
     return D, X + 324, exact
 
@@ -259,11 +263,10 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
 def cmd_massbound(cfg: RunConfig, out: Path) -> int:
     state, mp = run_pipeline(cfg)
     lines = [_artifact_header(cfg).rstrip("\n"), "eps,R,Q1,Q2,f,m_lower"]
-    reports = [(eps, bound_rhs(mp, CutoffSpec(eps=eps, shape=cfg.cutoff_shape)))
-               for eps in cfg.cutoff_eps_list]
-    endpoint = bound_rhs(mp, _CHI_ONE)
-    reports.append((0.0, endpoint))
-    for label, rep in reports:
+    cuts = [CutoffSpec(eps=eps, shape=cfg.cutoff_shape) for eps in cfg.cutoff_eps_list]
+    reports = bound_sweep(mp, cuts + [_CHI_ONE])
+    endpoint = reports[-1]
+    for label, rep in zip([*cfg.cutoff_eps_list, 0.0], reports):
         lines.append(",".join(_fmt(v) for v in (label, rep.R, rep.Q1, rep.Q2, rep.f, rep.m_lower)))
     (out / "massbound.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     if not abs(endpoint.f) <= F_ENDPOINT_TOL:

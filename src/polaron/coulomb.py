@@ -14,17 +14,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import RadialFunction, cumulative_primitive, integrate_3d
+from .grid import RadialFunction, RadialGrid, cumulative_primitive, integrate_3d
 
 
 def coulomb_potential(rho: RadialFunction) -> RadialFunction:
     """Potential Φ(r) of the radial density ρ via Newton's theorem."""
-    g = rho.grid
+    return RadialFunction(rho.grid, _newton_potential(rho.grid, rho.values))
+
+
+def _newton_potential(g: RadialGrid, rho: np.ndarray) -> np.ndarray:
+    """Samples of Φ for the samples ρ on g, unchecked: the SCF's per-step solve."""
     r = g.nodes
-    inner = cumulative_primitive(g, r**2 * rho.values)   # ∫_0^r s² ρ
-    outer = cumulative_primitive(g, r * rho.values)      # ∫_0^r s ρ
-    phi = 4.0 * np.pi * (inner / r + (outer[-1] - outer))
-    return RadialFunction(g, phi)
+    inner = cumulative_primitive(g, r**2 * rho)   # ∫_0^r s² ρ
+    outer = cumulative_primitive(g, r * rho)      # ∫_0^r s ρ
+    return 4.0 * np.pi * (inner / r + (outer[-1] - outer))
 
 
 def coulomb_bilinear(a: RadialFunction, b: RadialFunction) -> float:

@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import DomainError
 from .grid import RadialFunction, integrate_3d
-from .momentum import MomentumProfile, _field_weights, _spectra, _window
+from .momentum import (MomentumProfile, _field_spectrum, _field_weights, _primitive_spectrum,
+                       _shell_length, _window)
 from .solver import PekarState
 
 
@@ -111,11 +112,12 @@ def pairing_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
 
     Summed with compensated summation, so restricting the sum to the
     cutoff's support (where the integrand is not an exact zero) is
-    bit-identical to the full-grid sum.
+    bit-identical to the full-grid sum.  `math.fsum` reads a list of Python
+    floats faster than an ndarray, with the same result.
     """
     p = mp.pgrid.nodes
     integrand = p**3 * cut.chi(p) * mp.psi_hat.values * mp.dpsi_hat.values
-    return 4.0 * np.pi * math.fsum(mp.pgrid.weights * integrand)
+    return 4.0 * np.pi * math.fsum((mp.pgrid.weights * integrand).tolist())
 
 
 def kinetic_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
@@ -123,7 +125,7 @@ def kinetic_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
     cutoff's support meets the grid.  Compensated summation, as for R."""
     p = mp.pgrid.nodes
     integrand = p**2 * cut.chi(p) ** 2 * mp.dpsi_hat.values**2 * (p**2 + mp.mu)
-    return 4.0 * np.pi * math.fsum(mp.pgrid.weights * integrand)
+    return 4.0 * np.pi * math.fsum((mp.pgrid.weights * integrand).tolist())
 
 
 def potential_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
@@ -139,13 +141,27 @@ def potential_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
     with no division by q, added as spectra: s₁ − s₃ is one inverse FFT of
     F(a)F(A[q²G]) − F(ak²)F(A[G]), s₂ one of F(a)F(A[G]), a = wρ̂/k.
     """
+    return _potential(mp, cut, _field_spectra(mp))
+
+
+def _field_spectra(mp: MomentumProfile) -> tuple[int, np.ndarray, np.ndarray]:
+    """(L, F(a), F(ak²)): Q2's field-side spectra, a = wρ̂/k, which no cutoff changes."""
+    pg = mp.pgrid
+    size = _shell_length(pg)
+    a = _field_weights(mp)   # k and p share the grid, so k_i² is p**2 on the k side
+    return size, _field_spectrum(a, size), _field_spectrum(a * pg.nodes**2, size)
+
+
+def _potential(mp: MomentumProfile, cut: CutoffSpec, field: tuple) -> float:
+    """Q2 of `potential_term` from the field-side spectra of `_field_spectra`."""
     pg = mp.pgrid
     p = pg.nodes
+    size, fa, fa_k2 = field
     G = cut.chi(p) * mp.dpsi_hat.values
-    a = _field_weights(mp)   # k and p share the grid, so k_i² is p**2 on the k side
-    fa, fA = _spectra(pg, a, G)
-    fa_k2, fA_q2 = _spectra(pg, a * p**2, p**2 * G)
-    shell = _window(fa * fA_q2 - fa_k2 * fA, pg.n) + p**2 * _window(fa * fA, pg.n)
+    fA = _primitive_spectrum(pg, G, size)
+    fA_q2 = _primitive_spectrum(pg, p**2 * G, size)
+    shell = (_window(fa * fA_q2 - fa_k2 * fA, pg.n, size)
+             + p**2 * _window(fa * fA, pg.n, size))
     return float(4.0 * (pg.weights * G) @ shell)
 
 
@@ -155,24 +171,27 @@ def mass_coefficient(state: PekarState) -> float:
     return float(8.0 * np.pi / 3.0 * integrate_3d(quartic))
 
 
-def bound_rhs(mp: MomentumProfile, cut: CutoffSpec) -> MassBoundReport:
-    """Assemble f(ε) = 1 + (Q1 − Q2)/3 + 4R/3 for one cutoff.
+def bound_sweep(mp: MomentumProfile, cuts: list[CutoffSpec]) -> list[MassBoundReport]:
+    """f(ε) = 1 + (Q1 − Q2)/3 + 4R/3 for each cutoff, in order.
 
+    Q2's field-side spectra are made once for the whole sweep; each cutoff
+    then costs two forward and two inverse real FFTs, one cutoff at a time.
     m_lower = 1/(2f) when f > 0; if quadrature noise pushes f ≤ 0 near the
     exact zero, m_lower is the +inf sentinel.
     """
-    R = pairing_term(mp, cut)
-    Q1 = kinetic_term(mp, cut)
-    Q2 = potential_term(mp, cut)
-    f = 1.0 + (Q1 - Q2) / 3.0 + 4.0 * R / 3.0
-    return MassBoundReport(
-        eps=cut.eps,
-        R=R,
-        Q1=Q1,
-        Q2=Q2,
-        f=f,
-        m_lower=math.inf if f <= 0.0 else 1.0 / (2.0 * f),
-    )
+    field = _field_spectra(mp)
+    reports = []
+    for cut in cuts:
+        R, Q1, Q2 = pairing_term(mp, cut), kinetic_term(mp, cut), _potential(mp, cut, field)
+        f = 1.0 + (Q1 - Q2) / 3.0 + 4.0 * R / 3.0
+        reports.append(MassBoundReport(eps=cut.eps, R=R, Q1=Q1, Q2=Q2, f=f,
+                                       m_lower=math.inf if f <= 0.0 else 1.0 / (2.0 * f)))
+    return reports
+
+
+def bound_rhs(mp: MomentumProfile, cut: CutoffSpec) -> MassBoundReport:
+    """f(ε) for one cutoff: `bound_sweep` of a one-element list."""
+    return bound_sweep(mp, [cut])[0]
 
 
 def kinetic_term_position_oracle(state: PekarState) -> float:

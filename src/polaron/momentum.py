@@ -30,7 +30,9 @@ O(n log n); no value is ever needed between nodes, and the error is the
 grid's own, O((pmax/n)²).  Everywhere a 1/k would meet the field profile,
 the finite combination k φ(k) = ρ̂(k)/(√2 π) is used instead.
 Only n of its 5n+1 outputs are read, so its circular length need only exceed
-3n, and sums that are added (Q2 in massbound.py) are added as spectra.
+3n (the smallest 5-smooth length ≥ 3n+1, 12150 at n = 4000); sums that are
+added (Q2 in massbound.py) are added as spectra, and a field-side spectrum
+serves every sum against the same field (the cutoff sweep in massbound.py).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 from .errors import DomainError
 from .grid import RadialFunction, RadialGrid, cumulative_primitive, integrate_3d
 from .solver import PekarState
-from .transforms import fourier_profile
+from .transforms import _fft_length, fourier_profile
 
 SQRT2_PI = np.sqrt(2.0) * np.pi
 _TAIL_FLOOR = 1e-6   # ψ̂'s noise floor relative to its maximum (see momentum_profile)
@@ -139,20 +141,27 @@ def number_expectation(mp: MomentumProfile, g: RadialTestFunction) -> float:
     return field_energy(mp) * density_expectation(mp, g)
 
 
-def _spectra(pgrid: RadialGrid, a: np.ndarray, integrand: np.ndarray) -> tuple:
-    """Field- and primitive-side spectra of `_shell_sum`: the odd extension of a,
-    reversed (i = n..−n), and the even extension of A (m = −n..2n), both at the
-    circular length L, the power of two ≥ 3n+1."""
+def _shell_length(pgrid: RadialGrid) -> int:
+    """Circular length L of `_shell_sum`: the smallest 5-smooth length ≥ 3n+1."""
+    return _fft_length(3 * pgrid.n + 1)
+
+
+def _field_spectrum(a: np.ndarray, size: int) -> np.ndarray:
+    """Spectrum of the odd extension of a, reversed (i = n..−n), at length size."""
+    return np.fft.rfft(np.concatenate((a[::-1], [0.0], -a)), size)
+
+
+def _primitive_spectrum(pgrid: RadialGrid, integrand: np.ndarray, size: int) -> np.ndarray:
+    """Spectrum of the even extension of the primitive A (m = −n..2n) at length size."""
     n = pgrid.n
     A = np.concatenate(([0.0], cumulative_primitive(pgrid, integrand)))
-    size = 1 << (3 * n).bit_length()
-    return (np.fft.rfft(np.concatenate((a[::-1], [0.0], -a)), size),
-            np.fft.rfft(np.concatenate((A[:0:-1], A, np.full(n, A[-1]))), size))
+    return np.fft.rfft(np.concatenate((A[:0:-1], A, np.full(n, A[-1]))), size)
 
 
-def _window(spectrum: np.ndarray, n: int) -> np.ndarray:
-    """Outputs j = 1..n of the correlation with this product of spectra."""
-    return np.fft.irfft(spectrum)[2 * n + 1: 3 * n + 1]
+def _window(spectrum: np.ndarray, n: int, size: int) -> np.ndarray:
+    """Outputs j = 1..n of the correlation with this product of spectra; size is
+    passed on because a 5-smooth length may be odd."""
+    return np.fft.irfft(spectrum, size)[2 * n + 1: 3 * n + 1]
 
 
 def _shell_sum(pgrid: RadialGrid, a: np.ndarray, integrand: np.ndarray) -> np.ndarray:
@@ -167,8 +176,9 @@ def _shell_sum(pgrid: RadialGrid, a: np.ndarray, integrand: np.ndarray) -> np.nd
     circular length L folds t ± L onto t; for L ≥ 3n+1 and t in 2n+1..3n both
     lie outside 0..5n, so the window is exact without room for all 5n+1 outputs.
     """
-    field, primitive = _spectra(pgrid, a, integrand)
-    return _window(field * primitive, pgrid.n)
+    size = _shell_length(pgrid)
+    spectrum = _field_spectrum(a, size) * _primitive_spectrum(pgrid, integrand, size)
+    return _window(spectrum, pgrid.n, size)
 
 
 def _field_weights(mp: MomentumProfile) -> np.ndarray:

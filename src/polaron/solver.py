@@ -39,9 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .coulomb import coulomb_potential
+from .coulomb import _newton_potential, coulomb_potential
 from .errors import ConvergenceError, NumericalError, StepSizeError
-from .grid import RadialFunction, RadialGrid, build_grid, integrate_3d
+from .grid import RadialFunction, RadialGrid, build_grid
 
 
 @dataclass
@@ -218,24 +218,25 @@ def _ground_pair(grid: RadialGrid, w_pot: np.ndarray,
     raise NumericalError(f"inverse iteration did not settle in {_MAX_SHIFTS} shifts")
 
 
-def _energies(grid: RadialGrid,
-              u: np.ndarray) -> tuple[float, float, RadialFunction, RadialFunction]:
-    """T, D, ρ and Φ_ρ of the normalized profile u; D = ∫ρΦ as in `coulomb_bilinear`."""
-    psi = u / grid.nodes
-    rho = RadialFunction(grid, psi**2)
+def _energies(grid: RadialGrid, u: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """T, D, ρ and Φ_ρ of the normalized profile u; D = ∫ρΦ as in `coulomb_bilinear`.
+    Raises ValueError where ρ, Φ or ρΦ is not finite."""
+    rho = (u / grid.nodes) ** 2
     T = _kinetic_energy(grid, u)
-    phi = coulomb_potential(rho)
-    D = integrate_3d(rho.with_values(rho.values * phi.values))
-    return T, D, rho, phi
+    phi = _newton_potential(grid, rho)
+    rho_phi = rho * phi
+    if not np.isfinite(rho_phi).all():   # a non-finite ρ or Φ makes ρΦ non-finite
+        raise ValueError("values must be finite (no NaN/Inf)")
+    return T, 4.0 * np.pi * float((grid.weights * grid.nodes**2) @ rho_phi), rho, phi
 
 
-def _state_from_u(grid: RadialGrid, u: np.ndarray, T: float, D: float, rho: RadialFunction,
+def _state_from_u(grid: RadialGrid, u: np.ndarray, T: float, D: float, rho: np.ndarray,
                   iterations: int, residual: float) -> PekarState:
     """Package u with the energies T, D and density ρ that `_energies` gave for it."""
     psi = RadialFunction(grid, u / grid.nodes)
     return PekarState(
         psi=psi,
-        rho=rho,
+        rho=RadialFunction(grid, rho),
         T=T,
         D=D,
         eP=T - D,
@@ -320,9 +321,9 @@ def solve_pekar(opts: SolverOptions) -> PekarState:
         T, D, rho, phi = _energies(grid, u)
         e_new = T - D
         dpsi = np.sqrt(4.0 * np.pi * grid.integrate((u - grid.nodes * psi_prev) ** 2))
-        res[:n] = rho.values - mix[:n]
-        res[n:] = phi.values - mix[n:]
-        scf = float(np.linalg.norm(sw * res[:n]) / np.linalg.norm(sw * rho.values))
+        res[:n] = rho - mix[:n]
+        res[n:] = phi - mix[n:]
+        scf = float(np.linalg.norm(sw * res[:n]) / np.linalg.norm(sw * rho))
         history.append((e_new, dpsi, scf))
 
         if abs(e_new - e_prev) <= opts.tol_energy and max(dpsi, scf) <= opts.tol_psi:
@@ -364,12 +365,11 @@ def imaginary_time_oracle(opts: SolverOptions, step: float = 1e-3) -> PekarState
         raise ValueError("step must be positive")
     grid = build_grid(*opts.grid)
     u = _normalize_u(grid, _initial_u(grid, opts.init))
-    r = grid.nodes
 
     T, D, rho, phi = _energies(grid, u)
     e_prev = T - D
     for k in range(1, opts.max_iter + 1):
-        grad = _apply_kinetic(u, grid.h) - 2.0 * phi.values * u
+        grad = _apply_kinetic(u, grid.h) - 2.0 * phi * u
         u = u - step * grad
         u[-1] = 0.0  # Dirichlet wall
         u = _normalize_u(grid, u)

@@ -194,7 +194,7 @@ def test_solve_writes_profiles_as_fmt_of_the_state(tmp_path, monkeypatch):
     assert (tmp_path / "out" / "profiles.csv").read_bytes() == expected
     if np.finfo(np.longdouble).nmant >= 63:   # else every field falls back by design
         fields = 4 * (SMALL_CONFIG["grid.n"] + SMALL_CONFIG["momentum.n"])
-        assert 0 < len(fallback) <= 0.1 * fields
+        assert 0 < len(fallback) <= 0.03 * fields   # 96 of 7,200 with the relative margin
 
 
 class TestConfigValidation:

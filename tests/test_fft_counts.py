@@ -1,12 +1,16 @@
 """FFT budget of the two FFT-heavy layers, counted by wrapping numpy.fft.
 
 Q2 reads n outputs of its shell correlations, so a circular length of the
-power of two ≥ 3n+1 suffices and its three sums combine as spectra: 4 forward
-and 2 inverse real transforms.  A momentum profile stacks its three chirp-z
-rows, so the chirp kernel is transformed once.  A change that brings back the
-5n+1 window, a per-sum inverse transform or a second chirp spectrum fails here.
+smallest 5-smooth length ≥ 3n+1 suffices (12150 at n = 4000) and its three
+sums combine as spectra: 4 forward and 2 inverse real transforms, of which
+the 2 forward transforms on the field side serve a whole cutoff sweep.  A
+momentum profile stacks its three chirp-z rows, so the chirp kernel is
+transformed once, at the smallest 5-smooth length ≥ N+M−1.  A change that
+brings back the 5n+1 window, a per-sum inverse transform, per-cutoff field
+spectra, a second chirp spectrum or power-of-two padding fails here.
 """
 
+import bisect
 from collections import defaultdict
 
 import numpy as np
@@ -14,11 +18,12 @@ import pytest
 
 import polaron as pl
 from polaron.massbound import _CHI_ONE
+from polaron.transforms import _fft_length
 
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """name → list of (input shape, transform length) of every numpy.fft call."""
+    """name → list of (transformed rows, transform length) of every numpy.fft call."""
     calls = defaultdict(list)
     for name in ("fft", "ifft", "rfft", "irfft"):
         original = getattr(np.fft, name)
@@ -26,11 +31,16 @@ def fft_calls(monkeypatch):
         def counted(x, n=None, *args, _name=name, _original=original, **kwargs):
             out = _original(x, n, *args, **kwargs)
             length = out.shape[-1] if _name != "rfft" else (n or np.shape(x)[-1])
-            calls[_name].append((np.shape(x), length))
+            rows = int(np.prod(np.shape(x)[:-1]))
+            calls[_name].append((rows, length))
             return out
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+def _rows(calls):
+    return sum(rows for rows, _ in calls)
 
 
 @pytest.mark.parametrize("cut", [_CHI_ONE, pl.CutoffSpec(eps=0.2, shape="bump")], ids=["one", "bump"])
@@ -38,17 +48,36 @@ def test_potential_term_makes_four_forward_and_two_inverse_real_ffts(mp_default,
     n = mp_default.pgrid.n
     assert n == 4000
     pl.potential_term(mp_default, cut)
-    limit = 1 << (3 * n).bit_length()   # 2^⌈log₂(3n+1)⌉ = 16384
-    assert len(fft_calls["rfft"]) == 4 and len(fft_calls["irfft"]) == 2
+    assert _rows(fft_calls["rfft"]) == 4 and _rows(fft_calls["irfft"]) == 2
     assert not fft_calls["fft"] and not fft_calls["ifft"]
-    assert all(length <= limit for _, length in fft_calls["rfft"] + fft_calls["irfft"])
+    # 2·3^5·5^2 = 12150, the smallest 5-smooth length ≥ 3n+1 (16384 as a power of two)
+    assert {length for _, length in fft_calls["rfft"] + fft_calls["irfft"]} == {12150}
+
+
+def test_bound_sweep_makes_the_field_spectra_once(mp_default, fft_calls):
+    cuts = [pl.CutoffSpec(eps=e, shape="bump") for e in (0.5, 0.2, 0.1, 0.05)] + [_CHI_ONE]
+    pl.bound_sweep(mp_default, cuts)
+    # 2 field-side rows, then 2 forward and 2 inverse rows per cutoff (30 rows per call)
+    assert _rows(fft_calls["rfft"]) == 12 and _rows(fft_calls["irfft"]) == 10
+    assert all(length == 12150 for _, length in fft_calls["rfft"] + fft_calls["irfft"])
 
 
 def test_momentum_profile_transforms_the_chirp_once(state_default, fft_calls):
     pl.momentum_profile(state_default, pl.build_grid(4000, 10.0))
     forward, inverse = fft_calls["fft"], fft_calls["ifft"]
-    # one forward transform of the chirp kernel (1-d), one of the stacked rows
-    assert sorted(len(shape) for shape, _ in forward) == [1, 2]
-    assert [shape[0] for shape, _ in forward if len(shape) == 2] == [3]
-    assert len(inverse) == 1
+    # one forward transform of the chirp kernel, one of the three stacked rows
+    assert sorted(rows for rows, _ in forward) == [1, 3]
+    assert [rows for rows, _ in inverse] == [3]
+    # 2^5·3^2·5^2 = 7200, the smallest 5-smooth length ≥ 3000 + 4000 − 1 (8192 as a power of two)
+    assert {length for _, length in forward + inverse} == {7200}
     assert not fft_calls["rfft"] and not fft_calls["irfft"]
+
+
+def test_fft_length_is_the_least_5_smooth_length():
+    smooth = sorted(2**a * 3**b * 5**c for a in range(22) for b in range(14) for c in range(10)
+                    if 2**a * 3**b * 5**c <= 2**21)
+    rng = np.random.default_rng(10)
+    for m in list(range(1, 2001)) + rng.integers(1, 10**6, 5000).tolist() + [10**6]:
+        length = _fft_length(m)
+        assert length == smooth[bisect.bisect_left(smooth, m)]
+        assert length <= 1 << (m - 1).bit_length()

@@ -6,7 +6,7 @@ import pytest
 import polaron as pl
 from polaron.massbound import _CHI_ONE
 from polaron.grid import cumulative_primitive
-from polaron.momentum import SQRT2_PI
+from polaron.momentum import SQRT2_PI, _shell_length
 
 EPS_LADDER = [0.5, 0.2, 0.1, 0.05]
 
@@ -110,14 +110,10 @@ class TestPairingTerm:
         assert pl.pairing_term(mp_default, cut) == restricted
 
 
-@pytest.mark.parametrize("cut", [_CHI_ONE, pl.CutoffSpec(eps=0.2, shape="bump"),
-                                 pl.CutoffSpec(eps=0.2, shape="gaussian")],
-                         ids=["one", "bump", "gaussian"])
-def test_potential_term_matches_its_shell_sum_definition(state_default, cut):
-    # Q2 = 4 Σ_ij w_i w_j (ρ̂_i/k_i) G_j [ΔA₂ + (p_j² − k_i²) ΔA₀], ΔA_m the
-    # difference A_m[i+j] − A_m[|i−j|] of the primitive of q^m G (held at its
-    # last value beyond the grid), summed directly over all pairs (i, j)
-    mp = pl.momentum_profile(state_default, pl.build_grid(200, 10.0))
+def _direct_q2(mp, cut):
+    """Q2 = 4 Σ_ij w_i w_j (ρ̂_i/k_i) G_j [ΔA₂ + (p_j² − k_i²) ΔA₀], ΔA_m the
+    difference A_m[i+j] − A_m[|i−j|] of the primitive of q^m G (held at its
+    last value beyond the grid), summed directly over all pairs (i, j)."""
     pg = mp.pgrid
     n, p, w = pg.n, pg.nodes, pg.weights
     G = cut.chi(p) * mp.dpsi_hat.values
@@ -129,8 +125,39 @@ def test_potential_term_matches_its_shell_sum_definition(state_default, cut):
         return A[np.minimum(i + j, n)] - A[np.abs(i - j)]
 
     pairs = delta(p**2 * G) + (p[j - 1] ** 2 - p[i - 1] ** 2) * delta(G)
-    direct = 4.0 * np.sum(a[i - 1] * (w * G)[j - 1] * pairs)
-    assert abs(pl.potential_term(mp, cut) - direct) <= 1e-12 * abs(direct)
+    return 4.0 * np.sum(a[i - 1] * (w * G)[j - 1] * pairs)
+
+
+@pytest.fixture(scope="module")
+def mp_200(state_default):
+    # the shell sums' circular length is 625 here, 5^4: an odd real FFT length
+    mp = pl.momentum_profile(state_default, pl.build_grid(200, 10.0))
+    assert _shell_length(mp.pgrid) == 625
+    return mp
+
+
+@pytest.mark.parametrize("cut", [_CHI_ONE, pl.CutoffSpec(eps=0.2, shape="bump"),
+                                 pl.CutoffSpec(eps=0.2, shape="gaussian")],
+                         ids=["one", "bump", "gaussian"])
+def test_potential_term_matches_its_shell_sum_definition(mp_200, cut):
+    direct = _direct_q2(mp_200, cut)
+    assert abs(pl.potential_term(mp_200, cut) - direct) <= 1e-12 * abs(direct)
+
+
+def test_bound_sweep_matches_the_term_definitions(mp_200):
+    # one sweep over mixed shapes, including a bump whose support holds no node:
+    # Q2 against its pair sum, R and Q1 bit for bit against their own functions
+    cuts = [pl.CutoffSpec(eps=0.2, shape="bump"), pl.CutoffSpec(eps=0.3, shape="gaussian"),
+            _CHI_ONE, pl.CutoffSpec(eps=100.0, shape="bump")]
+    reports = pl.bound_sweep(mp_200, cuts)
+    assert [rep.eps for rep in reports] == [cut.eps for cut in cuts]
+    for cut, rep in zip(cuts, reports):
+        direct = _direct_q2(mp_200, cut)
+        assert abs(rep.Q2 - direct) <= 1e-12 * abs(direct)
+        assert rep.R == pl.pairing_term(mp_200, cut)
+        assert rep.Q1 == pl.kinetic_term(mp_200, cut)
+        assert rep.f == 1.0 + (rep.Q1 - rep.Q2) / 3.0 + 4.0 * rep.R / 3.0
+    assert reports[-1].R == reports[-1].Q1 == reports[-1].Q2 == 0.0
 
 
 class TestKineticTerm:
@@ -205,6 +232,12 @@ class TestBoundRhs:
         rep = pl.bound_rhs(sentinel_profile, _CHI_ONE)
         assert rep.f < 0.0
         assert rep.m_lower == math.inf
+
+    def test_is_a_one_cutoff_sweep(self, mp_default, sentinel_profile):
+        for mp, cut in [(mp_default, _CHI_ONE), (mp_default, pl.CutoffSpec(eps=0.2)),
+                        (mp_default, pl.CutoffSpec(eps=0.05, shape="gaussian")),
+                        (sentinel_profile, _CHI_ONE)]:
+            assert pl.bound_rhs(mp, cut) == pl.bound_sweep(mp, [cut])[0]
 
     def test_all_entries_finite(self, mp_default):
         rep = pl.bound_rhs(mp_default, pl.CutoffSpec(eps=0.2, shape="bump"))
