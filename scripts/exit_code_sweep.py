@@ -47,7 +47,7 @@ def random_doc(seed: int) -> tuple[dict, str]:
         "solver.tol_energy": lambda: _log_uniform(rng, 1e-14, 1e-2),
         "solver.tol_psi": lambda: _log_uniform(rng, 1e-12, 1e-2),
         "solver.max_iter": lambda: int(rng.integers(2, 301)),
-        "cutoff.shape": lambda: str(rng.choice(["bump", "gaussian", "one"])),
+        "cutoff.shape": lambda: str(rng.choice(["bump", "gaussian"])),
         "cutoff.eps_list": lambda: sorted({_log_uniform(rng, 1e-3, 1e1)
                                            for _ in range(int(rng.integers(1, 5)))},
                                           reverse=True),

@@ -40,7 +40,6 @@ from .massbound import (
     pairing_term,
     potential_term,
     potential_term_position_oracle,
-    trial_profile,
 )
 from .config import ConfigError, RunConfig, config_from_dict, load_config
 from .errors import ConvergenceError, DomainError, NumericalError, StepSizeError
@@ -55,7 +54,7 @@ __all__ = [
     "MomentumProfile", "RadialTestFunction", "momentum_profile",
     "el_residual_momentum", "field_energy", "density_expectation",
     "number_expectation", "cross_expectation",
-    "CutoffSpec", "MassBoundReport", "trial_profile", "pairing_term",
+    "CutoffSpec", "MassBoundReport", "pairing_term",
     "kinetic_term", "potential_term", "bound_rhs", "bound_sweep", "mass_coefficient",
     "kinetic_term_position_oracle", "potential_term_position_oracle",
     "RunConfig", "ConfigError", "config_from_dict", "load_config",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 
@@ -67,8 +67,8 @@ class RunConfig:
             raise ConfigError(f"momentum.pmax must lie in [1e-50 * momentum.n, 1e40], got {pmax!r}")
         if not _finite(self.solver_mixing) or not (0 < self.solver_mixing <= 1):
             raise ConfigError(f"solver.mixing must lie in (0, 1], got {self.solver_mixing!r}")
-        if self.cutoff_shape not in ("bump", "gaussian", "one"):
-            raise ConfigError(f"cutoff.shape must be bump|gaussian|one, got {self.cutoff_shape!r}")
+        if self.cutoff_shape not in ("bump", "gaussian"):
+            raise ConfigError(f"cutoff.shape must be bump|gaussian, got {self.cutoff_shape!r}")
         eps = self.cutoff_eps_list
         if (not isinstance(eps, list) or not eps
                 or any(not _finite(e) or e <= 0 for e in eps)
@@ -89,13 +89,7 @@ class RunConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-_KEYS = (
-    "grid.n", "grid.rmax",
-    "momentum.n", "momentum.pmax",
-    "solver.mixing", "solver.tol_energy", "solver.tol_psi", "solver.max_iter",
-    "cutoff.shape", "cutoff.eps_list",
-    "output.dir",
-)
+_KEYS = tuple(f.name.replace("_", ".", 1) for f in fields(RunConfig))
 
 
 def _finite(val) -> bool:

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .grid import RadialFunction, integrate_3d
+from .grid import integrate_3d
 from .momentum import (MomentumProfile, _field_spectrum, _field_weights, _primitive_spectrum,
                        _shell_length, _window)
 from .solver import PekarState
@@ -42,7 +41,8 @@ class CutoffSpec:
     shape 'bump' is the standard compactly supported mollifier
     exp(1 − 1/(1 − s²)) on |s| < 1, s = εp; 'gaussian' (not compactly
     supported, for sensitivity studies) is exp(−s²); 'one' is the formal
-    ε = 0 endpoint χ ≡ 1.
+    ε = 0 endpoint χ ≡ 1, for library callers (the χ≡1 rows of `polaron
+    verify` and `polaron massbound`); the config key cutoff.shape rejects it.
     """
 
     eps: float
@@ -84,27 +84,6 @@ class MassBoundReport:
 
 
 _CHI_ONE = CutoffSpec(eps=1.0, shape="one")
-
-
-def trial_profile(mp: MomentumProfile, cut: CutoffSpec) -> RadialFunction:
-    """Radial scalar h(p) of the trial direction t(p) = p h(p).
-
-    h(p) = ψ̂'(p) χ(εp) / (p ψ̂(p)) at the grid nodes (p = 0 is not a node),
-    and exactly zero outside the cutoff's support.  ψ̂' vanishes linearly,
-    so h stays finite as p → 0 and t itself vanishes at the origin.
-    Raises DomainError if ψ̂ is not strictly positive somewhere inside the
-    cutoff's support.
-    """
-    p = mp.pgrid.nodes
-    chi = cut.chi(p)
-    support = chi != 0.0
-    if np.any(mp.psi_hat.values[support] <= 0.0):
-        raise DomainError("ψ̂ must be strictly positive on the cutoff support")
-    vals = np.zeros_like(p)
-    vals[support] = (
-        mp.dpsi_hat.values[support] * chi[support] / (p[support] * mp.psi_hat.values[support])
-    )
-    return RadialFunction(mp.pgrid, vals)
 
 
 def pairing_term(mp: MomentumProfile, cut: CutoffSpec) -> float:

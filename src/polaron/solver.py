@@ -48,14 +48,12 @@ from .grid import RadialFunction, RadialGrid, build_grid
 class SolverOptions:
     """Configuration of the ground-state search.
 
-    grid is (n, rmax); init selects the starting profile, the least-energy
-    member of its family ('hydrogenic' for e^{-5r/16}, 'gaussian' for
-    e^{-r²/(9π)}); mixing is the damping β of the Anderson density mixing,
-    the weight of the linear step it starts from.
+    grid is (n, rmax); mixing is the damping β of the Anderson density
+    mixing, the weight of the linear step it starts from.  Every solve starts
+    from the hydrogenic r e^{-5r/16} (`_initial_u`).
     """
 
     grid: tuple[int, float] = (3000, 30.0)
-    init: str = "hydrogenic"
     mixing: float = 0.5
     tol_energy: float = 1e-10
     tol_psi: float = 1e-8
@@ -64,12 +62,10 @@ class SolverOptions:
     def __post_init__(self):
         if not (0.0 < self.mixing <= 1.0):
             raise ValueError(f"mixing must lie in (0, 1], got {self.mixing}")
-        if self.tol_energy <= 0 or self.tol_psi <= 0:
+        if not (self.tol_energy > 0 and self.tol_psi > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be a positive integer")
-        if self.init not in ("hydrogenic", "gaussian"):
-            raise ValueError(f"unknown init profile {self.init!r}")
+        if not isinstance(self.max_iter, int) or isinstance(self.max_iter, bool) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
 
 
 @dataclass
@@ -89,15 +85,12 @@ class PekarState:
     residual: float
 
 
-def _initial_u(grid: RadialGrid, tag: str) -> np.ndarray:
-    """The Pekar minimizer within the start's family, with u = 0 at the wall.
-
-    E(β) = β² − 5β/8 for ψ = e^{−βr} is least, −25/256, at β = 5/16, and
-    E(s) = 3/(2s²) − √(2/π)/s for ψ = e^{−r²/(2s²)} is least, −1/(3π), at
-    s² = 9π/2.
+def _initial_u(grid: RadialGrid) -> np.ndarray:
+    """r e^{−5r/16} with u = 0 at the wall: the Pekar minimizer among
+    ψ = e^{−βr}, whose energy E(β) = β² − 5β/8 is least, −25/256, at β = 5/16.
     """
     r = grid.nodes
-    u = r * (np.exp(-r**2 / (9.0 * np.pi)) if tag == "gaussian" else np.exp(-5.0 * r / 16.0))
+    u = r * np.exp(-5.0 * r / 16.0)
     u[-1] = 0.0
     return u
 
@@ -298,7 +291,7 @@ def solve_pekar(opts: SolverOptions) -> PekarState:
     """
     grid = build_grid(*opts.grid)
     n, beta = grid.n, opts.mixing
-    u = _normalize_u(grid, _initial_u(grid, opts.init))
+    u = _normalize_u(grid, _initial_u(grid))
     psi_prev = u / grid.nodes
     sw = np.sqrt(grid.weights) * grid.nodes  # ‖sw·v‖₂ ∝ the 3d L² norm of v
     # input (ρ, Φ) and residual (ρ_out − ρ_in, Φ_out − Φ_in), each stacked
@@ -364,7 +357,7 @@ def imaginary_time_oracle(opts: SolverOptions, step: float = 1e-3) -> PekarState
     if step <= 0:
         raise ValueError("step must be positive")
     grid = build_grid(*opts.grid)
-    u = _normalize_u(grid, _initial_u(grid, opts.init))
+    u = _normalize_u(grid, _initial_u(grid))
 
     T, D, rho, phi = _energies(grid, u)
     e_prev = T - D

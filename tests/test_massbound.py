@@ -51,42 +51,6 @@ class TestCutoffSpec:
             pl.CutoffSpec(**kwargs)
 
 
-class TestTrialProfile:
-    def test_matches_pointwise_ratio(self, mp_fine):
-        cut = pl.CutoffSpec(eps=0.5, shape="bump")
-        h = pl.trial_profile(mp_fine, cut)
-        pg = mp_fine.pgrid
-        i = int(np.argmin(np.abs(pg.nodes - 1.0)))
-        expected = (mp_fine.dpsi_hat.values[i] * cut.chi(pg.nodes[i: i + 1])[0]
-                    / (pg.nodes[i] * mp_fine.psi_hat.values[i]))
-        assert abs(h.values[i] - expected) <= 1e-10 * abs(expected)
-
-    def test_trial_direction_vanishes_at_origin(self, mp_fine):
-        # t(p) = p·h(p) vanishes linearly: h is flat near 0, |t(p1)| ≈ |h(p2)|·p1
-        h = pl.trial_profile(mp_fine, pl.CutoffSpec(eps=0.5, shape="bump"))
-        p = mp_fine.pgrid.nodes
-        t = p * h.values
-        slope = abs(h.values[1])
-        assert abs(t[0]) < 2 * slope * p[0]
-        assert abs(t[0]) < abs(t[9]) < abs(t[99])
-
-    def test_bump_support_exact_zero(self, mp_fine):
-        cut = pl.CutoffSpec(eps=2.0, shape="bump")
-        h = pl.trial_profile(mp_fine, cut)
-        outside = mp_fine.pgrid.nodes > 0.5
-        assert np.all(h.values[outside] == 0.0)
-
-    def test_noisy_tail_in_support_raises(self, mp_default):
-        # χ≡1 puts the sub-noise tail inside the support at default
-        # resolution, where positivity of ψ̂ cannot be certified
-        with pytest.raises(pl.DomainError):
-            pl.trial_profile(mp_default, _CHI_ONE)
-
-    def test_full_support_works_on_fine_state(self, mp_fine):
-        h = pl.trial_profile(mp_fine, _CHI_ONE)
-        assert np.all(np.isfinite(h.values))
-
-
 class TestPairingTerm:
     def test_endpoint_identity(self, mp_default):
         assert abs(pl.pairing_term(mp_default, _CHI_ONE) + 1.5) < 1e-3

@@ -14,7 +14,8 @@ EP_REFERENCE = -0.1085
 class TestSolverOptions:
     @pytest.mark.parametrize("kwargs", [
         {"mixing": 0.0}, {"mixing": 1.5}, {"tol_energy": 0.0},
-        {"tol_psi": -1e-8}, {"max_iter": 0}, {"init": "plane-wave"},
+        {"tol_psi": -1e-8}, {"max_iter": 0}, {"tol_energy": np.nan},
+        {"tol_psi": np.nan}, {"max_iter": 2.5},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -57,9 +58,17 @@ class TestSolvePekar:
         assert np.array_equal(a.psi.values, b.psi.values)
         assert a.iterations == b.iterations
 
-    def test_gaussian_init_same_minimum(self):
+    def test_gaussian_init_same_minimum(self, monkeypatch):
+        # the minimum does not depend on the start: r e^{−r²/(9π)}, the
+        # least-energy Gaussian, reaches the same eP
+        def gaussian(grid):
+            u = grid.nodes * np.exp(-grid.nodes**2 / (9.0 * np.pi))
+            u[-1] = 0.0
+            return u
+
         a = pl.solve_pekar(pl.SolverOptions(grid=(800, 20.0)))
-        b = pl.solve_pekar(pl.SolverOptions(grid=(800, 20.0), init="gaussian"))
+        monkeypatch.setattr(solver, "_initial_u", gaussian)
+        b = pl.solve_pekar(pl.SolverOptions(grid=(800, 20.0)))
         assert abs(a.eP - b.eP) < 1e-8
 
     def test_few_iterations(self, state_default, state_fine):
@@ -114,7 +123,7 @@ class TestSolvePekar:
 
 
 class TestInitialProfiles:
-    """Each start is the Pekar minimizer within its trial family."""
+    """The start is the Pekar minimizer within its trial family."""
 
     @staticmethod
     def _energy(grid, u):
@@ -124,24 +133,11 @@ class TestInitialProfiles:
     def test_hydrogenic_start_near_its_family_minimum(self):
         # E(β) = β² − 5β/8 for e^{−βr}: −25/256 at β = 5/16
         grid = pl.build_grid(*DEFAULT_GRID)
-        assert abs(self._energy(grid, solver._initial_u(grid, "hydrogenic")) + 25 / 256) <= 1e-4
+        assert abs(self._energy(grid, solver._initial_u(grid)) + 25 / 256) <= 1e-4
 
-    def test_gaussian_start_is_its_family_minimum(self):
-        # E(s) = 3/(2s²) − √(2/π)/s for e^{−r²/(2s²)}: −1/(3π) at s² = 9π/2
-        grid = pl.build_grid(*DEFAULT_GRID)
-        u0 = solver._initial_u(grid, "gaussian")
-        e0 = self._energy(grid, u0)
-        assert abs(e0 + 1 / (3 * np.pi)) <= 1e-6
-        r = grid.nodes
-        for scale in (0.99, 1.01):
-            u = r * np.exp(-r**2 / (9 * np.pi * scale**2))
-            u[-1] = 0.0
-            assert self._energy(grid, u) > e0
-
-    @pytest.mark.parametrize("tag", ["hydrogenic", "gaussian"])
-    def test_start_vanishes_at_the_wall(self, tag):
+    def test_start_vanishes_at_the_wall(self):
         # the flow oracle's grid ends at r = 20, where r e^{−5r/16} is still 0.039
-        assert solver._initial_u(pl.build_grid(*ORACLE_GRID), tag)[-1] == 0.0
+        assert solver._initial_u(pl.build_grid(*ORACLE_GRID))[-1] == 0.0
 
 
 class TestImaginaryTimeOracle:
@@ -259,7 +255,7 @@ def test_ground_pair_matches_eigh_oracle(eigen_cases, guess):
                 continue
             u0 = warm
         elif guess == "initial":
-            u0 = solver._initial_u(grid, "hydrogenic")
+            u0 = solver._initial_u(grid)
         else:
             if len(pairs) < 2:
                 continue
@@ -296,7 +292,7 @@ def test_ground_pair_on_a_density_with_a_negative_tail(state_default):
     assert rho.min() < 0.0
     w = -2.0 * pl.coulomb_potential(pl.RadialFunction(grid, rho)).values
     lam0, x0 = _oracle_pairs(grid, w, 1)[0]
-    for u0 in (grid.nodes * state_default.psi.values, solver._initial_u(grid, "hydrogenic")):
+    for u0 in (grid.nodes * state_default.psi.values, solver._initial_u(grid)):
         lam, u = solver._ground_pair(grid, w, u0)
         assert abs(lam - lam0) <= 1e-12 * abs(lam0)
         x = np.sign(u[:-1] @ x0) * u[:-1]
@@ -305,7 +301,7 @@ def test_ground_pair_on_a_density_with_a_negative_tail(state_default):
 
 def test_ground_pair_rejects_non_finite_input():
     grid, w = _random_potential(50)
-    u = solver._initial_u(grid, "hydrogenic")
+    u = solver._initial_u(grid)
     for bad_w, bad_u in ((np.where(grid.nodes > 2.0, np.nan, w), u),
                          (w, np.where(grid.nodes > 2.0, np.inf, u))):
         with pytest.raises(pl.NumericalError, match="non-finite"):
