@@ -25,7 +25,7 @@ from pathlib import Path
 
 
 # Upper bounds on the sizes, far above any grid the paper's numbers need: a `verify`
-# on 10^6/10^3 nodes peaks at 454 MB and profiles.csv takes about 85 B per node.
+# on 10^6/10^3 nodes peaks at 380 MB and profiles.csv takes about 85 B per node.
 _MAX_NODES = 10**7
 _MAX_ITER = 10**5
 

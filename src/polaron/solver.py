@@ -23,9 +23,9 @@ residual f_k = ρ_out,k − ρ_in,k with ρ_out,k = |ψ_new|²:
 
 where Δ are the differences between successive steps over the last
 `_DEPTH` steps, and γ minimizes ‖f_k − Σ_j γ_j Δf_j‖ in the 3d L² norm.
-With no history this is the linear step (1 − β) ρ_in,k + β ρ_out,k.  Φ is
-linear in ρ, so the input potential is carried along as the same
-combination of potentials already computed: one Coulomb solve per step.
+With no history this is the linear step (1 − β) ρ_in,k + β ρ_out,k.  Only
+ρ is mixed: each step solves for the input potential Φ of ρ_in,k, and a
+second Coulomb solve gives the energy of ρ_out,k.
 
 An explicit imaginary-time gradient flow on the same reduced problem serves
 as an algorithmically independent cross-check (`imaginary_time_oracle`).
@@ -245,20 +245,20 @@ _DEPTH = 5
 _RCOND = 1e-10
 
 
-def _anderson_gamma(dfw: np.ndarray, order: list[int], fw: np.ndarray,
-                    q: np.ndarray) -> np.ndarray:
-    """γ minimizing ‖fw − Σ_j γ_j dfw[j]‖₂ over the rows j in `order` (newest
-    first), indexed like the rows of dfw; q is scratch space of dfw's shape.
+def _anderson_gamma(dfw: list[np.ndarray], fw: np.ndarray) -> np.ndarray:
+    """γ minimizing ‖fw − Σ_j γ_j dfw[j]‖₂, with γ_j in the order of the rows
+    dfw (newest first).
 
     Modified Gram–Schmidt: a row whose part orthogonal to the rows before it
-    in `order` is at most _RCOND of its norm is dropped (γ_j = 0).
+    is at most _RCOND of its norm is dropped (γ_j = 0).
     """
-    m = len(order)
+    m = len(dfw)
+    q = np.empty((m, fw.size))
     r = np.zeros((m, m))
     kept = []
-    for a, j in enumerate(order):
+    for a, row in enumerate(dfw):
         v = q[a]
-        v[:] = dfw[j]
+        v[:] = row
         norm = np.linalg.norm(v)
         for b in kept:
             r[b, a] = q[b] @ v
@@ -275,9 +275,7 @@ def _anderson_gamma(dfw: np.ndarray, order: list[int], fw: np.ndarray,
     g = np.zeros(m)
     for a in reversed(kept):
         g[a] = (c[a] - r[a, a + 1:] @ g[a + 1:]) / r[a, a]
-    gamma = np.zeros(len(dfw))
-    gamma[order] = g
-    return gamma
+    return g
 
 
 def solve_pekar(opts: SolverOptions) -> PekarState:
@@ -290,48 +288,39 @@ def solve_pekar(opts: SolverOptions) -> PekarState:
     exhausted first.
     """
     grid = build_grid(*opts.grid)
-    n, beta = grid.n, opts.mixing
+    beta = opts.mixing
     u = _normalize_u(grid, _initial_u(grid))
     psi_prev = u / grid.nodes
     sw = np.sqrt(grid.weights) * grid.nodes  # ‖sw·v‖₂ ∝ the 3d L² norm of v
-    # input (ρ, Φ) and residual (ρ_out − ρ_in, Φ_out − Φ_in), each stacked
-    mix, mix_prev = np.empty(2 * n), np.empty(2 * n)
-    res, res_prev = np.empty(2 * n), np.empty(2 * n)
-    mix[:n] = psi_prev**2
-    mix[n:] = coulomb_potential(RadialFunction(grid, mix[:n])).values
-    steps = np.empty((_DEPTH, 2 * n))  # Δmix + β Δres of past steps, a ring
-    dfw = np.empty((_DEPTH, n))        # sw·Δ(ρ_out − ρ_in), same slots
-    scratch = np.empty((_DEPTH, n))
+    rho_in = psi_prev**2
+    steps: list[np.ndarray] = []  # Δρ_in + β Δres of past steps, newest first
+    dfw: list[np.ndarray] = []    # sw·Δres, res = ρ_out − ρ_in, same order
     e_prev = np.inf
     history: list[tuple[float, float, float]] = []   # (energy, dpsi, scf) per step
 
     x = u  # the eigenstep starts from its own last output, so a settled one recurs exactly
     for k in range(1, opts.max_iter + 1):
-        _, x = _ground_pair(grid, -2.0 * mix[n:], x)
+        _, x = _ground_pair(grid, -2.0 * _newton_potential(grid, rho_in), x)
         u = _normalize_u(grid, x)
         psi = u / grid.nodes
 
-        T, D, rho, phi = _energies(grid, u)
+        T, D, rho, _ = _energies(grid, u)
         e_new = T - D
         dpsi = np.sqrt(4.0 * np.pi * grid.integrate((u - grid.nodes * psi_prev) ** 2))
-        res[:n] = rho - mix[:n]
-        res[n:] = phi - mix[n:]
-        scf = float(np.linalg.norm(sw * res[:n]) / np.linalg.norm(sw * rho))
+        res = rho - rho_in
+        scf = float(np.linalg.norm(sw * res) / np.linalg.norm(sw * rho))
         history.append((e_new, dpsi, scf))
 
         if abs(e_new - e_prev) <= opts.tol_energy and max(dpsi, scf) <= opts.tol_psi:
             return _state_from_u(grid, u, T, D, rho, iterations=k, residual=dpsi)
 
         if k > 1:
-            slot = (k - 2) % _DEPTH
-            steps[slot] = (mix - mix_prev) + beta * (res - res_prev)
-            dfw[slot] = sw * (res[:n] - res_prev[:n])
-        mix_prev[:] = mix
-        res_prev[:] = res
-        count = min(k - 1, _DEPTH)
-        gamma = _anderson_gamma(dfw, [(k - 2 - i) % _DEPTH for i in range(count)],
-                                sw * res[:n], scratch)
-        mix += beta * res - gamma[:count] @ steps[:count]
+            steps = [rho_in - rho_prev + beta * (res - res_prev), *steps[:_DEPTH - 1]]
+            dfw = [sw * (res - res_prev), *dfw[:_DEPTH - 1]]
+        rho_prev, res_prev = rho_in, res
+        rho_in = rho_in + beta * res
+        for g, step in zip(_anderson_gamma(dfw, sw * res), steps):
+            rho_in -= g * step
         psi_prev = psi
         e_prev = e_new
 
@@ -354,8 +343,8 @@ def imaginary_time_oracle(opts: SolverOptions, step: float = 1e-3) -> PekarState
     the explicit-Euler stability limit ~h²/2 and raises StepSizeError.
     Stops when the per-step energy change stays below tol_energy.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     grid = build_grid(*opts.grid)
     u = _normalize_u(grid, _initial_u(grid))
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -87,9 +89,9 @@ class TestSolvePekar:
         pl.solve_pekar(pl.SolverOptions(grid=DEFAULT_GRID))
         assert calls["dpttrf"] <= 29 and calls["dpttrs"] <= 46
 
-    def test_one_coulomb_solve_per_iteration(self, monkeypatch):
-        # one for the initial density, then one per step for the new density:
-        # the mixed density's potential is the same mix of known potentials
+    def test_two_coulomb_solves_per_iteration(self, monkeypatch):
+        # each step solves for the potential of the mixed input density and
+        # for the energy of the output density
         calls = []
         original = pl.coulomb._newton_potential   # the array core every solve goes through
 
@@ -100,7 +102,19 @@ class TestSolvePekar:
         for module in (solver, pl.coulomb):
             monkeypatch.setattr(module, "_newton_potential", counted)
         st = pl.solve_pekar(pl.SolverOptions(grid=(800, 20.0)))
-        assert len(calls) == st.iterations + 1
+        assert len(calls) == 2 * st.iterations
+
+    def test_traced_memory_stays_in_the_density_history(self):
+        # the mixer holds ρ_in, the residual, their previous values and two
+        # histories of _DEPTH rows, all of ρ's length: about 32 n-doubles
+        n = 20000
+        tracemalloc.start()
+        try:
+            pl.solve_pekar(pl.SolverOptions(grid=(n, 30.0)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36 * 8 * n
 
     def test_damping_does_not_move_the_fixed_point(self):
         # the damping β sets the path to the fixed point, not the point
@@ -120,6 +134,24 @@ class TestSolvePekar:
         err = exc_info.value
         assert err.last_state is not None
         assert len(err.history) == 3
+
+
+class TestAndersonGamma:
+    def test_independent_rows_match_lstsq(self):
+        rng = np.random.default_rng(7)
+        dfw, fw = rng.standard_normal((3, 50)), rng.standard_normal(50)
+        gamma = solver._anderson_gamma(list(dfw), fw)
+        assert np.abs(gamma - np.linalg.lstsq(dfw.T, fw, rcond=None)[0]).max() <= 1e-12
+
+    def test_dependent_row_is_dropped(self):
+        # the third row lies in the span of the first two: γ_3 = 0, and the
+        # kept rows solve the least-squares problem on their own
+        rng = np.random.default_rng(8)
+        a, b, fw = rng.standard_normal((3, 50))
+        gamma = solver._anderson_gamma([a, b, a + b], fw)
+        assert gamma[2] == 0.0
+        kept = np.linalg.lstsq(np.stack([a, b]).T, fw, rcond=None)[0]
+        assert np.abs(gamma[:2] - kept).max() <= 1e-12
 
 
 class TestInitialProfiles:
@@ -169,8 +201,9 @@ class TestImaginaryTimeOracle:
             pl.imaginary_time_oracle(opts, step=50 * ORACLE_STEP)
 
     def test_nonpositive_step_rejected(self):
-        with pytest.raises(ValueError):
-            pl.imaginary_time_oracle(pl.SolverOptions(grid=ORACLE_GRID), step=0.0)
+        for step in (0.0, -1e-3, np.nan, np.inf):
+            with pytest.raises(ValueError, match="step"):
+                pl.imaginary_time_oracle(pl.SolverOptions(grid=ORACLE_GRID), step=step)
 
 
 class TestPositionResidual:
