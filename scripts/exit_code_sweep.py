@@ -43,8 +43,6 @@ def random_doc(seed: int) -> tuple[dict, str]:
         "grid.rmax": lambda: _log_uniform(rng, 1e-2, 1e3),
         "momentum.n": lambda: int(round(_log_uniform(rng, 2, 4000))),
         "momentum.pmax": lambda: _log_uniform(rng, 1e-1, 1e2),
-        "solver.mixing": lambda: _log_uniform(rng, 1e-3, 1.0),
-        "solver.tol_energy": lambda: _log_uniform(rng, 1e-14, 1e-2),
         "solver.tol_psi": lambda: _log_uniform(rng, 1e-12, 1e-2),
         "solver.max_iter": lambda: int(rng.integers(2, 301)),
         "cutoff.shape": lambda: str(rng.choice(["bump", "gaussian"])),

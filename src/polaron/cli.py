@@ -52,8 +52,6 @@ def _artifact_header(cfg: RunConfig) -> str:
 def run_solver(cfg: RunConfig) -> PekarState:
     opts = SolverOptions(
         grid=(cfg.grid_n, cfg.grid_rmax),
-        mixing=cfg.solver_mixing,
-        tol_energy=cfg.solver_tol_energy,
         tol_psi=cfg.solver_tol_psi,
         max_iter=cfg.solver_max_iter,
     )

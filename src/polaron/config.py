@@ -5,7 +5,6 @@ Example:
     {
       "grid.n": 3000, "grid.rmax": 30.0,
       "momentum.n": 4000, "momentum.pmax": 10.0,
-      "solver.mixing": 0.5, "solver.tol_energy": 1e-10,
       "solver.tol_psi": 1e-8, "solver.max_iter": 300,
       "cutoff.shape": "bump", "cutoff.eps_list": [0.5, 0.2, 0.1, 0.05],
       "output.dir": "out"
@@ -40,8 +39,6 @@ class RunConfig:
     grid_rmax: float = 30.0
     momentum_n: int = 4000
     momentum_pmax: float = 10.0
-    solver_mixing: float = 0.5
-    solver_tol_energy: float = 1e-10
     solver_tol_psi: float = 1e-8
     solver_max_iter: int = 300
     cutoff_shape: str = "bump"
@@ -54,7 +51,7 @@ class RunConfig:
             val = getattr(self, _attr(key))
             if not isinstance(val, int) or isinstance(val, bool) or not 2 <= val <= top:
                 raise ConfigError(f"{key} must be an integer in [2, {top}], got {val!r}")
-        for key in ("grid.rmax", "momentum.pmax", "solver.tol_energy", "solver.tol_psi"):
+        for key in ("grid.rmax", "momentum.pmax", "solver.tol_psi"):
             val = getattr(self, _attr(key))
             if not _finite(val) or not val > 0:
                 raise ConfigError(f"{key} must be a positive finite number, got {val!r}")
@@ -65,8 +62,6 @@ class RunConfig:
             raise ConfigError(f"grid.rmax / grid.n must lie in [1e-50, 300], got {h!r}")
         if not 1e-50 * self.momentum_n <= pmax <= 1e40:
             raise ConfigError(f"momentum.pmax must lie in [1e-50 * momentum.n, 1e40], got {pmax!r}")
-        if not _finite(self.solver_mixing) or not (0 < self.solver_mixing <= 1):
-            raise ConfigError(f"solver.mixing must lie in (0, 1], got {self.solver_mixing!r}")
         if self.cutoff_shape not in ("bump", "gaussian"):
             raise ConfigError(f"cutoff.shape must be bump|gaussian, got {self.cutoff_shape!r}")
         eps = self.cutoff_eps_list

@@ -48,22 +48,19 @@ from .grid import RadialFunction, RadialGrid, build_grid
 class SolverOptions:
     """Configuration of the ground-state search.
 
-    grid is (n, rmax); mixing is the damping β of the Anderson density
-    mixing, the weight of the linear step it starts from.  Every solve starts
-    from the hydrogenic r e^{-5r/16} (`_initial_u`).
+    grid is (n, rmax); the SCF stops once both the L² change of ψ and the
+    relative self-consistency residual are at most tol_psi, or fails after
+    max_iter steps.  Every solve starts from the hydrogenic r e^{-5r/16}
+    (`_initial_u`).
     """
 
     grid: tuple[int, float] = (3000, 30.0)
-    mixing: float = 0.5
-    tol_energy: float = 1e-10
     tol_psi: float = 1e-8
     max_iter: int = 300
 
     def __post_init__(self):
-        if not (0.0 < self.mixing <= 1.0):
-            raise ValueError(f"mixing must lie in (0, 1], got {self.mixing}")
-        if not (self.tol_energy > 0 and self.tol_psi > 0):
-            raise ValueError("tolerances must be positive")
+        if not self.tol_psi > 0:
+            raise ValueError(f"tol_psi must be positive, got {self.tol_psi!r}")
         if not isinstance(self.max_iter, int) or isinstance(self.max_iter, bool) or self.max_iter < 1:
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
 
@@ -239,8 +236,10 @@ def _state_from_u(grid: RadialGrid, u: np.ndarray, T: float, D: float, rho: np.n
     )
 
 
-# Anderson mixing in `solve_pekar`: history depth, and the share of its norm a
+# Anderson mixing in `solve_pekar`: the damping β, which sets the path to the
+# fixed point but not the point; the history depth; and the share of its norm a
 # residual difference must keep outside the span of the newer ones to be used
+_BETA = 0.5
 _DEPTH = 5
 _RCOND = 1e-10
 
@@ -281,21 +280,18 @@ def _anderson_gamma(dfw: list[np.ndarray], fw: np.ndarray) -> np.ndarray:
 def solve_pekar(opts: SolverOptions) -> PekarState:
     """Self-consistent minimization of the Pekar energy.
 
-    Converges when the energy change, the L² change of ψ and the relative
-    self-consistency residual ‖ρ_out − ρ_in‖/‖ρ_out‖ (3d L² norms) all drop
-    below their tolerances (the last two below tol_psi).  Raises
-    ConvergenceError (carrying the iteration history) if max_iter is
+    Converges when the L² change of ψ and the relative self-consistency
+    residual ‖ρ_out − ρ_in‖/‖ρ_out‖ (3d L² norms) are both at most tol_psi.
+    Raises ConvergenceError (carrying the iteration history) if max_iter is
     exhausted first.
     """
     grid = build_grid(*opts.grid)
-    beta = opts.mixing
     u = _normalize_u(grid, _initial_u(grid))
     psi_prev = u / grid.nodes
     sw = np.sqrt(grid.weights) * grid.nodes  # ‖sw·v‖₂ ∝ the 3d L² norm of v
     rho_in = psi_prev**2
     steps: list[np.ndarray] = []  # Δρ_in + β Δres of past steps, newest first
     dfw: list[np.ndarray] = []    # sw·Δres, res = ρ_out − ρ_in, same order
-    e_prev = np.inf
     history: list[tuple[float, float, float]] = []   # (energy, dpsi, scf) per step
 
     x = u  # the eigenstep starts from its own last output, so a settled one recurs exactly
@@ -311,28 +307,30 @@ def solve_pekar(opts: SolverOptions) -> PekarState:
         scf = float(np.linalg.norm(sw * res) / np.linalg.norm(sw * rho))
         history.append((e_new, dpsi, scf))
 
-        if abs(e_new - e_prev) <= opts.tol_energy and max(dpsi, scf) <= opts.tol_psi:
+        if max(dpsi, scf) <= opts.tol_psi:
             return _state_from_u(grid, u, T, D, rho, iterations=k, residual=dpsi)
 
         if k > 1:
-            steps = [rho_in - rho_prev + beta * (res - res_prev), *steps[:_DEPTH - 1]]
+            steps = [rho_in - rho_prev + _BETA * (res - res_prev), *steps[:_DEPTH - 1]]
             dfw = [sw * (res - res_prev), *dfw[:_DEPTH - 1]]
         rho_prev, res_prev = rho_in, res
-        rho_in = rho_in + beta * res
+        rho_in = rho_in + _BETA * res
         for g, step in zip(_anderson_gamma(dfw, sw * res), steps):
             rho_in -= g * step
         psi_prev = psi
-        e_prev = e_new
 
     raise ConvergenceError(
         f"SCF did not converge in {opts.max_iter} iterations "
-        f"(last dE={abs(history[-1][0] - history[-2][0]) if len(history) > 1 else np.inf:.3e}, "
-        f"last |dpsi|={history[-1][1]:.3e}, "
+        f"(last |dpsi|={history[-1][1]:.3e}, "
         f"last |rho_out-rho_in|/|rho_out|={scf:.3e})",
         last_state=_state_from_u(grid, u, T, D, rho, iterations=opts.max_iter,
                                  residual=history[-1][1]),
         history=history,
     )
+
+
+# the imaginary-time flow stops once one step changes the energy by at most this
+_FLOW_TOL = 1e-12
 
 
 def imaginary_time_oracle(opts: SolverOptions, step: float = 1e-3) -> PekarState:
@@ -341,7 +339,8 @@ def imaginary_time_oracle(opts: SolverOptions, step: float = 1e-3) -> PekarState
     The profile is renormalized each step and the energy must be
     non-increasing (up to 1e-12 per step); a violation means the step exceeds
     the explicit-Euler stability limit ~h²/2 and raises StepSizeError.
-    Stops when the per-step energy change stays below tol_energy.
+    Stops when the per-step energy change is at most _FLOW_TOL; reads only
+    opts.grid and opts.max_iter.
     """
     if not 0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step!r}")
@@ -363,12 +362,12 @@ def imaginary_time_oracle(opts: SolverOptions, step: float = 1e-3) -> PekarState
                 f"energy increased by {e_new - e_prev:.3e} at step {k}; "
                 f"step={step:g} exceeds the stability limit for h={grid.h:g}"
             )
-        if abs(e_new - e_prev) <= opts.tol_energy:
+        if abs(e_new - e_prev) <= _FLOW_TOL:
             return _state_from_u(grid, u, T, D, rho, iterations=k, residual=abs(e_new - e_prev))
         e_prev = e_new
 
     raise ConvergenceError(
-        f"imaginary-time flow did not stagnate below {opts.tol_energy:g} "
+        f"imaginary-time flow did not stagnate below {_FLOW_TOL:g} "
         f"in {opts.max_iter} steps",
         last_state=_state_from_u(grid, u, T, D, rho, iterations=opts.max_iter,
                                  residual=abs(e_new - e_prev)),

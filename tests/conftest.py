@@ -40,7 +40,7 @@ def mp_fine(state_fine):
 @pytest.fixture(scope="session")
 def oracle_pair():
     """(imaginary-time state, SCF state) on the same independent grid."""
-    opts = pl.SolverOptions(grid=ORACLE_GRID, tol_energy=1e-12, max_iter=2_000_000)
+    opts = pl.SolverOptions(grid=ORACLE_GRID, max_iter=2_000_000)
     flow = pl.imaginary_time_oracle(opts, step=ORACLE_STEP)
     scf = pl.solve_pekar(pl.SolverOptions(grid=ORACLE_GRID))
     return flow, scf

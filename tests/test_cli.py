@@ -90,10 +90,11 @@ class TestSolveCommand:
             assert len(history["history"]) == 2
             assert all(set(step) == {"energy", "dpsi", "scf"} for step in history["history"])
 
-    def test_history_shows_the_unconverged_self_consistency(self, tmp_path):
+    def test_history_shows_the_unconverged_self_consistency(self, tmp_path, monkeypatch):
         # at β = 1e-300 energy and ψ stop moving; only the self-consistency
         # residual ‖ρ_out − ρ_in‖/‖ρ_out‖ of each step shows the failure
-        cfg = write_config(tmp_path / "c.json", {"solver.mixing": 1e-300})
+        monkeypatch.setattr(polaron.solver, "_BETA", 1e-300)
+        cfg = write_config(tmp_path / "c.json")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         history = json.loads((tmp_path / "out" / "residual_history.json").read_text())["history"]
         assert len(history) == 300
@@ -101,10 +102,11 @@ class TestSolveCommand:
 
 
 @pytest.mark.parametrize("command", ["solve", "verify", "massbound"])
-def test_mixing_too_small_to_move_exits_3(tmp_path, capsys, command):
+def test_mixing_too_small_to_move_exits_3(tmp_path, capsys, monkeypatch, command):
     # ρ_in never moves, so ψ settles on a density it does not reproduce; the
     # self-consistency residual keeps that from passing as converged
-    cfg = write_config(tmp_path / "c.json", {"solver.mixing": 1e-300})
+    monkeypatch.setattr(polaron.solver, "_BETA", 1e-300)
+    cfg = write_config(tmp_path / "c.json")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "rho_out-rho_in" in err
@@ -301,6 +303,10 @@ def test_one_or_two_interior_radial_nodes_exit_cleanly(tmp_path, capsys, n, comm
     ("massbound", {"cutoff.shape": "bump", "cutoff.eps_list": [1e308]}, "cutoff.eps_list"),
     # the χ≡1 endpoint is a row of every massbound table, not a shape
     ("massbound", {"cutoff.shape": "one"}, "cutoff.shape"),
+    # the SCF's damping is a constant and it stops on solver.tol_psi alone: a
+    # config that still sets either former key is refused, not ignored
+    ("solve", {"solver.mixing": 0.5}, "solver.mixing"),
+    ("verify", {"solver.tol_energy": 1e-10}, "solver.tol_energy"),
 ])
 def test_unrepresentable_scales_exit_2_naming_the_key(tmp_path, capsys, command, overrides, key):
     # these configs once ran into a floating-point fault (exit 3, naming only
@@ -342,7 +348,6 @@ _POSITIVE = st.one_of(st.floats(1e-300, 1e300), st.sampled_from([1e-300, 1e300])
 _VALID_DOCS = st.fixed_dictionaries({}, optional={
     "grid.n": st.integers(2, 4000), "grid.rmax": _POSITIVE,   # up to the default grid sizes
     "momentum.n": st.integers(2, 4000), "momentum.pmax": _POSITIVE,
-    "solver.mixing": st.floats(1e-300, 1.0), "solver.tol_energy": _POSITIVE,
     "solver.tol_psi": _POSITIVE, "solver.max_iter": st.integers(2, 300),
     "cutoff.shape": st.sampled_from(["bump", "gaussian"]),
     "cutoff.eps_list": st.lists(_POSITIVE, min_size=1, max_size=4)
@@ -356,7 +361,8 @@ _JUNK = st.one_of(
 _KEYS = ["grid.n", "grid.rmax", "momentum.n", "momentum.pmax", "solver.mixing",
          "solver.tol_energy", "solver.tol_psi", "solver.max_iter", "cutoff.shape",
          "cutoff.eps_list", "output.dir", "grid.npts", ""]
-# a valid document, or one with a single key replaced by junk (or an unknown key)
+# a valid document, or one with a single key replaced by junk (or an unknown key,
+# solver.mixing and solver.tol_energy among them)
 _CONFIG_DOCS = _VALID_DOCS | st.builds(lambda doc, key, val: {**doc, key: val},
                                        _VALID_DOCS, st.sampled_from(_KEYS), _JUNK)
 

@@ -15,17 +15,19 @@ class TestConfigFromDict:
         assert cfg.cutoff_eps_list == [0.5, 0.2, 0.1, 0.05]
 
     def test_partial_override(self):
-        cfg = config_from_dict({"grid.n": 500, "solver.mixing": 0.3})
+        cfg = config_from_dict({"grid.n": 500, "solver.tol_psi": 1e-9})
         assert cfg.grid_n == 500
-        assert cfg.solver_mixing == 0.3
+        assert cfg.solver_tol_psi == 1e-9
         assert cfg.grid_rmax == 30.0
 
     @pytest.mark.parametrize("doc,field", [
         ({"grid.n": 1}, "grid.n"),
         ({"grid.n": 2.5}, "grid.n"),
         ({"grid.rmax": -1.0}, "grid.rmax"),
-        ({"solver.mixing": 1.5}, "solver.mixing"),
-        ({"solver.tol_energy": 0.0}, "solver.tol_energy"),
+        # not config keys (the SCF's damping is fixed and it stops on
+        # solver.tol_psi alone): refused at any value
+        ({"solver.mixing": 0.5}, "solver.mixing"),
+        ({"solver.tol_energy": 1e-10}, "solver.tol_energy"),
         ({"cutoff.shape": "box"}, "cutoff.shape"),
         ({"cutoff.eps_list": []}, "eps_list"),
         ({"cutoff.eps_list": [0.1, 0.1]}, "eps_list"),
