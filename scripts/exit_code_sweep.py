@@ -6,7 +6,8 @@ passes each through `polaron.cli.main` with a random command, and prints one
 JSON record per config: the document, the command, the exit code, the
 stderr line and the SCF iteration count (the history length when the solve
 fails to converge; null when no solve ran).  `diff` lists the records of two
-such runs whose exit codes differ, so two versions of the package can be
+such runs whose exit codes or iteration counts differ, and counts the
+iteration counts that rose and fell, so two versions of the package can be
 compared on the same documents.
 
 Usage:
@@ -96,18 +97,24 @@ def cmd_diff(args) -> int:
             return {rec["index"]: rec for rec in map(json.loads, fh)}
 
     old, new = load(args.old), load(args.new)
-    changed = 0
-    for i in sorted(old.keys() & new.keys()):
+    common = sorted(old.keys() & new.keys())
+    changed, rose, fell = 0, 0, 0
+    for i in common:
         a, b = old[i], new[i]
         if a["doc"] != b["doc"] or a["command"] != b["command"]:
             raise SystemExit(f"record {i}: the two runs drew different configs")
-        if a["code"] != b["code"]:
-            changed += 1
-            print(f"{i} {a['command']} {json.dumps(a['doc'], sort_keys=True)}: "
-                  f"exit {a['code']} -> {b['code']}, "
-                  f"iterations {a['iterations']} -> {b['iterations']}; "
-                  f"stderr {a['stderr']!r} -> {b['stderr']!r}")
-    print(f"{changed} of {len(old.keys() & new.keys())} exit codes changed", file=sys.stderr)
+        if a["code"] == b["code"] and a["iterations"] == b["iterations"]:
+            continue
+        changed += a["code"] != b["code"]
+        if None not in (a["iterations"], b["iterations"]):
+            rose += b["iterations"] > a["iterations"]
+            fell += b["iterations"] < a["iterations"]
+        print(f"{i} {a['command']} {json.dumps(a['doc'], sort_keys=True)}: "
+              f"exit {a['code']} -> {b['code']}, "
+              f"iterations {a['iterations']} -> {b['iterations']}; "
+              f"stderr {a['stderr']!r} -> {b['stderr']!r}")
+    print(f"{changed} of {len(common)} exit codes changed", file=sys.stderr)
+    print(f"iteration counts: {rose} rose, {fell} fell", file=sys.stderr)
     return 0
 
 
@@ -117,7 +124,7 @@ def main() -> int:
     run = sub.add_parser("run", help="print one JSON record per random config")
     run.add_argument("--count", type=int, default=600)
     run.add_argument("--seed", type=int, default=0)
-    diff = sub.add_parser("diff", help="list records whose exit codes differ")
+    diff = sub.add_parser("diff", help="list records whose exit codes or iteration counts differ")
     diff.add_argument("old")
     diff.add_argument("new")
     args = ap.parse_args()

@@ -411,13 +411,32 @@ def test_thread_cap_env_var_stable(tmp_path):
 
 
 def test_import_leaves_interpolate_and_signal_unloaded():
-    """Neither `import polaron` nor a first transform call pulls in
-    scipy.interpolate or scipy.signal, which would each add most of a second
-    to every interpreter start (a lazy import only moves it to the first call)."""
+    """Neither `import polaron` nor a first transform call or solve pulls in
+    scipy.interpolate, scipy.signal or scipy.linalg's package init (and with
+    it scipy._lib._array_api); each would add a large share of every
+    interpreter start (a lazy import only moves it to the first call)."""
     code = ("import sys, polaron; "
             "g = polaron.build_grid(20, 5.0); "
             "polaron.fourier_radial_gradient(polaron.RadialFunction(g, g.nodes), g); "
-            "print(sorted(m for m in ('scipy.interpolate', 'scipy.signal') if m in sys.modules))")
+            "polaron.solve_pekar(polaron.SolverOptions(grid=(200, 20.0))); "
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.signal', 'scipy.linalg', "
+            "'scipy._lib._array_api') if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                           text=True, env=_child_env())
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("first", ["polaron", "scipy.linalg"])
+def test_lapack_module_shared_with_scipy_linalg(first):
+    """polaron's directly loaded LAPACK module is the one scipy.linalg uses,
+    whichever of the two is imported first, and scipy.linalg still works."""
+    second = {"polaron": "scipy.linalg", "scipy.linalg": "polaron"}[first]
+    code = (f"import {first}, {second}, numpy as np, polaron.solver as s, scipy.linalg as la; "
+            "assert s.dpttrf is la.lapack.dpttrf and s.dpttrs is la.lapack.dpttrs; "
+            "w = la.eigh_tridiagonal(np.full(3, 2.0), np.full(2, -1.0), eigvals_only=True); "
+            "assert np.allclose(w, 2 - np.sqrt(2) * np.array([1, 0, -1])); "
+            "print('ok')")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"

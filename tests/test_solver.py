@@ -1,7 +1,11 @@
+import importlib.machinery
+import re
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
 from scipy.linalg import eigh_tridiagonal
 
 import polaron as pl
@@ -88,6 +92,14 @@ class TestSolvePekar:
             monkeypatch.setattr(solver, name, counted)
         pl.solve_pekar(pl.SolverOptions(grid=DEFAULT_GRID))
         assert calls["dpttrf"] <= 29 and calls["dpttrs"] <= 46
+
+    def test_lapack_loader_has_no_fallback(self, monkeypatch):
+        # without scipy's _flapack extension the import fails, naming scipy's version
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            classmethod(lambda cls, *args, **kwargs: None))
+        with pytest.raises(ImportError, match=re.escape(scipy.__version__)):
+            solver._flapack()
 
     def test_two_coulomb_solves_per_iteration(self, monkeypatch):
         # each step solves for the potential of the mixed input density and
