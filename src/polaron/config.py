@@ -55,8 +55,9 @@ class RunConfig:
             val = getattr(self, _attr(key))
             if not _finite(val) or not val > 0:
                 raise ConfigError(f"{key} must be a positive finite number, got {val!r}")
-        # inside where the run's floats leave their range: the initial norm h²e^{-5h/8}
-        # underflows above h ≈ 1150, ρΦ ~ h⁻⁴ below ~1e-77, 1/p² below ~1e-100, p⁷ above ~1e44
+        # inside where the run's floats leave their range: the norm h²e^{-5h/8} of the flow
+        # oracle's start r e^{-5r/16} underflows above h ≈ 1150, ρΦ ~ h⁻⁴ below ~1e-77,
+        # 1/p² below ~1e-100, p⁷ above ~1e44
         h, pmax = self.grid_rmax / self.grid_n, self.momentum_pmax
         if not 1e-50 <= h <= 300:
             raise ConfigError(f"grid.rmax / grid.n must lie in [1e-50, 300], got {h!r}")

@@ -295,7 +295,8 @@ def test_one_or_two_interior_radial_nodes_exit_cleanly(tmp_path, capsys, n, comm
     ("verify", {"grid.rmax": 1e-300}, "grid.rmax"),
     ("massbound", {"grid.rmax": 1e-300}, "grid.rmax"),
     ("verify", {"momentum.pmax": 1e300}, "momentum.pmax"),
-    # a step whose initial profile e^{-5r/16} underflows, and a momentum step below 1e-50
+    # a step where the hydrogenic profile e^{-5r/16} underflows (the SCF's stored
+    # start is offset so that it does not), and a momentum step below 1e-50
     ("verify", {"grid.n": 2, "grid.rmax": 1e5}, "grid.rmax"),
     ("verify", {"momentum.pmax": 1e-300}, "momentum.pmax"),
     # cutoffs whose εp or (εp)² overflows on the momentum grid

@@ -79,7 +79,7 @@ class TestSolvePekar:
 
     def test_few_iterations(self, state_default, state_fine):
         small = pl.solve_pekar(pl.SolverOptions(grid=(800, 20.0)))
-        assert max(st.iterations for st in (state_default, state_fine, small)) <= 11
+        assert max(st.iterations for st in (state_default, state_fine, small)) <= 6
 
     def test_lapack_call_budget(self, monkeypatch):
         # the eigensteps of a default solve: factorizations (one per shift
@@ -91,7 +91,7 @@ class TestSolvePekar:
                 return _original(*args)
             monkeypatch.setattr(solver, name, counted)
         pl.solve_pekar(pl.SolverOptions(grid=DEFAULT_GRID))
-        assert calls["dpttrf"] <= 29 and calls["dpttrs"] <= 46
+        assert calls["dpttrf"] <= 11 and calls["dpttrs"] <= 14
 
     def test_lapack_loader_has_no_fallback(self, monkeypatch):
         # without scipy's _flapack extension the import fails, naming scipy's version
@@ -170,22 +170,77 @@ class TestAndersonGamma:
         assert np.abs(gamma[:2] - kept).max() <= 1e-12
 
 
+def _hydrogenic_u(grid):
+    """r e^{−5r/16} with u = 0 at the wall, the flow oracle's start."""
+    u = grid.nodes * np.exp(-5.0 * grid.nodes / 16.0)
+    u[-1] = 0.0
+    return u
+
+
 class TestInitialProfiles:
-    """The start is the Pekar minimizer within its trial family."""
+    """The SCF starts from a stored fit of the Pekar minimizer; the flow
+    oracle from the least-energy hydrogenic profile."""
 
     @staticmethod
     def _energy(grid, u):
         T, D, _, _ = solver._energies(grid, solver._normalize_u(grid, u))
         return T - D
 
-    def test_hydrogenic_start_near_its_family_minimum(self):
-        # E(β) = β² − 5β/8 for e^{−βr}: −25/256 at β = 5/16
+    def test_hydrogenic_start_near_its_family_minimum(self, monkeypatch):
+        # E(β) = β² − 5β/8 for e^{−βr}: −25/256 at β = 5/16.  The flow's first
+        # energy is that of its normalized start.
+        energies = []
+        original = solver._energies
+
+        def recorded(grid, u):
+            out = original(grid, u)
+            energies.append(out[0] - out[1])
+            return out
+
+        monkeypatch.setattr(solver, "_energies", recorded)
+        with pytest.raises(pl.ConvergenceError):
+            pl.imaginary_time_oracle(pl.SolverOptions(grid=DEFAULT_GRID, max_iter=1), step=1e-5)
         grid = pl.build_grid(*DEFAULT_GRID)
-        assert abs(self._energy(grid, solver._initial_u(grid)) + 25 / 256) <= 1e-4
+        assert energies[0] == self._energy(grid, _hydrogenic_u(grid))
+        assert abs(energies[0] + 25 / 256) <= 1e-4
 
     def test_start_vanishes_at_the_wall(self):
-        # the flow oracle's grid ends at r = 20, where r e^{−5r/16} is still 0.039
+        # the flow oracle's grid ends at r = 20, where the stored start is still 0.004
         assert solver._initial_u(pl.build_grid(*ORACLE_GRID))[-1] == 0.0
+
+    def test_start_is_near_the_minimizer(self, state_default, state_fine):
+        for st in (state_default, state_fine):
+            grid = st.psi.grid
+            u = solver._normalize_u(grid, solver._initial_u(grid))
+            diff = u / grid.nodes - st.psi.values
+            assert np.sqrt(pl.integrate_3d(st.psi.with_values(diff**2))) <= 2e-5
+
+    def test_start_energy_just_above_the_minimum(self, state_default):
+        grid = state_default.psi.grid
+        gap = self._energy(grid, solver._initial_u(grid)) - state_default.eP
+        assert 0.0 <= gap <= 1e-7
+
+    def test_stored_coefficients_are_the_fit(self, state_fine):
+        # the recipe (least squares in the 3d L² weights √w·r at the stored α_k,
+        # scaled to sum to 1) on the 6000/40 state recovers the constants
+        # fitted on 24000/48
+        grid = state_fine.psi.grid
+        sw = np.sqrt(grid.weights) * grid.nodes
+        basis = np.exp(-np.outer(grid.nodes**2, solver._START_ALPHA)) * sw[:, None]
+        c = np.linalg.lstsq(basis, sw * state_fine.psi.values, rcond=None)[0]
+        assert np.abs(c / c.sum() / np.array(solver._START_C) - 1.0).max() <= 1e-3
+
+    def test_start_is_positive_on_the_coarsest_grid(self):
+        # on the coarsest grid the config accepts (h = 300) e^{−α r²} underflows
+        # at every node; the offset exponent keeps the first node positive
+        u = solver._initial_u(pl.build_grid(2, 600.0))
+        assert u[0] > 0.0 and u[1] == 0.0
+
+    def test_scf_does_not_need_the_stored_start(self, monkeypatch, state_default):
+        monkeypatch.setattr(solver, "_initial_u", _hydrogenic_u)
+        st = pl.solve_pekar(pl.SolverOptions(grid=DEFAULT_GRID))
+        assert abs(st.eP - state_default.eP) <= 1e-12 * abs(state_default.eP)
+        assert st.iterations <= 11
 
 
 class TestImaginaryTimeOracle:
@@ -209,6 +264,12 @@ class TestImaginaryTimeOracle:
         flow, _ = oracle_pair
         assert flow.eP < 0
         assert flow.iterations > 0
+
+    def test_step_count_is_pinned(self, oracle_pair):
+        # the flow starts from r e^{−5r/16}, not the SCF's stored start, from
+        # which it would stop in a fraction of the steps, near that start
+        flow, _ = oracle_pair
+        assert flow.iterations == 96724
 
     def test_unstable_step_raises(self):
         # step far above h²/2 must blow up quickly
@@ -381,7 +442,7 @@ def test_scf_matches_eigh_driven_scf(monkeypatch, grid):
 def test_scf_stops_on_tol_psi_alone(state_default):
     # the stop rule reads the change of ψ and the self-consistency residual
     # alone, so the tiny boxes (|E| ~ 1e7 and 1e15) stop once those settle,
-    # not at an exact fixed point, and the default solve keeps its 11 steps
+    # not at an exact fixed point, and the default solve keeps its 5 steps
     assert pl.solve_pekar(pl.SolverOptions(grid=(800, 1e-3))).iterations <= 4
     assert pl.solve_pekar(pl.SolverOptions(grid=(3000, 1e-7))).iterations <= 3
-    assert state_default.iterations == 11
+    assert state_default.iterations == 5
