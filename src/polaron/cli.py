@@ -310,9 +310,14 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_CONFIG, "config error", exc)
 
     out = Path(args.out) if args.out else Path(cfg.output_dir)
-    handler = {"solve": cmd_solve, "verify": cmd_verify, "massbound": cmd_massbound}[args.command]
+    handler, artifacts = {"solve": (cmd_solve, ("pekar_state.json", "profiles.csv")),
+                          "verify": (cmd_verify, ("verify.csv",)),
+                          "massbound": (cmd_massbound, ("massbound.csv",))}[args.command]
     try:
         out.mkdir(parents=True, exist_ok=True)
+        # no earlier run's history stays beside this run's artifacts; each is written new
+        for name in (*artifacts, "residual_history.json"):
+            (out / name).unlink(missing_ok=True)
         # floating-point faults raise instead of warning on stderr
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             try:

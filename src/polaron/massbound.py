@@ -87,24 +87,25 @@ _CHI_ONE = CutoffSpec(eps=1.0, shape="one")
 
 
 def pairing_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
-    """R(ε) = 4π ∫ p³ χ(εp) ψ̂(p) ψ̂'(p) dp; → −3/2 as ε → 0.
+    """R(ε) = 4π ∫ p³ χ(εp) ψ̂(p) ψ̂'(p) dp; → −3/2 as ε → 0."""
+    return _pairing(mp, cut.chi(mp.pgrid.nodes))
 
-    Summed with compensated summation, so restricting the sum to the
-    cutoff's support (where the integrand is not an exact zero) is
-    bit-identical to the full-grid sum.  `math.fsum` reads a list of Python
-    floats faster than an ndarray, with the same result.
-    """
+
+def _pairing(mp: MomentumProfile, chi: np.ndarray) -> float:
+    """R of `pairing_term` from χ(εp) on the momentum nodes."""
     p = mp.pgrid.nodes
-    integrand = p**3 * cut.chi(p) * mp.psi_hat.values * mp.dpsi_hat.values
-    return 4.0 * np.pi * math.fsum((mp.pgrid.weights * integrand).tolist())
+    return 4.0 * np.pi * mp.pgrid.integrate(p**3 * chi * mp.psi_hat.values * mp.dpsi_hat.values)
 
 
 def kinetic_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
-    """Q1(ε) = 4π ∫ p² χ(εp)² ψ̂'(p)² (p² + μ) dp; positive wherever the
-    cutoff's support meets the grid.  Compensated summation, as for R."""
+    """Q1(ε) = 4π ∫ p² χ(εp)² ψ̂'(p)² (p² + μ) dp; > 0 where χ's support meets the grid."""
+    return _kinetic(mp, cut.chi(mp.pgrid.nodes))
+
+
+def _kinetic(mp: MomentumProfile, chi: np.ndarray) -> float:
+    """Q1 of `kinetic_term` from χ(εp) on the momentum nodes."""
     p = mp.pgrid.nodes
-    integrand = p**2 * cut.chi(p) ** 2 * mp.dpsi_hat.values**2 * (p**2 + mp.mu)
-    return 4.0 * np.pi * math.fsum((mp.pgrid.weights * integrand).tolist())
+    return 4.0 * np.pi * mp.pgrid.integrate(p**2 * chi**2 * mp.dpsi_hat.values**2 * (p**2 + mp.mu))
 
 
 def potential_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
@@ -120,7 +121,7 @@ def potential_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
     with no division by q, added as spectra: s₁ − s₃ is one inverse FFT of
     F(a)F(A[q²G]) − F(ak²)F(A[G]), s₂ one of F(a)F(A[G]), a = wρ̂/k.
     """
-    return _potential(mp, cut, _field_spectra(mp))
+    return _potential(mp, cut.chi(mp.pgrid.nodes), _field_spectra(mp))
 
 
 def _field_spectra(mp: MomentumProfile) -> tuple[int, np.ndarray, np.ndarray]:
@@ -131,12 +132,12 @@ def _field_spectra(mp: MomentumProfile) -> tuple[int, np.ndarray, np.ndarray]:
     return size, _field_spectrum(a, size), _field_spectrum(a * pg.nodes**2, size)
 
 
-def _potential(mp: MomentumProfile, cut: CutoffSpec, field: tuple) -> float:
-    """Q2 of `potential_term` from the field-side spectra of `_field_spectra`."""
+def _potential(mp: MomentumProfile, chi: np.ndarray, field: tuple) -> float:
+    """Q2 of `potential_term` from χ(εp) and the spectra of `_field_spectra`."""
     pg = mp.pgrid
     p = pg.nodes
     size, fa, fa_k2 = field
-    G = cut.chi(p) * mp.dpsi_hat.values
+    G = chi * mp.dpsi_hat.values
     fA = _primitive_spectrum(pg, G, size)
     fA_q2 = _primitive_spectrum(pg, p**2 * G, size)
     shell = (_window(fa * fA_q2 - fa_k2 * fA, pg.n, size)
@@ -153,15 +154,17 @@ def mass_coefficient(state: PekarState) -> float:
 def bound_sweep(mp: MomentumProfile, cuts: list[CutoffSpec]) -> list[MassBoundReport]:
     """f(ε) = 1 + (Q1 − Q2)/3 + 4R/3 for each cutoff, in order.
 
-    Q2's field-side spectra are made once for the whole sweep; each cutoff
-    then costs two forward and two inverse real FFTs, one cutoff at a time.
+    Q2's field-side spectra are made once for the whole sweep, χ(εp) once per
+    cutoff for R, Q1 and Q2; then each cutoff costs two forward and two
+    inverse real FFTs, one cutoff at a time.
     m_lower = 1/(2f) when f > 0; if quadrature noise pushes f ≤ 0 near the
     exact zero, m_lower is the +inf sentinel.
     """
     field = _field_spectra(mp)
     reports = []
     for cut in cuts:
-        R, Q1, Q2 = pairing_term(mp, cut), kinetic_term(mp, cut), _potential(mp, cut, field)
+        chi = cut.chi(mp.pgrid.nodes)
+        R, Q1, Q2 = _pairing(mp, chi), _kinetic(mp, chi), _potential(mp, chi, field)
         f = 1.0 + (Q1 - Q2) / 3.0 + 4.0 * R / 3.0
         reports.append(MassBoundReport(eps=cut.eps, R=R, Q1=Q1, Q2=Q2, f=f,
                                        m_lower=math.inf if f <= 0.0 else 1.0 / (2.0 * f)))

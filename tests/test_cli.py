@@ -90,6 +90,24 @@ class TestSolveCommand:
             assert len(history["history"]) == 2
             assert all(set(step) == {"energy", "dpsi", "scf"} for step in history["history"])
 
+    def test_success_after_failure_leaves_no_history(self, tmp_path):
+        # a failed run's history does not stay beside a later run's artifacts,
+        # which are the bytes a run into a fresh directory writes
+        failing = write_config(tmp_path / "fail.json", {"solver.max_iter": 2})
+        cfg = tmp_path / "c.json"
+        cfg.write_text("{}")   # the defaults, on which every command exits 0
+        cfg = str(cfg)
+        for command, names in [("solve", ["pekar_state.json", "profiles.csv"]),
+                               ("verify", ["verify.csv"]), ("massbound", ["massbound.csv"])]:
+            out, fresh = tmp_path / command, tmp_path / f"{command}-fresh"
+            assert main([command, "--config", failing, "--out", str(out)]) == 3
+            assert (out / "residual_history.json").exists()
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            assert main([command, "--config", cfg, "--out", str(fresh)]) == 0
+            assert sorted(p.name for p in out.iterdir()) == sorted(names)
+            for name in names:
+                assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
     def test_history_shows_the_unconverged_self_consistency(self, tmp_path, monkeypatch):
         # at β = 1e-300 energy and ψ stop moving; only the self-consistency
         # residual ‖ρ_out − ρ_in‖/‖ρ_out‖ of each step shows the failure

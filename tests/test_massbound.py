@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,15 +64,23 @@ class TestPairingTerm:
         cut = pl.CutoffSpec(eps=1e3, shape="bump")
         assert abs(pl.pairing_term(mp_default, cut)) <= 1e-3
 
-    def test_support_restriction_bit_identical(self, mp_default):
-        cut = pl.CutoffSpec(eps=2.0, shape="bump")
-        pg = mp_default.pgrid
-        chi = cut.chi(pg.nodes)
-        integrand = pg.nodes**3 * chi * mp_default.psi_hat.values * mp_default.dpsi_hat.values
-        assert np.all(integrand[chi == 0.0] == 0.0)
-        mask = chi != 0.0
-        restricted = 4 * np.pi * math.fsum((pg.weights * integrand)[mask])
-        assert pl.pairing_term(mp_default, cut) == restricted
+    def test_support_zeros_and_compensated_sum(self, mp_default):
+        # R and Q1 are the grid's dot product; the integrand is an exact 0 off a
+        # bump's support, and the sum agrees with the exactly rounded one of the
+        # same products to within a few ulps (measured at most 8.1e-16)
+        pg, mp = mp_default.pgrid, mp_default
+        p = pg.nodes
+        for cut in [pl.CutoffSpec(eps=2.0), pl.CutoffSpec(eps=0.05),
+                    pl.CutoffSpec(eps=0.2, shape="gaussian"), _CHI_ONE]:
+            chi = cut.chi(p)
+            pairing = p**3 * chi * mp.psi_hat.values * mp.dpsi_hat.values
+            kinetic = p**2 * chi**2 * mp.dpsi_hat.values**2 * (p**2 + mp.mu)
+            if cut.shape == "bump":
+                assert np.all(pairing[chi == 0.0] == 0.0)
+                assert np.all(kinetic[chi == 0.0] == 0.0)
+            for term, integrand in [(pl.pairing_term, pairing), (pl.kinetic_term, kinetic)]:
+                exact = 4 * np.pi * math.fsum((pg.weights * integrand).tolist())
+                assert abs(term(mp, cut) - exact) <= 2e-15 * abs(exact)
 
 
 def _direct_q2(mp, cut):
@@ -108,7 +117,7 @@ def test_potential_term_matches_its_shell_sum_definition(mp_200, cut):
     assert abs(pl.potential_term(mp_200, cut) - direct) <= 1e-12 * abs(direct)
 
 
-def test_bound_sweep_matches_the_term_definitions(mp_200):
+def test_bound_sweep_matches_the_term_definitions(mp_200, mp_default):
     # one sweep over mixed shapes, including a bump whose support holds no node:
     # Q2 against its pair sum, R and Q1 bit for bit against their own functions
     cuts = [pl.CutoffSpec(eps=0.2, shape="bump"), pl.CutoffSpec(eps=0.3, shape="gaussian"),
@@ -122,6 +131,28 @@ def test_bound_sweep_matches_the_term_definitions(mp_200):
         assert rep.Q1 == pl.kinetic_term(mp_200, cut)
         assert rep.f == 1.0 + (rep.Q1 - rep.Q2) / 3.0 + 4.0 * rep.R / 3.0
     assert reports[-1].R == reports[-1].Q1 == reports[-1].Q2 == 0.0
+
+    # on the default grids, the default bump list, a gaussian and χ≡1: each row of a
+    # sweep is the one-cutoff sweep of its cutoff, and every term its own function
+    cuts = ([pl.CutoffSpec(eps=eps) for eps in pl.RunConfig().cutoff_eps_list]
+            + [pl.CutoffSpec(eps=0.1, shape="gaussian"), _CHI_ONE])
+    for cut, rep in zip(cuts, pl.bound_sweep(mp_default, cuts)):
+        assert rep == pl.bound_sweep(mp_default, [cut])[0]
+        assert rep.R == pl.pairing_term(mp_default, cut)
+        assert rep.Q1 == pl.kinetic_term(mp_default, cut)
+        assert rep.Q2 == pl.potential_term(mp_default, cut)
+
+    # one cutoff in flight: the sweep's peak allocation does not grow with its length
+    def peak(cuts):
+        tracemalloc.start()
+        try:
+            pl.bound_sweep(mp_default, cuts)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    many = [pl.CutoffSpec(eps=eps) for eps in np.geomspace(0.5, 0.05, 20)]
+    assert peak(many) <= 1.1 * peak(many[:1])
 
 
 class TestKineticTerm:
