@@ -94,9 +94,8 @@ class TestSolveCommand:
         # a failed run's history does not stay beside a later run's artifacts,
         # which are the bytes a run into a fresh directory writes
         failing = write_config(tmp_path / "fail.json", {"solver.max_iter": 2})
-        cfg = tmp_path / "c.json"
-        cfg.write_text("{}")   # the defaults, on which every command exits 0
-        cfg = str(cfg)
+        (tmp_path / "c.json").write_text("{}")   # the defaults, on which every command exits 0
+        cfg = str(tmp_path / "c.json")
         for command, names in [("solve", ["pekar_state.json", "profiles.csv"]),
                                ("verify", ["verify.csv"]), ("massbound", ["massbound.csv"])]:
             out, fresh = tmp_path / command, tmp_path / f"{command}-fresh"

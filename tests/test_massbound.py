@@ -68,8 +68,8 @@ class TestPairingTerm:
         # R and Q1 are the grid's dot product; the integrand is an exact 0 off a
         # bump's support, and the sum agrees with the exactly rounded one of the
         # same products to within a few ulps (measured at most 8.1e-16)
-        pg, mp = mp_default.pgrid, mp_default
-        p = pg.nodes
+        mp = mp_default
+        pg, p = mp.pgrid, mp.pgrid.nodes
         for cut in [pl.CutoffSpec(eps=2.0), pl.CutoffSpec(eps=0.05),
                     pl.CutoffSpec(eps=0.2, shape="gaussian"), _CHI_ONE]:
             chi = cut.chi(p)
