@@ -13,13 +13,15 @@ Note the factor 2 in the effective potential: the interaction term carries no
 
 On the radial reduction u(r) = r ψ(r) with Dirichlet walls u(0) = u(rmax) = 0
 the linearized operator is the symmetric tridiagonal H = −d²/dr² + W, W = −2Φ.
-The SCF starts from a stored fit of the continuum minimizer (`_initial_u`,
-within about 1e-5 in L² of the default grids' fixed point), and takes 5 steps
-there.  Each step finds its lowest eigenpair by inverse iteration warm-started
-from the current iterate, with shifts certified to lie below the spectrum
-(an O(n) LDLᵀ factorization with positive pivots, see `_ground_pair`).  The
-input density is then updated by Anderson (Pulay, "DIIS") mixing of the
-residual f_k = ρ_out,k − ρ_in,k with ρ_out,k = |ψ_new|²:
+The SCF starts at the grid's own fixed point as far as stored fits give it:
+the continuum minimizer, its h² and h³ offsets on the grid and the wall's
+boundary layer (`_initial_u`, within 1e-8 in L² of the fixed point on the
+default grid and on 6000/40), and takes 1 step there.  Each step finds its
+lowest eigenpair by inverse iteration warm-started from the current iterate,
+with shifts certified to lie below the spectrum (an O(n) LDLᵀ factorization
+with positive pivots, see `_ground_pair`).  The input density is then updated
+by Anderson (Pulay, "DIIS") mixing of the residual f_k = ρ_out,k − ρ_in,k with
+ρ_out,k = |ψ_new|²:
 
     ρ_in,k+1 = ρ_in,k + β f_k − Σ_j γ_j (Δρ_in,j + β Δf_j),
 
@@ -82,8 +84,8 @@ class SolverOptions:
 
     grid is (n, rmax); the SCF stops once both the L² change of ψ and the
     relative self-consistency residual are at most tol_psi, or fails after
-    max_iter steps.  Every solve starts from the stored fit of the Pekar
-    minimizer (`_initial_u`); on the default grid it takes 5 steps.
+    max_iter steps.  Every solve starts from the stored fits of the grid's
+    fixed point (`_initial_u`); on the default grid it takes 1 step.
     """
 
     grid: tuple[int, float] = (3000, 30.0)
@@ -114,29 +116,69 @@ class PekarState:
     residual: float
 
 
-# ψ_P(r) ≈ Σ_k c_k e^{−α_k r²}, the Pekar minimizer (one universal function:
-# the functional has no parameter) as 8 even-tempered Gaussians.  Recipe: α_k =
-# geomspace(0.008447, 0.3, 8) rounded to 4 digits; c_k by least squares in the
-# 3d L² weights √w·r to ψ of solve_pekar on 24000/48, then scaled to sum to 1
-# (`_normalize_u` rescales anyway).  Relative 3d L² error 4e-6 (6 terms: 6e-5,
-# 10 terms: 1.4e-7).
-_START_ALPHA = (0.008447, 0.01407, 0.02342, 0.03901, 0.06496, 0.1082, 0.1801, 0.3)
-_START_C = (0.0017612, 0.0405811, 0.198031, 0.352477, 0.295243, 0.103038,
-            0.00876399, 0.000104086)
+# The SCF starts at the grid's own fixed point, to the order of three terms of
+# Richardson's expansion ψ_h = U + h²E + h³F (one universal set: the functional
+# has no parameter) and the wall's boundary layer.  U, E and F are each a sum
+# Σ_k x_k e^{−α_k r²} over the 14 exponents α_k = geomspace(0.004, 0.3, 14).
+# Recipe: solve_pekar at tol_psi 1e-12 on 9600, 19200 and 38400 nodes over
+# rmax 48 gives ψ_h on the common nodes (every 1st, 2nd and 4th) for three h,
+# from which U, E and F follow by solving the 3×3 system at each node; c, d and
+# e are least squares in the 3d L² weights √w·r to U, E and F, all scaled by
+# the factor that makes Σc = 1 (`_normalize_u` rescales anyway).  Relative 3d
+# L² fit errors: U 6.7e-10, E 2.0e-6, F 5.8e-3.  A change of the quadrature
+# weights or the kinetic stencil changes E and F, and they must be refitted.
+_START_ALPHA = np.geomspace(0.004, 0.3, 14)
+_START_C = (6.013926246e-08, 1.361912231e-05, 0.0005433489273, 0.00673012994,
+            0.03567964018, 0.101968218, 0.1841559928, 0.2328283937, 0.2159660505,
+            0.1437776107, 0.06208889392, 0.01469839389, 0.001500440075, 4.920812662e-05)
+_START_D = (3.28353e-07, -1.15405e-05, -0.000238817, -0.00241201, -0.00896815,
+            -0.0172435, -0.0148371, 0.00173278, 0.0280494, 0.0450281, 0.0406022,
+            0.0183839, 0.00359346, 0.000226052)
+_START_E = (-0.0007921, 0.006837, -0.03064, 0.09005, -0.2317, 0.4272, -0.7814,
+            1.161, -1.525, 1.836, -1.741, 1.408, -0.7621, 0.2406)
+# μ_P = −3e_P, the decay rate² of ψ_P outside the density, where W = −2/r
+_MU_P = 0.32554
+# the h terms apply up to h = 0.1, past which the h³ term is over a tenth of
+# the h² term (‖F‖ ≈ ‖E‖); measured at h = 0.05 to 0.5 they still save a step
+_START_H_MAX = 0.1
+
+
+def _wall_layer(r: np.ndarray) -> np.ndarray:
+    """WKB solution √(κ(R)/κ(r))·exp(−∫_r^R κ), κ(s) = √(μ_P − 2/s), of
+    v'' = (W + μ_P) v with W = −2/r, equal to 1 at the last node R.
+
+    The integral is in closed form: ∫ κ = sκ − ln(√μ sκ + μs − 1)/√μ, for
+    nodes past the turning point 2/μ_P.
+    """
+    kappa = np.sqrt(_MU_P - 2.0 / r)
+    sq = math.sqrt(_MU_P)
+    prim = r * kappa - np.log(sq * r * kappa + _MU_P * r - 1.0) / sq
+    return np.sqrt(kappa[-1] / kappa) * np.exp(prim - prim[-1])
 
 
 def _initial_u(grid: RadialGrid) -> np.ndarray:
-    """r ψ_P(r) with u = 0 at the wall, ψ_P the stored fit above.  Each
-    exponent is offset by α_0 h², a constant factor `_normalize_u` removes, so
-    the first node does not underflow on coarse grids; the sum is taken term by
-    term, in one n-array.
+    """r (U + h²E + h³F)(r) from the stored fits above, minus its wall value
+    times the wall layer on r ≥ R/2, so that u = 0 at the wall.  That needs
+    R/2 past the layer's turning point 2/μ_P; on smaller boxes, and on grids
+    with h above _START_H_MAX, the start is r U(r) with u[-1] = 0.
+
+    Each exponent is offset by α_0 h², a constant factor `_normalize_u`
+    removes, so the first node does not underflow on coarse grids; the sum is
+    taken term by term, in one n-array.
     """
     r = grid.nodes
+    h = grid.h
     r2 = r * r
+    expand = h <= _START_H_MAX and grid.rmax > 4.0 / _MU_P
     u = np.zeros_like(r)
-    for alpha, c in zip(_START_ALPHA, _START_C):
+    for alpha, c, d, e in zip(_START_ALPHA, _START_C, _START_D, _START_E):
+        if expand:
+            c += h * h * (d + h * e)
         u += c * np.exp(_START_ALPHA[0] * r2[0] - alpha * r2)
     u *= r
+    if expand:
+        tail = r.size // 2
+        u[tail:] -= u[-1] * _wall_layer(r[tail:])
     u[-1] = 0.0
     return u
 

@@ -43,6 +43,14 @@ def write_config(path, overrides=None):
     return str(path)
 
 
+def one_step_short():
+    """`solver.max_iter` one below the steps SMALL_CONFIG's solve takes, so a
+    run with it fails on the last step whatever the SCF's start."""
+    steps = polaron.cli.run_solver(config_from_dict(SMALL_CONFIG)).iterations
+    assert steps >= 2
+    return steps - 1
+
+
 class TestSolveCommand:
     def test_artifacts_and_exit_code(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"output.dir": str(tmp_path / "out")})
@@ -82,18 +90,19 @@ class TestSolveCommand:
 
     def test_convergence_failure_exit3_with_history(self, tmp_path):
         # every command writes the SCF history when the solve fails
-        cfg = write_config(tmp_path / "c.json", {"solver.max_iter": 2})
+        max_iter = one_step_short()
+        cfg = write_config(tmp_path / "c.json", {"solver.max_iter": max_iter})
         for command in ("solve", "verify", "massbound"):
             out = tmp_path / command
             assert main([command, "--config", cfg, "--out", str(out)]) == 3
             history = json.loads((out / "residual_history.json").read_text())
-            assert len(history["history"]) == 2
+            assert len(history["history"]) == max_iter
             assert all(set(step) == {"energy", "dpsi", "scf"} for step in history["history"])
 
     def test_success_after_failure_leaves_no_history(self, tmp_path):
         # a failed run's history does not stay beside a later run's artifacts,
         # which are the bytes a run into a fresh directory writes
-        failing = write_config(tmp_path / "fail.json", {"solver.max_iter": 2})
+        failing = write_config(tmp_path / "fail.json", {"solver.max_iter": one_step_short()})
         (tmp_path / "c.json").write_text("{}")   # the defaults, on which every command exits 0
         cfg = str(tmp_path / "c.json")
         for command, names in [("solve", ["pekar_state.json", "profiles.csv"]),
