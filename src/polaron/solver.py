@@ -138,9 +138,12 @@ _START_E = (-0.0007921, 0.006837, -0.03064, 0.09005, -0.2317, 0.4272, -0.7814,
             1.161, -1.525, 1.836, -1.741, 1.408, -0.7621, 0.2406)
 # μ_P = −3e_P, the decay rate² of ψ_P outside the density, where W = −2/r
 _MU_P = 0.32554
-# the h terms apply up to h = 0.1, past which the h³ term is over a tenth of
-# the h² term (‖F‖ ≈ ‖E‖); measured at h = 0.05 to 0.5 they still save a step
-_START_H_MAX = 0.1
+# the h terms and the wall layer apply up to h = 2.5, chosen from step counts
+# against r U alone on 11 boxes 13 to 600 wide at tol_psi 1e-6 to 1e-11: of
+# the 44 solves at each h they took fewer steps in 21 to 44 and more in at
+# most 4 for h from 1 to 2.5, fewer in 19 and more in 7 at h = 3, and more in
+# 16 of 16 at h = 4 (8 boxes, tol_psi 1e-8 and 1e-11)
+_START_H_MAX = 2.5
 
 
 def _wall_layer(r: np.ndarray) -> np.ndarray:

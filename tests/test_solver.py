@@ -177,6 +177,14 @@ def _hydrogenic_u(grid):
     return u
 
 
+def _continuum_u(grid):
+    """r U(r), the start's continuum part alone, with u = 0 at the wall."""
+    u = grid.nodes * sum(c * np.exp(solver._START_ALPHA[0] * grid.h**2 - a * grid.nodes**2)
+                         for a, c in zip(solver._START_ALPHA, solver._START_C))
+    u[-1] = 0.0
+    return u
+
+
 class TestInitialProfiles:
     """The SCF starts from stored fits of the grid's fixed point and its wall
     layer; the flow oracle from the least-energy hydrogenic profile."""
@@ -217,13 +225,18 @@ class TestInitialProfiles:
             assert np.sqrt(pl.integrate_3d(st.psi.with_values(diff**2))) <= 2e-8
 
     def test_start_energy_just_above_the_minimum(self, state_default):
-        # The start is within 1e-8 of the fixed point, so its energy gap is no
+        # Variational check on the start's continuum part r U, 9e-6 from the
+        # fixed point: no profile lies below eP, and its gap is quadratic in
+        # that error (measured 5.2e-9).
+        grid = state_default.psi.grid
+        gap = self._energy(grid, _continuum_u(grid)) - state_default.eP
+        assert 0.0 <= gap <= 1e-7
+        # The full start is within 1e-8 of the fixed point, so its gap is no
         # longer its quadratic error (~1e-17) but the slope of T − D at the
         # fixed point: with the first node's weight 1.5h the SCF's fixed point
         # is not the stationary point of the discrete T − D, and the start's
         # energy lies 1.5e-13 below eP (with weight h there the slope falls
-        # 20-fold).  So the gap is bounded on both sides, not from below by 0.
-        grid = state_default.psi.grid
+        # 20-fold).  So this gap is bounded on both sides.
         gap = self._energy(grid, solver._initial_u(grid)) - state_default.eP
         assert abs(gap) <= 1e-12
 
@@ -256,22 +269,20 @@ class TestInitialProfiles:
         assert np.isfinite(u).all() and u[0] > 0.0 and u[1] == 0.0
 
     def test_h_terms_and_wall_layer_only_in_their_range(self):
-        # r U(r) alone above h = 0.1, where the expansion does not hold, and
-        # on boxes too small for the wall layer (R/2 not past 2/μ_P, R ≤ 12.29);
-        # inside, the subtracted layer takes u to 0 at the wall and leaves it
+        # r U(r) alone above h = 2.5, where the terms cost steps, and on boxes
+        # too small for the wall layer (R/2 not past 2/μ_P, R ≤ 12.29); inside,
+        # up to h = 2.5 (12 nodes on 30), the terms apply, and on grids as fine
+        # as h = 0.1 the subtracted layer takes u to 0 at the wall and leaves it
         # positive before it
-        def plain(grid):
-            u = grid.nodes * sum(c * np.exp(solver._START_ALPHA[0] * grid.h**2 - a * grid.nodes**2)
-                                 for a, c in zip(solver._START_ALPHA, solver._START_C))
-            u[-1] = 0.0
-            return u
-
-        for n, rmax in ((1000, 12.28), (800, 1e-3), (3000, 1e-7), (299, 30.0), (2, 600.0)):
+        for n, rmax in ((1000, 12.28), (800, 1e-3), (3000, 1e-7), (11, 30.0), (2, 600.0)):
             grid = pl.build_grid(n, rmax)
-            assert np.allclose(solver._initial_u(grid), plain(grid), rtol=1e-14, atol=0.0)
-        grid = pl.build_grid(*DEFAULT_GRID)
-        u = solver._initial_u(grid)
-        assert u[-1] == 0.0 and 0.0 < u[-2] < plain(grid)[-2]
+            assert np.allclose(solver._initial_u(grid), _continuum_u(grid), rtol=1e-14, atol=0.0)
+        grid = pl.build_grid(12, 30.0)
+        assert not np.allclose(solver._initial_u(grid), _continuum_u(grid), rtol=1e-3, atol=0.0)
+        for n, rmax in (DEFAULT_GRID, (300, 30.0)):
+            grid = pl.build_grid(n, rmax)
+            u = solver._initial_u(grid)
+            assert u[-1] == 0.0 and 0.0 < u[-2] < _continuum_u(grid)[-2]
 
     def test_scf_does_not_need_the_stored_start(self, monkeypatch, state_default):
         monkeypatch.setattr(solver, "_initial_u", _hydrogenic_u)
@@ -484,3 +495,12 @@ def test_scf_stops_on_tol_psi_alone(state_default, state_fine):
     assert pl.solve_pekar(pl.SolverOptions(grid=(800, 1e-3))).iterations <= 4
     assert pl.solve_pekar(pl.SolverOptions(grid=(3000, 1e-7))).iterations <= 3
     assert state_default.iterations == 1 and state_fine.iterations == 1
+
+
+def test_scf_steps_below_the_eigenstep_resolution():
+    # Below _STEP_TOL (1e-12) the eigenstep keeps a settled iterate, so ρ_out
+    # stops following ρ_in and Anderson's secant model from earlier steps
+    # overshoots: the residual hovers between 1e-13 and 4e-12 until one step
+    # lands under tol_psi.  Measured 15 steps on the default grid at tol_psi
+    # 1e-13 (10 from r U alone); the bound shows a further rise.
+    assert pl.solve_pekar(pl.SolverOptions(grid=DEFAULT_GRID, tol_psi=1e-13)).iterations <= 15
