@@ -1,4 +1,4 @@
-"""Batch front end: solve / verify / massbound subcommands.
+"""Batch front end: the solve / verify / massbound commands.
 
 All artifacts are deterministic for a fixed configuration: no timestamps,
 fixed key order, 17-significant-digit numeric fields, and every file embeds
@@ -287,21 +287,22 @@ def _fail(code: int, prefix: str, exc: BaseException) -> int:
     return code
 
 
+_COMMANDS = {"solve": "solve the ground state and write state/profile artifacts",
+             "verify": "run the identity suite and write verify.csv",
+             "massbound": "sweep the cutoff scale and write massbound.csv"}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="polaron",
         description="Pekar ground state, momentum observables and the "
                     "inverse-mass bound diagnostic.",
+        epilog="commands:\n" + "".join(f"  {name:<11}{text}\n" for name, text in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "solve the ground state and write state/profile artifacts"),
-        ("verify", "run the identity suite and write verify.csv"),
-        ("massbound", "sweep the cutoff scale and write massbound.csv"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--out", default=None, help="output directory (overrides output.dir)")
+    parser.add_argument("command", choices=_COMMANDS, help="one of the commands below")
+    parser.add_argument("--config", required=True, help="path to the JSON config")
+    parser.add_argument("--out", default=None, help="output directory (overrides output.dir)")
     args = parser.parse_args(argv)
 
     try:

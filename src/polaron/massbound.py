@@ -30,7 +30,7 @@ import numpy as np
 
 from .grid import integrate_3d
 from .momentum import (MomentumProfile, _field_spectrum, _field_weights, _primitive_spectrum,
-                       _shell_length, _window)
+                       _shell_length, _shell_spectrum, _window)
 from .solver import PekarState
 
 
@@ -88,24 +88,25 @@ _CHI_ONE = CutoffSpec(eps=1.0, shape="one")
 
 def pairing_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
     """R(ε) = 4π ∫ p³ χ(εp) ψ̂(p) ψ̂'(p) dp; → −3/2 as ε → 0."""
-    return _pairing(mp, cut.chi(mp.pgrid.nodes))
+    return float(_pairing_weights(mp) @ cut.chi(mp.pgrid.nodes))
 
 
-def _pairing(mp: MomentumProfile, chi: np.ndarray) -> float:
-    """R of `pairing_term` from χ(εp) on the momentum nodes."""
+def _pairing_weights(mp: MomentumProfile) -> np.ndarray:
+    """4π w p³ ψ̂ ψ̂' on the momentum nodes, which no cutoff changes: R is its dot
+    product with χ(εp), the grid's quadrature of `pairing_term`."""
     p = mp.pgrid.nodes
-    return 4.0 * np.pi * mp.pgrid.integrate(p**3 * chi * mp.psi_hat.values * mp.dpsi_hat.values)
+    return 4.0 * np.pi * mp.pgrid.weights * p**3 * mp.psi_hat.values * mp.dpsi_hat.values
 
 
 def kinetic_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
     """Q1(ε) = 4π ∫ p² χ(εp)² ψ̂'(p)² (p² + μ) dp; > 0 where χ's support meets the grid."""
-    return _kinetic(mp, cut.chi(mp.pgrid.nodes))
+    return float(_kinetic_weights(mp) @ cut.chi(mp.pgrid.nodes)**2)
 
 
-def _kinetic(mp: MomentumProfile, chi: np.ndarray) -> float:
-    """Q1 of `kinetic_term` from χ(εp) on the momentum nodes."""
+def _kinetic_weights(mp: MomentumProfile) -> np.ndarray:
+    """4π w p² ψ̂'² (p² + μ) on the momentum nodes: Q1 is its dot product with χ(εp)²."""
     p = mp.pgrid.nodes
-    return 4.0 * np.pi * mp.pgrid.integrate(p**2 * chi**2 * mp.dpsi_hat.values**2 * (p**2 + mp.mu))
+    return 4.0 * np.pi * mp.pgrid.weights * p**2 * mp.dpsi_hat.values**2 * (p**2 + mp.mu)
 
 
 def potential_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
@@ -118,8 +119,9 @@ def potential_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
 
     ΔA_m = ∫_{|p_j−k_i|}^{p_j+k_i} q^m G(q) dq, where k²·(φ(k)/k) =
     ρ̂(k)/(√2 π) has absorbed the field profile: three shell sums s₁ + p² s₂ − s₃
-    with no division by q, added as spectra: s₁ − s₃ is one inverse FFT of
-    F(a)F(A[q²G]) − F(ak²)F(A[G]), s₂ one of F(a)F(A[G]), a = wρ̂/k.
+    with no division by q, added as spectra (`_shell_spectrum`, each the Hankel
+    less the Toeplitz part on the shifted primitive, at the smallest 5-smooth
+    length ≥ 2n+1): s₁ − s₃ is one inverse FFT and s₂ another, a = wρ̂/k.
     """
     return _potential(mp, cut.chi(mp.pgrid.nodes), _field_spectra(mp))
 
@@ -138,10 +140,10 @@ def _potential(mp: MomentumProfile, chi: np.ndarray, field: tuple) -> float:
     p = pg.nodes
     size, fa, fa_k2 = field
     G = chi * mp.dpsi_hat.values
-    fA = _primitive_spectrum(pg, G, size)
-    fA_q2 = _primitive_spectrum(pg, p**2 * G, size)
-    shell = (_window(fa * fA_q2 - fa_k2 * fA, pg.n, size)
-             + p**2 * _window(fa * fA, pg.n, size))
+    prim = _primitive_spectrum(pg, G, size)
+    prim_q2 = _primitive_spectrum(pg, p**2 * G, size)
+    shell = (_window(_shell_spectrum(fa, prim_q2) - _shell_spectrum(fa_k2, prim), pg.n, size)
+             + p**2 * _window(_shell_spectrum(fa, prim), pg.n, size))
     return float(4.0 * (pg.weights * G) @ shell)
 
 
@@ -154,17 +156,18 @@ def mass_coefficient(state: PekarState) -> float:
 def bound_sweep(mp: MomentumProfile, cuts: list[CutoffSpec]) -> list[MassBoundReport]:
     """f(ε) = 1 + (Q1 − Q2)/3 + 4R/3 for each cutoff, in order.
 
-    Q2's field-side spectra are made once for the whole sweep, χ(εp) once per
-    cutoff for R, Q1 and Q2; then each cutoff costs two forward and two
-    inverse real FFTs, one cutoff at a time.
+    The weights of R and Q1 and Q2's field-side spectra are made once for the
+    whole sweep, χ(εp) once per cutoff for R, Q1 and Q2; then each cutoff costs
+    a dot product for R and for Q1, and two forward and two inverse real FFTs
+    for Q2, one cutoff at a time.
     m_lower = 1/(2f) when f > 0; if quadrature noise pushes f ≤ 0 near the
     exact zero, m_lower is the +inf sentinel.
     """
-    field = _field_spectra(mp)
+    pairing, kinetic, field = _pairing_weights(mp), _kinetic_weights(mp), _field_spectra(mp)
     reports = []
     for cut in cuts:
         chi = cut.chi(mp.pgrid.nodes)
-        R, Q1, Q2 = _pairing(mp, chi), _kinetic(mp, chi), _potential(mp, chi, field)
+        R, Q1, Q2 = float(pairing @ chi), float(kinetic @ chi**2), _potential(mp, chi, field)
         f = 1.0 + (Q1 - Q2) / 3.0 + 4.0 * R / 3.0
         reports.append(MassBoundReport(eps=cut.eps, R=R, Q1=Q1, Q2=Q2, f=f,
                                        m_lower=math.inf if f <= 0.0 else 1.0 / (2.0 * f)))

@@ -25,14 +25,16 @@ integral into a shell integral,
 
 and on the uniform momentum grid (p = jh, k = ih) both limits are nodes,
 i + j and |i − j|.  Each double integral is therefore a difference of an
-on-grid primitive, summed by `_shell_sum` as one FFT correlation in
-O(n log n); no value is ever needed between nodes, and the error is the
-grid's own, O((pmax/n)²).  Everywhere a 1/k would meet the field profile,
-the finite combination k φ(k) = ρ̂(k)/(√2 π) is used instead.
-Only n of its 5n+1 outputs are read, so its circular length need only exceed
-3n (the smallest 5-smooth length ≥ 3n+1, 12150 at n = 4000); sums that are
-added (Q2 in massbound.py) are added as spectra, and a field-side spectrum
-serves every sum against the same field (the cutoff sweep in massbound.py).
+on-grid primitive, summed by `_shell_sum` with FFTs in O(n log n); no value
+is ever needed between nodes, and the error is the grid's own, O((pmax/n)²).
+Everywhere a 1/k would meet the field profile, the finite combination
+k φ(k) = ρ̂(k)/(√2 π) is used instead.
+With the primitive shifted by its last value, each sum splits into a Hankel
+and a Toeplitz correlation of length-n arrays, so one circular length ≥ 2n+1
+holds both without wrap-around (the smallest 5-smooth one, 8100 at n = 4000);
+sums that are added (Q2 in massbound.py) are added as spectra, and a
+field-side spectrum serves every sum against the same field (the cutoff sweep
+in massbound.py).
 """
 
 from __future__ import annotations
@@ -142,43 +144,55 @@ def number_expectation(mp: MomentumProfile, g: RadialTestFunction) -> float:
 
 
 def _shell_length(pgrid: RadialGrid) -> int:
-    """Circular length L of `_shell_sum`: the smallest 5-smooth length ≥ 3n+1."""
-    return _fft_length(3 * pgrid.n + 1)
+    """Circular length L of `_shell_sum`: the smallest 5-smooth length ≥ 2n+1."""
+    return _fft_length(2 * pgrid.n + 1)
 
 
 def _field_spectrum(a: np.ndarray, size: int) -> np.ndarray:
-    """Spectrum of the odd extension of a, reversed (i = n..−n), at length size."""
-    return np.fft.rfft(np.concatenate((a[::-1], [0.0], -a)), size)
+    """Spectrum of a placed at indices 1..n (zero at 0 and beyond n), at length size."""
+    return np.fft.rfft(np.concatenate(([0.0], a)), size)
 
 
-def _primitive_spectrum(pgrid: RadialGrid, integrand: np.ndarray, size: int) -> np.ndarray:
-    """Spectrum of the even extension of the primitive A (m = −n..2n) at length size."""
-    n = pgrid.n
-    A = np.concatenate(([0.0], cumulative_primitive(pgrid, integrand)))
-    return np.fft.rfft(np.concatenate((A[:0:-1], A, np.full(n, A[-1]))), size)
+def _primitive_spectrum(pgrid: RadialGrid, integrand: np.ndarray,
+                        size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(F Ã, Ê) at length size: the spectrum of the shifted primitive Ã = A − A[n]
+    on indices 0..n−1 (Ã[m] = 0 for m ≥ n) and that of its even extension,
+    Ê = 2 Re F Ã − Ã[0]."""
+    A = cumulative_primitive(pgrid, integrand)
+    shifted = np.concatenate(([0.0], A[:-1])) - A[-1]
+    spectrum = np.fft.rfft(shifted, size)
+    return spectrum, 2.0 * spectrum.real - shifted[0]
+
+
+def _shell_spectrum(fa: np.ndarray, primitive: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Spectrum of s = H − T from a field spectrum and a `_primitive_spectrum`:
+    the Hankel correlation conj(F a)·F Ã less the Toeplitz convolution F a·Ê."""
+    spectrum, even = primitive
+    return fa.conj() * spectrum - fa * even
 
 
 def _window(spectrum: np.ndarray, n: int, size: int) -> np.ndarray:
-    """Outputs j = 1..n of the correlation with this product of spectra; size is
-    passed on because a 5-smooth length may be odd."""
-    return np.fft.irfft(spectrum, size)[2 * n + 1: 3 * n + 1]
+    """Outputs j = 1..n of the sum with this spectrum; size is passed on because
+    a 5-smooth length may be odd."""
+    return np.fft.irfft(spectrum, size)[1:n + 1]
 
 
 def _shell_sum(pgrid: RadialGrid, a: np.ndarray, integrand: np.ndarray) -> np.ndarray:
-    """s_j = Σ_i a_i (A[i+j] − A[|i−j|]) for j = 1..n, by one FFT correlation.
+    """s_j = Σ_i a_i (A[i+j] − A[|i−j|]) for j = 1..n, with one inverse FFT.
 
     A[m] = ∫_0^{mh} F is the on-grid primitive of the integrand samples F
     (A[0] = 0, held at A[n] beyond the grid, where F is taken as zero), so
-    s_j = Σ_i a_i ∫_{|p_j−k_i|}^{p_j+k_i} F(q) dq.  Extending a oddly and A
-    evenly to negative indices folds the Toeplitz term into the Hankel one,
-    s_j = Σ_{i=−n}^{n} a_i A[j+i], a single linear correlation: output t = j + 2n
-    of the 2n+1 reversed a against the 3n+1 A, nonzero for t = 0..5n only.  A
-    circular length L folds t ± L onto t; for L ≥ 3n+1 and t in 2n+1..3n both
-    lie outside 0..5n, so the window is exact without room for all 5n+1 outputs.
+    s_j = Σ_i a_i ∫_{|p_j−k_i|}^{p_j+k_i} F(q) dq.  The constant A[n] cancels in
+    each difference, so s = H − T with Ã = A − A[n], which vanishes from n on:
+    the Hankel part H_j = Σ_i a_i Ã[i+j] and the Toeplitz part
+    T_j = Σ_i a_i Ã[|i−j|].  With a at indices 1..n, H is a circular
+    correlation whose indices i + j ≤ 2n stay below a length L ≥ 2n+1, and T a
+    circular convolution with Ã's even extension, which fills 0..n−1 and
+    L−n+1..L−1 without overlap; both are read at j = 1..n.
     """
     size = _shell_length(pgrid)
-    spectrum = _field_spectrum(a, size) * _primitive_spectrum(pgrid, integrand, size)
-    return _window(spectrum, pgrid.n, size)
+    field, primitive = _field_spectrum(a, size), _primitive_spectrum(pgrid, integrand, size)
+    return _window(_shell_spectrum(field, primitive), pgrid.n, size)
 
 
 def _field_weights(mp: MomentumProfile) -> np.ndarray:

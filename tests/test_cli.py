@@ -225,6 +225,25 @@ def test_solve_writes_profiles_as_fmt_of_the_state(tmp_path, monkeypatch):
         assert 0 < len(fallback) <= 0.03 * fields   # 96 of 7,200 with the relative margin
 
 
+@pytest.mark.parametrize("argv", [["simulate", "--config", "c.json"], ["verify"], []],
+                         ids=["unknown_command", "missing_config", "empty"])
+def test_usage_errors_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: polaron" in capsys.readouterr().err
+
+
+def test_help_lists_the_three_commands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for command, text in [("solve", "solve the ground state"), ("verify", "run the identity suite"),
+                          ("massbound", "sweep the cutoff scale")]:
+        assert any(line.split()[:1] == [command] and text in line for line in lines), command
+
+
 class TestConfigValidation:
     def test_invalid_field_named_in_message(self, tmp_path, capsys):
         path = tmp_path / "c.json"

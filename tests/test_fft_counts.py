@@ -1,13 +1,15 @@
 """FFT budget of the two FFT-heavy layers, counted by wrapping numpy.fft.
 
-Q2 reads n outputs of its shell correlations, so a circular length of the
-smallest 5-smooth length ≥ 3n+1 suffices (12150 at n = 4000) and its three
-sums combine as spectra: 4 forward and 2 inverse real transforms, of which
-the 2 forward transforms on the field side serve a whole cutoff sweep.  A
+Q2's shell sums split into a Hankel and a Toeplitz part on the shifted
+primitive, whose n outputs need a circular length of only the smallest
+5-smooth length ≥ 2n+1 (8100 at n = 4000), and its three sums combine as
+spectra: 4 forward and 2 inverse real transforms, of which the 2 forward
+transforms on the field side serve a whole cutoff sweep.  A
 momentum profile stacks its three chirp-z rows, so the chirp kernel is
 transformed once, at the smallest 5-smooth length ≥ N+M−1.  A change that
-brings back the 5n+1 window, a per-sum inverse transform, per-cutoff field
-spectra, a second chirp spectrum or power-of-two padding fails here.
+brings back the 3n+1 extension or the 5n+1 window, a per-sum inverse
+transform, per-cutoff field spectra, a second chirp spectrum or power-of-two
+padding fails here.
 """
 
 import bisect
@@ -50,8 +52,8 @@ def test_potential_term_makes_four_forward_and_two_inverse_real_ffts(mp_default,
     pl.potential_term(mp_default, cut)
     assert _rows(fft_calls["rfft"]) == 4 and _rows(fft_calls["irfft"]) == 2
     assert not fft_calls["fft"] and not fft_calls["ifft"]
-    # 2·3^5·5^2 = 12150, the smallest 5-smooth length ≥ 3n+1 (16384 as a power of two)
-    assert {length for _, length in fft_calls["rfft"] + fft_calls["irfft"]} == {12150}
+    # 2^2·3^4·5^2 = 8100, the smallest 5-smooth length ≥ 2n+1 (8192 as a power of two)
+    assert {length for _, length in fft_calls["rfft"] + fft_calls["irfft"]} == {8100}
 
 
 def test_bound_sweep_makes_the_field_spectra_once(mp_default, fft_calls):
@@ -59,7 +61,7 @@ def test_bound_sweep_makes_the_field_spectra_once(mp_default, fft_calls):
     pl.bound_sweep(mp_default, cuts)
     # 2 field-side rows, then 2 forward and 2 inverse rows per cutoff (30 rows per call)
     assert _rows(fft_calls["rfft"]) == 12 and _rows(fft_calls["irfft"]) == 10
-    assert all(length == 12150 for _, length in fft_calls["rfft"] + fft_calls["irfft"])
+    assert all(length == 8100 for _, length in fft_calls["rfft"] + fft_calls["irfft"])
 
 
 def test_momentum_profile_transforms_the_chirp_once(state_default, fft_calls):

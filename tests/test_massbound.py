@@ -103,9 +103,9 @@ def _direct_q2(mp, cut):
 
 @pytest.fixture(scope="module")
 def mp_200(state_default):
-    # the shell sums' circular length is 625 here, 5^4: an odd real FFT length
+    # the shell sums' circular length is 405 here, 3^4·5: an odd real FFT length
     mp = pl.momentum_profile(state_default, pl.build_grid(200, 10.0))
-    assert _shell_length(mp.pgrid) == 625
+    assert _shell_length(mp.pgrid) == 405
     return mp
 
 
@@ -115,6 +115,17 @@ def mp_200(state_default):
 def test_potential_term_matches_its_shell_sum_definition(mp_200, cut):
     direct = _direct_q2(mp_200, cut)
     assert abs(pl.potential_term(mp_200, cut) - direct) <= 1e-12 * abs(direct)
+
+
+def test_potential_term_at_the_exact_2n_plus_1_length(state_default):
+    # 62 nodes: the circular length is 125 = 2n+1, where a wrap in either part shows;
+    # at pmax = 1 ψ̂ is still 5e-3 of its peak, so the pair i = j = n, which a length
+    # of 2n would fold onto Ã[0], weighs in (Q2 then misses its pair sum by 1e-7)
+    mp = pl.momentum_profile(state_default, pl.build_grid(62, 1.0))
+    assert _shell_length(mp.pgrid) == 2 * 62 + 1
+    for cut in (_CHI_ONE, pl.CutoffSpec(eps=0.2, shape="bump")):
+        direct = _direct_q2(mp, cut)
+        assert abs(pl.potential_term(mp, cut) - direct) <= 1e-12 * abs(direct)
 
 
 def test_bound_sweep_matches_the_term_definitions(mp_200, mp_default):

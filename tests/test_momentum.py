@@ -160,9 +160,11 @@ class TestCrossExpectation:
 
 def test_shell_sum_matches_direct_loop():
     # s_j = Σ_i a_i (A[i+j] − A[|i−j|]) with A[0] = 0 and A held at A[n] beyond
-    # the grid, summed term by term against the FFT correlation; an off-by-one
-    # in the read window or the circular length shows first at tiny n
-    for n in (2, 3, 5, 200):
+    # the grid, summed term by term against the FFT sum; an off-by-one in the
+    # read window or the circular length shows first at tiny n, and a wrap in the
+    # Hankel or the Toeplitz part where the length is exactly 2n+1 (9, 25, 125
+    # at n = 4, 12, 62)
+    for n in (2, 3, 4, 5, 12, 62, 200):
         grid = pl.build_grid(n, 3.0)
         rng = np.random.default_rng(7)
         a = rng.standard_normal(n)
