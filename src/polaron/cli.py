@@ -104,6 +104,11 @@ _NX = 633      # decimal exponents −324 … 308
 _WIDTH = 32    # bytes per field, NUL padded: sign and "0.0…" right-aligned in 0–5,
                # digits and point in 6–23, exponent and separator from 24
 _K = np.arange(18, dtype=np.int8)[:, None]
+_SLICE = 4096  # fields compressed at a time
+# profiles.csv rows formatted at a time: a block's temporaries peak at about 90 B per
+# field.  A `_csv_rows` call costs about 120 µs even for one row, so a block keeps
+# both tables of a 6000/4000 solve whole
+_BLOCK_ROWS = 8192
 
 
 def _word(text: str) -> np.uint64:
@@ -166,12 +171,13 @@ def _digit_chars(D: np.ndarray) -> np.ndarray:
     return dig
 
 
-def _csv_rows(*columns: np.ndarray) -> bytes:
-    """The lines of the columns side by side, each float as `_fmt` writes it."""
+def _padded_fields(*columns: np.ndarray) -> np.ndarray:
+    """The fields of the columns' lines, row by row, each in `_WIDTH` NUL-padded bytes."""
     c = len(columns)
     v = np.stack(columns, axis=1).ravel()
     D, X, exact = _round17(v)
     dig = _digit_chars(D)
+    del D   # not needed past here; the field buffer below sets a block's peak
     # strip trailing zeros behind the point; only a D ending in 0 has any
     P = _POINT[X]
     last = np.full(v.size, 16, np.int8)   # the last digit kept
@@ -187,10 +193,8 @@ def _csv_rows(*columns: np.ndarray) -> bytes:
     words[:, 0] = _FIRST[X + _NX * np.signbit(v)]
     # character 6 + j: digit j up to digit P, the mark after it, then digit j − 1
     buf[:, 6] = dig[0]
-    shifted = dig[1:] - dig[:-1]   # a uint8 blend of the two
-    shifted *= _K[1:] <= P
-    shifted += dig[:-1]
-    buf[:, 7:24] = shifted.T
+    buf[:, 7:24] = dig[:-1].T
+    np.copyto(buf[:, 7:24], dig[1:].T, where=(_K[1:] <= P).T)
     buf.ravel()[np.arange(7, v.size * _WIDTH, _WIDTH) + P] = (last > P) * _MARK[X]
     X[c - 1::c] += _NX   # the separator: ",", or "\n" after the last column
     words[:, 3] = _LAST[X]
@@ -200,7 +204,21 @@ def _csv_rows(*columns: np.ndarray) -> bytes:
         text = [_fmt(x) for x in v[slow].tolist()]
         buf[slow, :24] = np.array(text, dtype="S24").view(np.uint8).reshape(-1, 24)
         words[slow, 3] = _LAST[324 + _NX * (slow % c == c - 1)]
-    return buf[buf != 0].tobytes()
+    return buf
+
+
+def _csv_rows(*columns: np.ndarray) -> bytes:
+    """The lines of the columns side by side, each float as `_fmt` writes it."""
+    buf = _padded_fields(*columns)   # its temporaries freed before the bytes are made
+    # the NULs dropped a slice at a time, with no full-size mask
+    parts = (buf[s:s + _SLICE] for s in range(0, len(buf), _SLICE))
+    return b"".join(part[part != 0].tobytes() for part in parts)
+
+
+def _write_table(fh, *columns: np.ndarray) -> None:
+    """Write the columns' lines to the open file `_BLOCK_ROWS` rows at a time."""
+    for s in range(0, columns[0].size, _BLOCK_ROWS):
+        fh.write(_csv_rows(*(c[s:s + _BLOCK_ROWS] for c in columns)))
 
 
 def _write_profiles_csv(cfg: RunConfig, state: PekarState, mp: MomentumProfile, out: Path) -> None:
@@ -208,12 +226,16 @@ def _write_profiles_csv(cfg: RunConfig, state: PekarState, mp: MomentumProfile, 
 
     phi_pos = coulomb_potential(state.rho)
     g, pg = state.psi.grid, mp.pgrid
-    (out / "profiles.csv").write_bytes(b"".join((
-        f"{_artifact_header(cfg)}r,psi,rho,Phi\n".encode(),
-        _csv_rows(g.nodes, state.psi.values, state.rho.values, phi_pos.values),
-        b"\np,psi_hat,dpsi_hat,phi\n",
-        _csv_rows(pg.nodes, mp.psi_hat.values, mp.dpsi_hat.values, mp.phi.values),
-    )))
+    path = out / "profiles.csv"
+    try:
+        with path.open("wb") as fh:
+            fh.write(f"{_artifact_header(cfg)}r,psi,rho,Phi\n".encode())
+            _write_table(fh, g.nodes, state.psi.values, state.rho.values, phi_pos.values)
+            fh.write(b"\np,psi_hat,dpsi_hat,phi\n")
+            _write_table(fh, pg.nodes, mp.psi_hat.values, mp.dpsi_hat.values, mp.phi.values)
+    except BaseException:
+        path.unlink(missing_ok=True)   # no partial profiles.csv
+        raise
 
 
 def cmd_solve(cfg: RunConfig, out: Path) -> int:

@@ -23,8 +23,9 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 
-# Upper bounds on the sizes, far above any grid the paper's numbers need: a `verify`
-# on 10^6/10^3 nodes peaks at 380 MB and profiles.csv takes about 85 B per node.
+# Upper bounds on the sizes, far above any grid the paper's numbers need: on 10^6
+# nodes over rmax 40 a `solve` peaks at 253 MB and a `verify` with momentum.n 10^3 at
+# 253 MB (ru_maxrss), and profiles.csv takes about 84 B per node.
 _MAX_NODES = 10**7
 _MAX_ITER = 10**5
 

@@ -1,10 +1,12 @@
 import contextlib
+import errno
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -203,6 +205,18 @@ def test_fmt_writes_numpy_scalars_as_python_values():
     assert (_fmt(np.int64(7)), _fmt(7), _fmt("f=0")) == ("7", "7", "f=0")
 
 
+def _profiles_reference(cfg, state, mp):
+    """The reference for profiles.csv: both tables in one piece, each field `_fmt` of its value."""
+    g, pg, phi = state.psi.grid, mp.pgrid, coulomb_potential(state.rho)
+    return b"".join([
+        polaron.cli._artifact_header(cfg).encode(),
+        b"r,psi,rho,Phi\n",
+        _fmt_rows(g.nodes, state.psi.values, state.rho.values, phi.values),
+        b"\np,psi_hat,dpsi_hat,phi\n",
+        _fmt_rows(pg.nodes, mp.psi_hat.values, mp.dpsi_hat.values, mp.phi.values),
+    ])
+
+
 def test_solve_writes_profiles_as_fmt_of_the_state(tmp_path, monkeypatch):
     # the whole file, against the line-by-line `_fmt` rendering of the same
     # state's arrays; and most fields take the vectorized path, not `_fmt`
@@ -211,18 +225,83 @@ def test_solve_writes_profiles_as_fmt_of_the_state(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "c.json")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     state, mp = run_pipeline(config_from_dict(SMALL_CONFIG))
-    g, pg, phi = state.psi.grid, mp.pgrid, coulomb_potential(state.rho)
-    expected = b"".join([
-        polaron.cli._artifact_header(config_from_dict(SMALL_CONFIG)).encode(),
-        b"r,psi,rho,Phi\n",
-        _fmt_rows(g.nodes, state.psi.values, state.rho.values, phi.values),
-        b"\np,psi_hat,dpsi_hat,phi\n",
-        _fmt_rows(pg.nodes, mp.psi_hat.values, mp.dpsi_hat.values, mp.phi.values),
-    ])
+    expected = _profiles_reference(config_from_dict(SMALL_CONFIG), state, mp)
     assert (tmp_path / "out" / "profiles.csv").read_bytes() == expected
     if np.finfo(np.longdouble).nmant >= 63:   # else every field falls back by design
         fields = 4 * (SMALL_CONFIG["grid.n"] + SMALL_CONFIG["momentum.n"])
         assert 0 < len(fallback) <= 0.03 * fields   # 96 of 7,200 with the relative margin
+
+
+def _synthetic_profile(n_r, n_p):
+    """A hydrogenic state and momentum profile on n_r radial and n_p momentum nodes."""
+    g, pg = polaron.build_grid(n_r, 25.0), polaron.build_grid(n_p, 6.0)
+    psi = polaron.RadialFunction(g, np.exp(-g.nodes) / np.sqrt(np.pi))
+    rho = psi.with_values(psi.values**2)
+    state = polaron.PekarState(psi=psi, rho=rho, T=1.0, D=1.0, eP=0.0, mu=1.0,
+                               iterations=1, residual=0.0)
+    q = 1 + pg.nodes**2
+    mp = polaron.MomentumProfile(pgrid=pg, psi_hat=polaron.RadialFunction(pg, q**-2),
+                                 dpsi_hat=polaron.RadialFunction(pg, -4 * pg.nodes * q**-3),
+                                 phi=polaron.RadialFunction(pg, np.sqrt(2) / q), mu=1.0)
+    return state, mp
+
+
+_BLOCK = 16
+
+
+@pytest.mark.parametrize("rows", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_profiles_csv_streams_in_blocks(tmp_path, monkeypatch, rows):
+    # a file written a block at a time, its NULs dropped in slices that cut rows,
+    # holds the bytes of the one-piece reference
+    monkeypatch.setattr(polaron.cli, "_BLOCK_ROWS", _BLOCK)
+    monkeypatch.setattr(polaron.cli, "_SLICE", 7)
+    blocks = []
+    monkeypatch.setattr(polaron.cli, "_csv_rows",
+                        lambda *columns: blocks.append(columns[0].size) or _csv_rows(*columns))
+    cfg = config_from_dict(SMALL_CONFIG)
+    state, mp = _synthetic_profile(rows, rows + 1)
+    polaron.cli._write_profiles_csv(cfg, state, mp, tmp_path)
+    assert (tmp_path / "profiles.csv").read_bytes() == _profiles_reference(cfg, state, mp)
+    assert max(blocks) <= _BLOCK
+    assert len(blocks) == -(-rows // _BLOCK) + -(-(rows + 1) // _BLOCK)
+
+
+def test_write_error_in_a_later_block_leaves_no_profiles_csv(tmp_path, monkeypatch, capsys):
+    # the disk fills while the second block goes out: exit 2, one line, and no
+    # partial profiles.csv that a reader could take for a whole one
+    monkeypatch.setattr(polaron.cli, "_BLOCK_ROWS", 256)
+    blocks = []
+
+    def full_disk(*columns):
+        blocks.append(columns[0].size)
+        if len(blocks) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return _csv_rows(*columns)
+
+    monkeypatch.setattr(polaron.cli, "_csv_rows", full_disk)
+    cfg = write_config(tmp_path / "c.json")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert len(blocks) == 2
+    assert not (tmp_path / "out" / "profiles.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and len(err.splitlines()) == 1
+
+
+def test_profiles_csv_memory_follows_the_block(tmp_path):
+    # the writer holds one block's temporaries at a time, so a profile three
+    # blocks long peaks about as high as one a block long
+    block = polaron.cli._BLOCK_ROWS
+    cfg = config_from_dict(SMALL_CONFIG)
+    peaks = []
+    for rows in (block, 3 * block):
+        state, mp = _synthetic_profile(rows, rows)
+        tracemalloc.start()
+        try:
+            polaron.cli._write_profiles_csv(cfg, state, mp, tmp_path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 @pytest.mark.parametrize("argv", [["simulate", "--config", "c.json"], ["verify"], []],

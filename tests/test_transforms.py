@@ -6,7 +6,7 @@ import pytest
 import polaron as pl
 from conftest import MOMENTUM_GRID
 from polaron.momentum import SQRT2_PI
-from polaron.transforms import _chirp_moment, fourier_profile
+from polaron.transforms import _chirp_moment, _fft_length, fourier_profile
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +124,23 @@ def test_momentum_profile_memory_stays_linear(state_fine):
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+@pytest.mark.parametrize("source", ["state_default", "state_fine"])
+def test_fourier_profile_holds_one_buffer(request, source):
+    # the three rows share one zero-padded (3, L) complex buffer that the FFTs
+    # overwrite; besides it and the kernel's spectrum (L complex) only O(N + M)
+    # arrays live: the chirp, a row's real product, an FFT's work row
+    state = request.getfixturevalue(source)
+    pgrid = pl.build_grid(*MOMENTUM_GRID)
+    n, m = state.psi.grid.n, pgrid.n
+    tracemalloc.start()
+    try:
+        fourier_profile(state.psi, pgrid, state.rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * (3 + 1) * _fft_length(n + m - 1) + 4 * 16 * (n + m)
 
 
 @pytest.mark.parametrize("source, pgrid_shape", [
