@@ -104,10 +104,9 @@ _NX = 633      # decimal exponents −324 … 308
 _WIDTH = 32    # bytes per field, NUL padded: sign and "0.0…" right-aligned in 0–5,
                # digits and point in 6–23, exponent and separator from 24
 _K = np.arange(18, dtype=np.int8)[:, None]
-_SLICE = 4096  # fields compressed at a time
 # profiles.csv rows formatted at a time: a block's temporaries peak at about 90 B per
-# field.  A `_csv_rows` call costs about 120 µs even for one row, so a block keeps
-# both tables of a 6000/4000 solve whole
+# field (the NUL mask 32 B).  A `_csv_rows` call costs about 120 µs even for one row,
+# so a block keeps both tables of a 6000/4000 solve whole
 _BLOCK_ROWS = 8192
 
 
@@ -210,9 +209,7 @@ def _padded_fields(*columns: np.ndarray) -> np.ndarray:
 def _csv_rows(*columns: np.ndarray) -> bytes:
     """The lines of the columns side by side, each float as `_fmt` writes it."""
     buf = _padded_fields(*columns)   # its temporaries freed before the bytes are made
-    # the NULs dropped a slice at a time, with no full-size mask
-    parts = (buf[s:s + _SLICE] for s in range(0, len(buf), _SLICE))
-    return b"".join(part[part != 0].tobytes() for part in parts)
+    return buf[buf != 0].tobytes()
 
 
 def _write_table(fh, *columns: np.ndarray) -> None:
@@ -245,10 +242,10 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def verification_rows(state: PekarState, mp: MomentumProfile,
-                      psi_hat_ok: bool = True) -> list[tuple]:
+def verification_rows(state: PekarState, mp: MomentumProfile) -> list[tuple]:
     """(check_name, computed, expected, tolerance, pass) for the identity suite."""
     endpoint = bound_rhs(mp, _CHI_ONE)
+    psi_hat_ok = _noisy_sign_change(mp.psi_hat) is None
     one = RadialTestFunction(lambda p: np.ones_like(p), bounded=True, name="1")
 
     rows = [
@@ -272,7 +269,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     # a sign fault of ψ̂ is tabulated as a failed row, not raised
     mp = momentum_profile(state, build_grid(cfg.momentum_n, cfg.momentum_pmax),
                           tail_floor=float("inf"))
-    rows = verification_rows(state, mp, _noisy_sign_change(mp.psi_hat) is None)
+    rows = verification_rows(state, mp)
     lines = [_artifact_header(cfg).rstrip("\n"), "check_name,computed,expected,tolerance,pass"]
     for name, comp, exp, tol, ok in rows:
         lines.append(f"{name},{_fmt(comp)},{_fmt(exp)},{_fmt(tol)},{_fmt(ok)}")
@@ -309,9 +306,12 @@ def _fail(code: int, prefix: str, exc: BaseException) -> int:
     return code
 
 
-_COMMANDS = {"solve": "solve the ground state and write state/profile artifacts",
-             "verify": "run the identity suite and write verify.csv",
-             "massbound": "sweep the cutoff scale and write massbound.csv"}
+# each command's handler, the artifacts it writes and its help text
+_COMMANDS = {"solve": (cmd_solve, ("pekar_state.json", "profiles.csv"),
+                       "solve the ground state and write state/profile artifacts"),
+             "verify": (cmd_verify, ("verify.csv",), "run the identity suite and write verify.csv"),
+             "massbound": (cmd_massbound, ("massbound.csv",),
+                           "sweep the cutoff scale and write massbound.csv")}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -319,7 +319,8 @@ def main(argv: list[str] | None = None) -> int:
         prog="polaron",
         description="Pekar ground state, momentum observables and the "
                     "inverse-mass bound diagnostic.",
-        epilog="commands:\n" + "".join(f"  {name:<11}{text}\n" for name, text in _COMMANDS.items()),
+        epilog="commands:\n" + "".join(f"  {name:<11}{text}\n"
+                                       for name, (*_, text) in _COMMANDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("command", choices=_COMMANDS, help="one of the commands below")
@@ -333,9 +334,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_CONFIG, "config error", exc)
 
     out = Path(args.out) if args.out else Path(cfg.output_dir)
-    handler, artifacts = {"solve": (cmd_solve, ("pekar_state.json", "profiles.csv")),
-                          "verify": (cmd_verify, ("verify.csv",)),
-                          "massbound": (cmd_massbound, ("massbound.csv",))}[args.command]
+    handler, artifacts, _ = _COMMANDS[args.command]
     try:
         out.mkdir(parents=True, exist_ok=True)
         # no earlier run's history stays beside this run's artifacts; each is written new

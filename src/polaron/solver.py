@@ -26,10 +26,11 @@ by Anderson (Pulay, "DIIS") mixing of the residual f_k = ρ_out,k − ρ_in,k wi
     ρ_in,k+1 = ρ_in,k + β f_k − Σ_j γ_j (Δρ_in,j + β Δf_j),
 
 where Δ are the differences between successive steps over the last
-`_DEPTH` steps, and γ minimizes ‖f_k − Σ_j γ_j Δf_j‖ in the 3d L² norm.
-With no history this is the linear step (1 − β) ρ_in,k + β ρ_out,k.  Only
-ρ is mixed: each step solves for the input potential Φ of ρ_in,k, and a
-second Coulomb solve gives the energy of ρ_out,k.
+`_DEPTH` steps, and γ minimizes ‖f_k − Σ_j γ_j Δf_j‖ in the 3d L² norm, from
+Pulay's DIIS equations on the unit-scaled rows Δf_j/‖Δf_j‖.  With no history
+this is the linear step (1 − β) ρ_in,k + β ρ_out,k.  Only ρ is mixed: each
+step solves for the input potential Φ of ρ_in,k, and a second Coulomb solve
+gives the energy of ρ_out,k.
 
 An explicit imaginary-time gradient flow on the same reduced problem serves
 as an algorithmically independent cross-check (`imaginary_time_oracle`).
@@ -331,44 +332,21 @@ def _state_from_u(grid: RadialGrid, u: np.ndarray, T: float, D: float, rho: np.n
 
 
 # Anderson mixing in `solve_pekar`: the damping β, which sets the path to the
-# fixed point but not the point; the history depth; and the share of its norm a
-# residual difference must keep outside the span of the newer ones to be used
+# fixed point but not the point, and the history depth.  γ solves Pulay's DIIS
+# equations on the unit-scaled rows
 _BETA = 0.5
 _DEPTH = 5
-_RCOND = 1e-10
 
 
 def _anderson_gamma(dfw: list[np.ndarray], fw: np.ndarray) -> np.ndarray:
-    """γ minimizing ‖fw − Σ_j γ_j dfw[j]‖₂, with γ_j in the order of the rows
-    dfw (newest first).
-
-    Modified Gram–Schmidt: a row whose part orthogonal to the rows before it
-    is at most _RCOND of its norm is dropped (γ_j = 0).
-    """
-    m = len(dfw)
-    q = np.empty((m, fw.size))
-    r = np.zeros((m, m))
-    kept = []
-    for a, row in enumerate(dfw):
-        v = q[a]
-        v[:] = row
-        norm = np.linalg.norm(v)
-        for b in kept:
-            r[b, a] = q[b] @ v
-            v -= r[b, a] * q[b]
-        r[a, a] = np.linalg.norm(v)
-        if r[a, a] > _RCOND * norm:
-            v /= r[a, a]
-            kept.append(a)
-    rest = fw.copy()
-    c = np.zeros(m)
-    for b in kept:
-        c[b] = q[b] @ rest
-        rest -= c[b] * q[b]
-    g = np.zeros(m)
-    for a in reversed(kept):
-        g[a] = (c[a] - r[a, a + 1:] @ g[a + 1:]) / r[a, a]
-    return g
+    """γ minimizing ‖fw − Σ_j γ_j dfw[j]‖₂ (rows newest first) by Pulay's DIIS
+    equations B γ = b, B_ij = dfw[i]·dfw[j], b_i = dfw[i]·fw, scaled to a unit
+    diagonal and solved by least squares; a zero row gets γ_j = 0."""
+    B = np.array([[p @ q for q in dfw] for p in dfw]).reshape(len(dfw), len(dfw))
+    s = np.sqrt(B.diagonal())
+    s[s == 0.0] = 1.0
+    b = np.array([p @ fw for p in dfw]) / s
+    return np.linalg.lstsq(B / np.outer(s, s), b, rcond=None)[0] / s
 
 
 def solve_pekar(opts: SolverOptions) -> PekarState:

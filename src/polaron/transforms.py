@@ -31,8 +31,7 @@ The chirp depends on the grids only, so `fourier_profile` sums the stacked rows
 The rows live in one zero-padded (rows, L) complex buffer, which the forward
 FFT, the product with the chirp's spectrum, the inverse FFT and the final chirp
 factor each overwrite (numpy.fft's `out=`), so a transform holds that buffer
-and a few arrays of N+M complex: a traced peak of 113 MB on 10⁶/4000 nodes,
-where an array for each step held 210 MB.
+and a few arrays of N+M complex: a traced peak of 113 MB on 10⁶/4000 nodes.
 """
 
 from __future__ import annotations

@@ -251,10 +251,8 @@ _BLOCK = 16
 
 @pytest.mark.parametrize("rows", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
 def test_profiles_csv_streams_in_blocks(tmp_path, monkeypatch, rows):
-    # a file written a block at a time, its NULs dropped in slices that cut rows,
-    # holds the bytes of the one-piece reference
+    # a file written a block at a time holds the bytes of the one-piece reference
     monkeypatch.setattr(polaron.cli, "_BLOCK_ROWS", _BLOCK)
-    monkeypatch.setattr(polaron.cli, "_SLICE", 7)
     blocks = []
     monkeypatch.setattr(polaron.cli, "_csv_rows",
                         lambda *columns: blocks.append(columns[0].size) or _csv_rows(*columns))
