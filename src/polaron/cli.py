@@ -13,7 +13,9 @@ place that maps exceptions to exit codes; each failure prints one stderr line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -84,28 +86,51 @@ def _write_state_json(cfg: RunConfig, state: PekarState, out: Path) -> None:
 
 
 # A profiles.csv field is `_fmt` of a double x: C "%.17g", the 17-digit decimal
-# D = round(|x|·10^(16−X)), X the decimal exponent of x, in fixed notation for X in
-# [−4, 16] and in scientific notation otherwise, trailing zeros and a bare point
-# stripped.  `_csv_rows` forms y = |x|·10^(16−X) in long double from powers of ten
-# parsed from strings, each correctly rounded.  |x| converts exactly, and the power
-# and the product each carry one rounding of at most eps/2 relative (eps the long
-# double's spacing at 1), so y lies within (1 + eps/2)² − 1 ≈ eps·y of the exact
-# product z; y − ⌊y⌋ is exact, and its rounding to a double moves it by at most 2^−54.
-# A field is written from D only where y ≥ _LOW = 10^16·(1 + 2·eps) (to within an ulp
-# of 10^16, 2^−10), so z > 10^16 and X is its exponent, where y ≤ 10^17 − ½, and where
-# |frac − ½| > 2·eps·D: each margin is about twice the error bound, so y and z round
-# to the same D.  Every other field (±0, inf, nan and about 2% of ordinary values)
-# is formatted by `_fmt`.  Where long double is plain double 2·eps·D ≥ 2·eps·10^16
-# exceeds ½ and every field takes `_fmt`.
-_POW10 = np.array([np.longdouble(f"1e{s}") for s in range(-292, 341)])  # 10^s at s + 292
-_MARGIN = float(2 * np.finfo(np.longdouble).eps)   # relative
-_LOW, _HIGH = _POW10[308] * (1 + np.longdouble(_MARGIN)), _POW10[309] - 0.5
+# D = round(z), z = |x|·10^s, s = 16 − X, X the decimal exponent of x, in fixed notation
+# for X in [−4, 16] and in scientific notation otherwise, trailing zeros and a bare point
+# stripped.  `_round17` forms z in float64 double-double (Dekker, 1971).  10^s is
+# hi + lo + δ with hi and lo each correctly rounded, so |δ| ≤ 2^−106·hi.  Veltkamp's split
+# of |x| and of hi into halves of at most 26 bits makes |x|·hi = p + e exact, and
+# f = e + |x|·lo rounds twice.  For z < 10^17, |x|·lo < 16 rounds by at most 2^−50,
+# |e + |x|·lo| < 32 by 2^−49, |x|·δ < 2^−49.5 and frac = f − ⌊f⌋ rounds by at most 2^−54,
+# so p + ⌊f⌋ + frac (p ≥ 2^53, an integer) lies within 2^−47 of z.  A field is written
+# from D = p + ⌊f⌋ + (frac > ½) where 10^16 ≤ p + ⌊f⌋, D < 10^17 and |frac − ½| exceeds
+# _MARGIN, four times that bound: D is then z rounded (a z less than 2^−47 below 10^16
+# gives 10^16 at the next exponent, as %.17g does).  The splits overflow above about
+# 1.3e300, so `_tens` stops at 10^300 and only |x| in [_TINY, _HUGE) is scaled.  Every
+# other field (±0, inf, nan, extreme exponents and a double next to a power of ten whose
+# X `log10` misses) is formatted by `_fmt`.
+_XMIN, _XMAX = -284, 299                # the decimal exponents `_tens` covers
+_TINY, _HUGE = 1e-283, 1e299            # X from `log10` is one off at most
+_SPLIT = 2.0**27 + 1
+_MARGIN = 2.0**-45
+
+
+@functools.cache   # built on first use, not at import
+def _tens() -> np.ndarray:
+    """Rows hi, hi's 26-bit head and tail, and lo of 10^(16 − X) ≈ hi + lo for X from
+    `_XMIN` to `_XMAX`, hi and lo correctly rounded: int / int rounds so in Python."""
+    ten = np.empty((_XMAX - _XMIN + 1, 4))
+    power = 10**(16 - _XMIN)   # 10^|s|
+    for i, s in enumerate(range(16 - _XMIN, 15 - _XMAX, -1)):
+        num, den = (power, 1) if s >= 0 else (1, power)
+        power = power // 10 if s > 0 else power * 10
+        hi = num / den
+        a, b = hi.as_integer_ratio()   # b a power of two
+        c = hi * _SPLIT
+        head = c - (c - hi)
+        ten[i] = hi, head, hi - head, math.ldexp((num * b - a * den) / den, 1 - b.bit_length())
+    ten = ten.T.copy()
+    ten.flags.writeable = False   # shared by every call
+    return ten
+
+
 _NX = 633      # decimal exponents −324 … 308
 _WIDTH = 32    # bytes per field, NUL padded: sign and "0.0…" right-aligned in 0–5,
                # digits and point in 6–23, exponent and separator from 24
 _K = np.arange(18, dtype=np.int8)[:, None]
 # profiles.csv rows formatted at a time: a block's temporaries peak at about 90 B per
-# field (the NUL mask 32 B).  A `_csv_rows` call costs about 120 µs even for one row,
+# field (the NUL mask 32 B).  A `_csv_rows` call costs about 130 µs even for one row,
 # so a block keeps both tables of a 6000/4000 solve whole
 _BLOCK_ROWS = 8192
 
@@ -140,18 +165,36 @@ _FIRST, _LAST, _POINT, _MARK = _layout_tables()
 def _round17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(D, X + 324, exact): each value's 17-digit decimal D and decimal exponent X,
     and whether the rounding of D is proven (only for ordinary values)."""
-    exact = np.isfinite(v) & (v != 0)
-    ax = np.where(exact, np.abs(v), 1.0)
+    ax = np.abs(v)
+    exact = (ax >= _TINY) & (ax < _HUGE)   # false for nan
+    ax[~exact] = 1.0
     X = np.floor(np.log10(ax)).astype(np.intp)   # may be one off next to a power of ten
-    y = ax.astype(np.longdouble)
-    y *= _POW10[308 - X]
-    exact &= (y >= _LOW) & (y <= _HIGH)
-    y[~exact] = _LOW
-    D = y.astype(np.int64)
-    y -= D
-    frac = y.astype(np.float64)
-    exact &= np.abs(frac - 0.5) > _MARGIN * D
-    D += frac > 0.5
+    i = X - _XMIN
+    a = ax * _SPLIT                        # Veltkamp: ax = a + b, 26 bits each
+    b = a - ax
+    a -= b
+    np.subtract(ax, a, out=b)
+    hi, head, tail, lo = _tens()           # one row at a time, for a lower peak
+    t = np.take(hi, i)
+    p = ax * t
+    np.take(head, i, out=t, mode="clip")
+    e = a * t
+    e -= p
+    e += np.multiply(t, b, out=t)
+    np.take(tail, i, out=t, mode="clip")
+    e += np.multiply(a, t, out=a)
+    e += np.multiply(b, t, out=b)          # ax·hi = p + e
+    np.take(lo, i, out=t, mode="clip")
+    e += np.multiply(t, ax, out=t)
+    del a, b, t, i
+    f = np.floor(e)
+    D = p.astype(np.int64)
+    del p
+    D += f.astype(np.int64)
+    e -= f                                 # the fraction
+    exact &= (D >= 10**16) & (np.abs(e - 0.5) > _MARGIN)
+    D += e > 0.5
+    exact &= D < 10**17
     return D, X + 324, exact
 
 

@@ -73,7 +73,11 @@ def _chirp_moment(grid: RadialGrid, pgrid: RadialGrid, *rows: tuple[int, np.ndar
     for row, (k, f) in zip(buf, rows):
         np.multiply(grid.weights * grid.nodes**k * f, chirp[1:n + 1], out=row[:n])
     np.fft.fft(buf, out=buf)
-    buf *= np.fft.fft(chirp[np.abs(np.arange(1 - n, m))].conj(), size)  # m = 1−N..M−1
+    kernel = np.zeros(size, complex)                                  # m = 1−N..M−1
+    np.conjugate(chirp[n - 1::-1], out=kernel[:n])
+    np.conjugate(chirp[:m], out=kernel[n - 1:n + m - 1])
+    buf *= np.fft.fft(kernel, out=kernel)
+    del kernel   # freed before the inverse transform copies buf
     np.fft.ifft(buf, out=buf)
     X = buf[:, n - 1:n + m - 1]
     # the chirp first: numpy's complex product rounds differently with the operands swapped
