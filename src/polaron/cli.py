@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -80,9 +82,8 @@ def _write_state_json(cfg: RunConfig, state: PekarState, out: Path) -> None:
             "grid": {"n": state.psi.grid.n, "rmax": state.psi.grid.rmax, "h": state.psi.grid.h},
         },
     }
-    (out / "pekar_state.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    _write_artifact(out / "pekar_state.json", [text.encode()])
 
 
 # A profiles.csv field is `_fmt` of a double x: C "%.17g", the 17-digit decimal
@@ -135,11 +136,7 @@ _K = np.arange(18, dtype=np.int8)[:, None]
 _BLOCK_ROWS = 8192
 
 
-def _word(text: str) -> np.uint64:
-    """The 8 bytes of text, NUL padded."""
-    return np.frombuffer(text.encode().ljust(8, b"\0"), np.uint64)[0]
-
-
+@functools.cache   # built on first use, not at import
 def _layout_tables() -> tuple[np.ndarray, ...]:
     """Per decimal exponent (from −324): a field's first word (sign and "0.0…" but its
     last character, for x > 0, then for x < 0), its last word (exponent and separator,
@@ -153,13 +150,13 @@ def _layout_tables() -> tuple[np.ndarray, ...]:
         mark.append(small[-1:] or ".")
         tail.append("" if fixed else f"e{x:+03d}")
         point.append(max(x, -1) if fixed else 0)
-    first = [_word((sign + t).rjust(6, "\0")) for sign in ("", "-") for t in lead]
-    last = [_word(t + sep) for sep in ",\n" for t in tail]
-    return (np.array(first), np.array(last), np.array(point, np.int8),
-            np.frombuffer("".join(mark).encode(), np.uint8))
-
-
-_FIRST, _LAST, _POINT, _MARK = _layout_tables()
+    first = np.array([(sign + t).rjust(6, "\0") for sign in ("", "-") for t in lead], "S8")
+    last = np.array([t + sep for sep in ",\n" for t in tail], "S8")
+    tables = (first.view(np.uint64), last.view(np.uint64), np.array(point, np.int8),
+              np.frombuffer("".join(mark).encode(), np.uint8))
+    for table in tables:
+        table.flags.writeable = False   # shared by every call
+    return tables
 
 
 def _round17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -218,10 +215,11 @@ def _padded_fields(*columns: np.ndarray) -> np.ndarray:
     c = len(columns)
     v = np.stack(columns, axis=1).ravel()
     D, X, exact = _round17(v)
+    firsts, lasts, points, marks = _layout_tables()
     dig = _digit_chars(D)
     del D   # not needed past here; the field buffer below sets a block's peak
     # strip trailing zeros behind the point; only a D ending in 0 has any
-    P = _POINT[X]
+    P = points[X]
     last = np.full(v.size, 16, np.int8)   # the last digit kept
     zero = np.flatnonzero(dig[16] == 48)
     if zero.size:
@@ -232,20 +230,20 @@ def _padded_fields(*columns: np.ndarray) -> np.ndarray:
 
     buf = np.empty((v.size, _WIDTH), np.uint8)
     words = buf.view(np.uint64)
-    words[:, 0] = _FIRST[X + _NX * np.signbit(v)]
+    words[:, 0] = firsts[X + _NX * np.signbit(v)]
     # character 6 + j: digit j up to digit P, the mark after it, then digit j − 1
     buf[:, 6] = dig[0]
     buf[:, 7:24] = dig[:-1].T
     np.copyto(buf[:, 7:24], dig[1:].T, where=(_K[1:] <= P).T)
-    buf.ravel()[np.arange(7, v.size * _WIDTH, _WIDTH) + P] = (last > P) * _MARK[X]
+    buf.ravel()[np.arange(7, v.size * _WIDTH, _WIDTH) + P] = (last > P) * marks[X]
     X[c - 1::c] += _NX   # the separator: ",", or "\n" after the last column
-    words[:, 3] = _LAST[X]
+    words[:, 3] = lasts[X]
 
     slow = np.flatnonzero(~exact)
     if slow.size:
         text = [_fmt(x) for x in v[slow].tolist()]
         buf[slow, :24] = np.array(text, dtype="S24").view(np.uint8).reshape(-1, 24)
-        words[slow, 3] = _LAST[324 + _NX * (slow % c == c - 1)]
+        words[slow, 3] = lasts[324 + _NX * (slow % c == c - 1)]
     return buf
 
 
@@ -255,10 +253,21 @@ def _csv_rows(*columns: np.ndarray) -> bytes:
     return buf[buf != 0].tobytes()
 
 
-def _write_table(fh, *columns: np.ndarray) -> None:
-    """Write the columns' lines to the open file `_BLOCK_ROWS` rows at a time."""
+def _table(*columns: np.ndarray) -> Iterator[bytes]:
+    """The columns' lines, `_BLOCK_ROWS` rows at a time."""
     for s in range(0, columns[0].size, _BLOCK_ROWS):
-        fh.write(_csv_rows(*(c[s:s + _BLOCK_ROWS] for c in columns)))
+        yield _csv_rows(*(c[s:s + _BLOCK_ROWS] for c in columns))
+
+
+def _write_artifact(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write the chunks to path as they come; a write that fails removes the file, so
+    no partial artifact is left for a whole one."""
+    try:
+        with path.open("wb") as fh:
+            fh.writelines(chunks)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def _write_profiles_csv(cfg: RunConfig, state: PekarState, mp: MomentumProfile, out: Path) -> None:
@@ -266,16 +275,11 @@ def _write_profiles_csv(cfg: RunConfig, state: PekarState, mp: MomentumProfile, 
 
     phi_pos = coulomb_potential(state.rho)
     g, pg = state.psi.grid, mp.pgrid
-    path = out / "profiles.csv"
-    try:
-        with path.open("wb") as fh:
-            fh.write(f"{_artifact_header(cfg)}r,psi,rho,Phi\n".encode())
-            _write_table(fh, g.nodes, state.psi.values, state.rho.values, phi_pos.values)
-            fh.write(b"\np,psi_hat,dpsi_hat,phi\n")
-            _write_table(fh, pg.nodes, mp.psi_hat.values, mp.dpsi_hat.values, mp.phi.values)
-    except BaseException:
-        path.unlink(missing_ok=True)   # no partial profiles.csv
-        raise
+    _write_artifact(out / "profiles.csv", itertools.chain(
+        [f"{_artifact_header(cfg)}r,psi,rho,Phi\n".encode()],
+        _table(g.nodes, state.psi.values, state.rho.values, phi_pos.values),
+        [b"\np,psi_hat,dpsi_hat,phi\n"],
+        _table(pg.nodes, mp.psi_hat.values, mp.dpsi_hat.values, mp.phi.values)))
 
 
 def cmd_solve(cfg: RunConfig, out: Path) -> int:
@@ -316,7 +320,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     lines = [_artifact_header(cfg).rstrip("\n"), "check_name,computed,expected,tolerance,pass"]
     for name, comp, exp, tol, ok in rows:
         lines.append(f"{name},{_fmt(comp)},{_fmt(exp)},{_fmt(tol)},{_fmt(ok)}")
-    (out / "verify.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_artifact(out / "verify.csv", [("\n".join(lines) + "\n").encode()])
     return EXIT_OK if all(ok for *_, ok in rows) else EXIT_VERIFY_FAILED
 
 
@@ -328,7 +332,7 @@ def cmd_massbound(cfg: RunConfig, out: Path) -> int:
     endpoint = reports[-1]
     for label, rep in zip([*cfg.cutoff_eps_list, 0.0], reports):
         lines.append(",".join(_fmt(v) for v in (label, rep.R, rep.Q1, rep.Q2, rep.f, rep.m_lower)))
-    (out / "massbound.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_artifact(out / "massbound.csv", [("\n".join(lines) + "\n").encode()])
     if not abs(endpoint.f) <= F_ENDPOINT_TOL:
         print(f"massbound: chi=1 endpoint f = {endpoint.f:.3g} misses 0 by more than "
               f"{F_ENDPOINT_TOL:g}; the grids do not resolve the bound", file=sys.stderr)
@@ -338,10 +342,8 @@ def cmd_massbound(cfg: RunConfig, out: Path) -> int:
 
 def _write_history(exc: ConvergenceError, out: Path) -> None:
     history = [{"energy": e, "dpsi": d, "scf": s} for e, d, s in exc.history]
-    (out / "residual_history.json").write_text(
-        json.dumps({"error": str(exc), "history": history}, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    text = json.dumps({"error": str(exc), "history": history}, indent=2) + "\n"
+    _write_artifact(out / "residual_history.json", [text.encode()])
 
 
 def _fail(code: int, prefix: str, exc: BaseException) -> int:

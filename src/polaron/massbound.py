@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import integrate_3d
-from .momentum import (MomentumProfile, _field_spectrum, _field_weights, _primitive_spectrum,
-                       _shell_length, _shell_spectrum, _window)
+from .momentum import MomentumProfile, _Shells, _field_weights
 from .solver import PekarState
 
 
@@ -87,30 +86,17 @@ _CHI_ONE = CutoffSpec(eps=1.0, shape="one")
 
 
 def pairing_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
-    """R(ε) = 4π ∫ p³ χ(εp) ψ̂(p) ψ̂'(p) dp; → −3/2 as ε → 0."""
-    return float(_pairing_weights(mp) @ cut.chi(mp.pgrid.nodes))
-
-
-def _pairing_weights(mp: MomentumProfile) -> np.ndarray:
-    """4π w p³ ψ̂ ψ̂' on the momentum nodes, which no cutoff changes: R is its dot
-    product with χ(εp), the grid's quadrature of `pairing_term`."""
-    p = mp.pgrid.nodes
-    return 4.0 * np.pi * mp.pgrid.weights * p**3 * mp.psi_hat.values * mp.dpsi_hat.values
+    """R(ε) = 4π ∫ p³ χ(εp) ψ̂(p) ψ̂'(p) dp; → −3/2 as ε → 0 (`bound_rhs`'s R)."""
+    return bound_rhs(mp, cut).R
 
 
 def kinetic_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
     """Q1(ε) = 4π ∫ p² χ(εp)² ψ̂'(p)² (p² + μ) dp; > 0 where χ's support meets the grid."""
-    return float(_kinetic_weights(mp) @ cut.chi(mp.pgrid.nodes)**2)
-
-
-def _kinetic_weights(mp: MomentumProfile) -> np.ndarray:
-    """4π w p² ψ̂'² (p² + μ) on the momentum nodes: Q1 is its dot product with χ(εp)²."""
-    p = mp.pgrid.nodes
-    return 4.0 * np.pi * mp.pgrid.weights * p**2 * mp.dpsi_hat.values**2 * (p**2 + mp.mu)
+    return bound_rhs(mp, cut).Q1
 
 
 def potential_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
-    """Q2(ε) by the shell reduction of the angular integral.
+    """Q2(ε) by the shell reduction of the angular integral (`bound_rhs`'s Q2).
 
     With G(q) = χ(εq) ψ̂'(q), the weight p + kc = (q² + p² − k²)/(2p) and
     dc = q dq/(pk), the double integral becomes
@@ -119,32 +105,12 @@ def potential_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
 
     ΔA_m = ∫_{|p_j−k_i|}^{p_j+k_i} q^m G(q) dq, where k²·(φ(k)/k) =
     ρ̂(k)/(√2 π) has absorbed the field profile: three shell sums s₁ + p² s₂ − s₃
-    with no division by q, added as spectra (`_shell_spectrum`, each the Hankel
+    with no division by q, added as spectra (`momentum._Shells`, each the Hankel
     less the Toeplitz part on the shifted primitive, at the smallest 5-smooth
-    length ≥ 2n+1): s₁ − s₃ is one inverse FFT and s₂ another, a = wρ̂/k.
+    length ≥ 2n+1): s₁ − s₃ is one inverse FFT, its s₃ term with the field
+    spectrum negated, and s₂ another, a = wρ̂/k.
     """
-    return _potential(mp, cut.chi(mp.pgrid.nodes), _field_spectra(mp))
-
-
-def _field_spectra(mp: MomentumProfile) -> tuple[int, np.ndarray, np.ndarray]:
-    """(L, F(a), F(ak²)): Q2's field-side spectra, a = wρ̂/k, which no cutoff changes."""
-    pg = mp.pgrid
-    size = _shell_length(pg)
-    a = _field_weights(mp)   # k and p share the grid, so k_i² is p**2 on the k side
-    return size, _field_spectrum(a, size), _field_spectrum(a * pg.nodes**2, size)
-
-
-def _potential(mp: MomentumProfile, chi: np.ndarray, field: tuple) -> float:
-    """Q2 of `potential_term` from χ(εp) and the spectra of `_field_spectra`."""
-    pg = mp.pgrid
-    p = pg.nodes
-    size, fa, fa_k2 = field
-    G = chi * mp.dpsi_hat.values
-    prim = _primitive_spectrum(pg, G, size)
-    prim_q2 = _primitive_spectrum(pg, p**2 * G, size)
-    shell = (_window(_shell_spectrum(fa, prim_q2) - _shell_spectrum(fa_k2, prim), pg.n, size)
-             + p**2 * _window(_shell_spectrum(fa, prim), pg.n, size))
-    return float(4.0 * (pg.weights * G) @ shell)
+    return bound_rhs(mp, cut).Q2
 
 
 def mass_coefficient(state: PekarState) -> float:
@@ -156,18 +122,29 @@ def mass_coefficient(state: PekarState) -> float:
 def bound_sweep(mp: MomentumProfile, cuts: list[CutoffSpec]) -> list[MassBoundReport]:
     """f(ε) = 1 + (Q1 − Q2)/3 + 4R/3 for each cutoff, in order.
 
-    The weights of R and Q1 and Q2's field-side spectra are made once for the
-    whole sweep, χ(εp) once per cutoff for R, Q1 and Q2; then each cutoff costs
-    a dot product for R and for Q1, and two forward and two inverse real FFTs
-    for Q2, one cutoff at a time.
+    R and Q1 are the grid's quadratures 4π Σ w p³ ψ̂ ψ̂' χ(εp) and
+    4π Σ w p² ψ̂'² (p² + μ) χ(εp)², Q2 the shell sums of `potential_term`'s
+    docstring.  The weights of R and Q1 and Q2's two field-side spectra
+    (F(a) and −F(ak²)) are made once for the whole sweep, χ(εp) once per cutoff
+    for R, Q1 and Q2; then each cutoff costs a dot product for R and for Q1,
+    and two forward and two inverse real FFTs for Q2, one cutoff at a time.
     m_lower = 1/(2f) when f > 0; if quadrature noise pushes f ≤ 0 near the
     exact zero, m_lower is the +inf sentinel.
     """
-    pairing, kinetic, field = _pairing_weights(mp), _kinetic_weights(mp), _field_spectra(mp)
+    pg, psi, dpsi = mp.pgrid, mp.psi_hat.values, mp.dpsi_hat.values
+    p, w = pg.nodes, pg.weights
+    pairing = 4.0 * np.pi * w * p**3 * psi * dpsi
+    kinetic = 4.0 * np.pi * w * p**2 * dpsi**2 * (p**2 + mp.mu)
+    shells, a = _Shells(pg), _field_weights(mp)   # k and p share the grid: k_i² is p**2
+    fa, minus_fa_k2 = shells.field(a), -shells.field(a * p**2)
     reports = []
     for cut in cuts:
-        chi = cut.chi(mp.pgrid.nodes)
-        R, Q1, Q2 = float(pairing @ chi), float(kinetic @ chi**2), _potential(mp, chi, field)
+        chi = cut.chi(p)
+        G = chi * dpsi
+        prim, prim_q2 = shells.primitive(G), shells.primitive(p**2 * G)
+        shell = (shells.sums((fa, prim_q2), (minus_fa_k2, prim))   # s₁ − s₃
+                 + p**2 * shells.sums((fa, prim)))                 # p² s₂
+        R, Q1, Q2 = float(pairing @ chi), float(kinetic @ chi**2), float(4.0 * (w * G) @ shell)
         f = 1.0 + (Q1 - Q2) / 3.0 + 4.0 * R / 3.0
         reports.append(MassBoundReport(eps=cut.eps, R=R, Q1=Q1, Q2=Q2, f=f,
                                        m_lower=math.inf if f <= 0.0 else 1.0 / (2.0 * f)))

@@ -25,7 +25,7 @@ integral into a shell integral,
 
 and on the uniform momentum grid (p = jh, k = ih) both limits are nodes,
 i + j and |i − j|.  Each double integral is therefore a difference of an
-on-grid primitive, summed by `_shell_sum` with FFTs in O(n log n); no value
+on-grid primitive, summed by `_Shells` with FFTs in O(n log n); no value
 is ever needed between nodes, and the error is the grid's own, O((pmax/n)²).
 Everywhere a 1/k would meet the field profile, the finite combination
 k φ(k) = ρ̂(k)/(√2 π) is used instead.
@@ -143,42 +143,8 @@ def number_expectation(mp: MomentumProfile, g: RadialTestFunction) -> float:
     return field_energy(mp) * density_expectation(mp, g)
 
 
-def _shell_length(pgrid: RadialGrid) -> int:
-    """Circular length L of `_shell_sum`: the smallest 5-smooth length ≥ 2n+1."""
-    return _fft_length(2 * pgrid.n + 1)
-
-
-def _field_spectrum(a: np.ndarray, size: int) -> np.ndarray:
-    """Spectrum of a placed at indices 1..n (zero at 0 and beyond n), at length size."""
-    return np.fft.rfft(np.concatenate(([0.0], a)), size)
-
-
-def _primitive_spectrum(pgrid: RadialGrid, integrand: np.ndarray,
-                        size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(F Ã, Ê) at length size: the spectrum of the shifted primitive Ã = A − A[n]
-    on indices 0..n−1 (Ã[m] = 0 for m ≥ n) and that of its even extension,
-    Ê = 2 Re F Ã − Ã[0]."""
-    A = cumulative_primitive(pgrid, integrand)
-    shifted = np.concatenate(([0.0], A[:-1])) - A[-1]
-    spectrum = np.fft.rfft(shifted, size)
-    return spectrum, 2.0 * spectrum.real - shifted[0]
-
-
-def _shell_spectrum(fa: np.ndarray, primitive: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Spectrum of s = H − T from a field spectrum and a `_primitive_spectrum`:
-    the Hankel correlation conj(F a)·F Ã less the Toeplitz convolution F a·Ê."""
-    spectrum, even = primitive
-    return fa.conj() * spectrum - fa * even
-
-
-def _window(spectrum: np.ndarray, n: int, size: int) -> np.ndarray:
-    """Outputs j = 1..n of the sum with this spectrum; size is passed on because
-    a 5-smooth length may be odd."""
-    return np.fft.irfft(spectrum, size)[1:n + 1]
-
-
-def _shell_sum(pgrid: RadialGrid, a: np.ndarray, integrand: np.ndarray) -> np.ndarray:
-    """s_j = Σ_i a_i (A[i+j] − A[|i−j|]) for j = 1..n, with one inverse FFT.
+class _Shells:
+    """The FFT shell sums s_j = Σ_i a_i (A[i+j] − A[|i−j|]), j = 1..n, on pgrid.
 
     A[m] = ∫_0^{mh} F is the on-grid primitive of the integrand samples F
     (A[0] = 0, held at A[n] beyond the grid, where F is taken as zero), so
@@ -186,13 +152,35 @@ def _shell_sum(pgrid: RadialGrid, a: np.ndarray, integrand: np.ndarray) -> np.nd
     each difference, so s = H − T with Ã = A − A[n], which vanishes from n on:
     the Hankel part H_j = Σ_i a_i Ã[i+j] and the Toeplitz part
     T_j = Σ_i a_i Ã[|i−j|].  With a at indices 1..n, H is a circular
-    correlation whose indices i + j ≤ 2n stay below a length L ≥ 2n+1, and T a
-    circular convolution with Ã's even extension, which fills 0..n−1 and
-    L−n+1..L−1 without overlap; both are read at j = 1..n.
+    correlation whose indices i + j ≤ 2n stay below a length L ≥ 2n+1 (`size`,
+    the smallest 5-smooth one), and T a circular convolution with Ã's even
+    extension, which fills 0..n−1 and L−n+1..L−1 without overlap; both are
+    read at j = 1..n.  `field` and `primitive` give the spectra of a and of
+    Ã, and `sums` adds (field, primitive) terms as spectra under one inverse FFT.
     """
-    size = _shell_length(pgrid)
-    field, primitive = _field_spectrum(a, size), _primitive_spectrum(pgrid, integrand, size)
-    return _window(_shell_spectrum(field, primitive), pgrid.n, size)
+
+    def __init__(self, pgrid: RadialGrid):
+        self.pgrid = pgrid
+        self.size = _fft_length(2 * pgrid.n + 1)
+
+    def field(self, a: np.ndarray) -> np.ndarray:
+        """Spectrum of a placed at indices 1..n (zero at 0 and beyond n)."""
+        return np.fft.rfft(np.concatenate(([0.0], a)), self.size)
+
+    def primitive(self, integrand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(F Ã, Ê): the spectrum of Ã on indices 0..n−1 and that of its even
+        extension, Ê = 2 Re F Ã − Ã[0]."""
+        A = cumulative_primitive(self.pgrid, integrand)
+        shifted = np.concatenate(([0.0], A[:-1])) - A[-1]
+        spectrum = np.fft.rfft(shifted, self.size)
+        return spectrum, 2.0 * spectrum.real - shifted[0]
+
+    def sums(self, *terms: tuple[np.ndarray, tuple]) -> np.ndarray:
+        """Σ over (field, primitive) terms of s_j, j = 1..n: each term's Hankel
+        correlation conj(F a)·F Ã less its Toeplitz convolution F a·Ê."""
+        spectra = [fa.conj() * spectrum - fa * even for fa, (spectrum, even) in terms]
+        # the length is passed on because a 5-smooth length may be odd
+        return np.fft.irfft(sum(spectra[1:], spectra[0]), self.size)[1:self.pgrid.n + 1]
 
 
 def _field_weights(mp: MomentumProfile) -> np.ndarray:
@@ -213,7 +201,8 @@ def cross_expectation(mp: MomentumProfile, xi: RadialTestFunction, g: RadialTest
     p = pg.nodes
     psi_g = mp.psi_hat.values * g(p)
     k_factor = pg.weights * mp.rho_hat().values / SQRT2_PI * xi(p)   # w k φ(k) ξ(k)
-    shell = _shell_sum(pg, k_factor, p * psi_g)
+    shells = _Shells(pg)
+    shell = shells.sums((shells.field(k_factor), shells.primitive(p * psi_g)))
     return float(8.0 * np.pi**2 * ((pg.weights * p * psi_g) @ shell))
 
 
@@ -226,7 +215,8 @@ def el_residual_momentum(mp: MomentumProfile) -> float:
     by the extra transform error; ≤ 1e-3 for a converged state at default
     resolution.
     """
-    p = mp.pgrid.nodes
-    conv = _shell_sum(mp.pgrid, _field_weights(mp), p * mp.psi_hat.values) / p
+    p, shells = mp.pgrid.nodes, _Shells(mp.pgrid)
+    field, primitive = shells.field(_field_weights(mp)), shells.primitive(p * mp.psi_hat.values)
+    conv = shells.sums((field, primitive)) / p
     defect = (p**2 + mp.mu) * mp.psi_hat.values - (2.0 / np.pi) * conv
     return float(np.sqrt(4.0 * np.pi * mp.pgrid.integrate(p**2 * defect**2)))

@@ -85,15 +85,13 @@ def _chirp_moment(grid: RadialGrid, pgrid: RadialGrid, *rows: tuple[int, np.ndar
 
 
 def fourier_radial(f: RadialFunction, pgrid: RadialGrid) -> RadialFunction:
-    """Unitary radial Fourier transform of a real radial profile."""
-    sin_moment = -_chirp_moment(f.grid, pgrid, (1, f.values))[0].imag
-    return RadialFunction(pgrid, _UNITARY * sin_moment / pgrid.nodes)
+    """Unitary radial Fourier transform of a real radial profile: `fourier_profile`'s ψ̂."""
+    return fourier_profile(f, pgrid)[0]
 
 
 def fourier_density(rho: RadialFunction, pgrid: RadialGrid) -> RadialFunction:
-    """Raw-convention transform ρ̂(p); ρ̂(p→0) → ∫ρ d³x."""
-    sin_moment = -_chirp_moment(rho.grid, pgrid, (1, rho.values))[0].imag
-    return RadialFunction(pgrid, 4.0 * np.pi * sin_moment / pgrid.nodes)
+    """Raw-convention transform ρ̂(p), → ∫ρ d³x as p → 0: `fourier_profile`'s ρ̂."""
+    return fourier_profile(rho, pgrid, rho)[2]
 
 
 def fourier_radial_gradient(f: RadialFunction, pgrid: RadialGrid) -> RadialFunction:
@@ -109,7 +107,7 @@ def fourier_radial_gradient(f: RadialFunction, pgrid: RadialGrid) -> RadialFunct
 
 def fourier_profile(psi: RadialFunction, pgrid: RadialGrid,
                     rho: RadialFunction | None = None) -> tuple:
-    """(ψ̂, ψ̂', ρ̂) of the one-row functions in one call; rho on ψ's grid, or None."""
+    """(ψ̂, ψ̂', ρ̂) from one chirp-z sum of their moments; rho on ψ's grid, or None."""
     p = pgrid.nodes
     rows = ((1, psi.values), (2, psi.values)) + (() if rho is None else ((1, rho.values),))
     X = _chirp_moment(psi.grid, pgrid, *rows)

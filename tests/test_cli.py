@@ -362,6 +362,37 @@ def test_write_error_in_a_later_block_leaves_no_profiles_csv(tmp_path, monkeypat
     assert err.startswith("output error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_FSIZE and SIGXFSZ")
+@pytest.mark.parametrize("command, limit, artifact", [
+    ("solve", 100, "pekar_state.json"),
+    ("verify", 100, "verify.csv"),
+    ("massbound", 100, "massbound.csv"),
+])
+def test_failed_write_leaves_no_artifact(tmp_path, command, limit, artifact):
+    # a file-size limit makes the write stop part way through the artifact (EFBIG, as
+    # ENOSPC on a full disk): exit 2, one line, and no partial file of that name
+    cfg, out = write_config(tmp_path / "c.json"), tmp_path / "out"
+    code = ("import resource, signal, sys; from polaron.cli import main; "
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]; "
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, hard)); "
+            f"sys.exit(main([{command!r}, '--config', {cfg!r}, '--out', {str(out)!r}]))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(PYTHONDONTWRITEBYTECODE="1"))
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("output error:") and len(done.stderr.splitlines()) == 1
+    assert not (out / artifact).exists()
+
+
+def test_import_builds_no_writer_table():
+    # the profiles.csv writer's tables are made on its first use, not at every import
+    code = ("import polaron.cli as c; "
+            "print(c._layout_tables.cache_info().currsize, c._tens.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                          text=True, env=_child_env())
+    assert done.stdout.split() == ["0", "0"]
+
+
 def test_profiles_csv_memory_follows_the_block(tmp_path):
     # the writer holds one block's temporaries at a time, so a profile three
     # blocks long peaks about as high as one a block long

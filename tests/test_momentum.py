@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import polaron as pl
 from polaron.grid import cumulative_primitive
-from polaron.momentum import SQRT2_PI, _shell_sum
+from polaron.momentum import SQRT2_PI, _Shells
 
 ONE = pl.RadialTestFunction(lambda p: np.ones_like(p), name="1")
 ZERO = pl.RadialTestFunction(lambda p: np.zeros_like(p), name="0")
@@ -158,23 +158,40 @@ class TestCrossExpectation:
         assert abs(val - exact) <= 5e-4 * exact
 
 
+def _direct_shell_sum(grid, a, integrand):
+    """s_j = Σ_i a_i (A[i+j] − A[|i−j|]) with A[0] = 0 and A held at A[n] beyond
+    the grid, summed term by term."""
+    n = grid.n
+    A = np.concatenate(([0.0], cumulative_primitive(grid, integrand)))
+    return np.array([sum(a[i - 1] * (A[min(i + j, n)] - A[abs(i - j)]) for i in range(1, n + 1))
+                     for j in range(1, n + 1)])
+
+
 def test_shell_sum_matches_direct_loop():
-    # s_j = Σ_i a_i (A[i+j] − A[|i−j|]) with A[0] = 0 and A held at A[n] beyond
-    # the grid, summed term by term against the FFT sum; an off-by-one in the
-    # read window or the circular length shows first at tiny n, and a wrap in the
-    # Hankel or the Toeplitz part where the length is exactly 2n+1 (9, 25, 125
-    # at n = 4, 12, 62)
+    # the FFT sum against the direct loop; an off-by-one in the read window or the
+    # circular length shows first at tiny n, and a wrap in the Hankel or the
+    # Toeplitz part where the length is exactly 2n+1 (9, 25, 125 at n = 4, 12, 62)
     for n in (2, 3, 4, 5, 12, 62, 200):
         grid = pl.build_grid(n, 3.0)
         rng = np.random.default_rng(7)
         a = rng.standard_normal(n)
         integrand = rng.standard_normal(n)
-        A = np.concatenate(([0.0], cumulative_primitive(grid, integrand)))
-        direct = np.array([
-            sum(a[i - 1] * (A[min(i + j, n)] - A[abs(i - j)]) for i in range(1, n + 1))
-            for j in range(1, n + 1)
-        ])
-        fast = _shell_sum(grid, a, integrand)
+        direct = _direct_shell_sum(grid, a, integrand)
+        shells = _Shells(grid)
+        fast = shells.sums((shells.field(a), shells.primitive(integrand)))
+        assert np.abs(fast - direct).max() <= 1e-12 * np.abs(direct).max(), n
+
+    # Q2's form: two terms added as spectra under one inverse FFT, the second with
+    # its field spectrum negated, at an odd circular length (405 at n = 200) and at
+    # exactly 2n+1 (125 at n = 62)
+    for n, size in ((200, 405), (62, 125)):
+        grid = pl.build_grid(n, 3.0)
+        a, f, b, g = np.random.default_rng(n).standard_normal((4, n))
+        direct = _direct_shell_sum(grid, a, f) - _direct_shell_sum(grid, b, g)
+        shells = _Shells(grid)
+        assert shells.size == size
+        fast = shells.sums((shells.field(a), shells.primitive(f)),
+                           (-shells.field(b), shells.primitive(g)))
         assert np.abs(fast - direct).max() <= 1e-12 * np.abs(direct).max(), n
 
 

@@ -5,7 +5,6 @@ import pytest
 
 import polaron as pl
 from conftest import MOMENTUM_GRID
-from polaron.momentum import SQRT2_PI
 from polaron.transforms import _chirp_moment, _fft_length, fourier_profile
 
 
@@ -80,13 +79,13 @@ def test_gradient_transform_gaussian(rgrid, pgrid):
     assert np.abs(dpsi_hat.values - exact).max() < 1e-6
 
 
-def _direct_moment(f, pgrid, k, oscillator):
-    """Σ_i w_i r_i^k f(r_i) osc(p_j r_i) for every p_j: the O(N_p·N_r) direct
+def _direct_moment(f, nodes, k, oscillator):
+    """Σ_i w_i r_i^k f(r_i) osc(p_j r_i) for every p_j of nodes: the O(N_p·N_r) direct
     quadrature, the oracle of the chirp-z sum, in 256-row slabs."""
     g = f.grid
     c = g.weights * g.nodes**k * f.values
     return np.concatenate([oscillator(np.outer(p, g.nodes)) @ c
-                           for p in np.array_split(pgrid.nodes, -(-pgrid.n // 256))])
+                           for p in np.array_split(nodes, -(-nodes.size // 256))])
 
 
 def _random_profile(n, rmax):
@@ -105,8 +104,8 @@ def _random_profile(n, rmax):
 def test_chirp_moments_match_direct_sum(request, source, pgrid_shape):
     f = request.getfixturevalue(source).psi if isinstance(source, str) else _random_profile(*source)
     pgrid = pl.build_grid(*pgrid_shape)
-    sin_direct = _direct_moment(f, pgrid, 1, np.sin)
-    cos_direct = _direct_moment(f, pgrid, 2, np.cos)
+    sin_direct = _direct_moment(f, pgrid.nodes, 1, np.sin)
+    cos_direct = _direct_moment(f, pgrid.nodes, 2, np.cos)
     X = _chirp_moment(f.grid, pgrid, (1, f.values), (2, f.values))
     sin_fast, cos_fast = -X[0].imag, X[1].real
     assert np.abs(sin_fast - sin_direct).max() <= 1e-12 * np.abs(sin_direct).max()
@@ -152,21 +151,27 @@ def test_fourier_profile_holds_one_buffer(request, source):
     ((300, 12.0), (200, 8.0)),
 ])
 def test_stacked_profile_matches_one_row_transforms(request, source, pgrid_shape):
-    # the rows of one chirp-z call give what the one-row functions give: ψ̂, ψ̂'
-    # and ρ̂ of `fourier_profile`, and ψ̂, ψ̂' and φ of `momentum_profile`
+    # the rows of one chirp-z call, scaled to ψ̂, ψ̂' and ρ̂ by `fourier_profile` (and ρ̂
+    # to φ and back by `momentum_profile`), give each row's own direct sum:
+    # p ψ̂ = √(2/π) S, p² ψ̂' = √(2/π) (p C − S) and p ρ̂ = 4π S_ρ, S and C ψ's sine and
+    # cosine moments and S_ρ ρ's; compared times p and p², so that ψ̂'s difference of
+    # two O(1/p) terms at small p does not enter, at every node of the small grids and
+    # every 8th of the 4000-node one
     pgrid = pl.build_grid(*pgrid_shape)
+    every = slice(None, None, 8 if pgrid.n > 500 else 1)
+    p = pgrid.nodes[every]
     if isinstance(source, str):
         state = request.getfixturevalue(source)
         psi, rho = state.psi, state.rho
         mp = pl.momentum_profile(state, pgrid)
-        stacked = (mp.psi_hat, mp.dpsi_hat, mp.phi)
+        stacked = (mp.psi_hat, mp.dpsi_hat, mp.rho_hat())
     else:
         psi = _random_profile(*source)
         rho = psi.with_values(np.random.default_rng(1).standard_normal(psi.grid.n))
         stacked = fourier_profile(psi, pgrid, rho)
-    rho_hat = pl.fourier_density(rho, pgrid).values
-    phi = rho_hat / (SQRT2_PI * pgrid.nodes) if isinstance(source, str) else rho_hat
-    one_row = (pl.fourier_radial(psi, pgrid).values,
-               pl.fourier_radial_gradient(psi, pgrid).values, phi)
-    for fast, ref in zip(stacked, one_row):
-        assert np.abs(fast.values - ref).max() <= 1e-13 * np.abs(ref).max()
+    unitary = np.sqrt(2.0 / np.pi)
+    sin_psi = _direct_moment(psi, p, 1, np.sin)
+    one_row = (unitary * sin_psi, unitary * (p * _direct_moment(psi, p, 2, np.cos) - sin_psi),
+               4.0 * np.pi * _direct_moment(rho, p, 1, np.sin))
+    for fast, ref, power in zip(stacked, one_row, (1, 2, 1)):
+        assert np.abs(p**power * fast.values[every] - ref).max() <= 1e-13 * np.abs(ref).max()
