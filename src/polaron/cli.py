@@ -1,8 +1,8 @@
 """Batch front end: the solve / verify / massbound commands.
 
-All artifacts are deterministic for a fixed configuration: no timestamps,
-fixed key order, 17-significant-digit numeric fields, and every file embeds
-the resolved configuration plus its SHA-256 content hash.
+All artifacts are deterministic for a fixed configuration: no timestamps, fixed
+key order, 17-significant-digit fields.  Each but `residual_history.json` embeds
+the computation's configuration (not `--out`) and its SHA-256 content hash.
 
 Exit codes: 0 success, 1 verification failure (a failed verify.csv row, or
 a massbound χ≡1 endpoint with |f| above the f=0 tolerance), 2 config or
@@ -311,30 +311,30 @@ def verification_rows(state: PekarState, mp: MomentumProfile) -> list[tuple]:
     return [(name, comp, exp, tol, abs(comp - exp) <= tol) for name, comp, exp, tol in rows]
 
 
+def _write_table(path: Path, cfg: RunConfig, columns: str, rows: Iterable[tuple]) -> None:
+    lines = [columns, *(",".join(map(_fmt, row)) for row in rows)]
+    _write_artifact(path, [(_artifact_header(cfg) + "\n".join(lines) + "\n").encode()])
+
+
 def cmd_verify(cfg: RunConfig, out: Path) -> int:
     state = run_solver(cfg)
     # a sign fault of ψ̂ is tabulated as a failed row, not raised
     mp = momentum_profile(state, build_grid(cfg.momentum_n, cfg.momentum_pmax),
                           tail_floor=float("inf"))
     rows = verification_rows(state, mp)
-    lines = [_artifact_header(cfg).rstrip("\n"), "check_name,computed,expected,tolerance,pass"]
-    for name, comp, exp, tol, ok in rows:
-        lines.append(f"{name},{_fmt(comp)},{_fmt(exp)},{_fmt(tol)},{_fmt(ok)}")
-    _write_artifact(out / "verify.csv", [("\n".join(lines) + "\n").encode()])
+    _write_table(out / "verify.csv", cfg, "check_name,computed,expected,tolerance,pass", rows)
     return EXIT_OK if all(ok for *_, ok in rows) else EXIT_VERIFY_FAILED
 
 
 def cmd_massbound(cfg: RunConfig, out: Path) -> int:
     state, mp = run_pipeline(cfg)
-    lines = [_artifact_header(cfg).rstrip("\n"), "eps,R,Q1,Q2,f,m_lower"]
     cuts = [CutoffSpec(eps=eps, shape=cfg.cutoff_shape) for eps in cfg.cutoff_eps_list]
-    reports = bound_sweep(mp, cuts + [_CHI_ONE])
-    endpoint = reports[-1]
-    for label, rep in zip([*cfg.cutoff_eps_list, 0.0], reports):
-        lines.append(",".join(_fmt(v) for v in (label, rep.R, rep.Q1, rep.Q2, rep.f, rep.m_lower)))
-    _write_artifact(out / "massbound.csv", [("\n".join(lines) + "\n").encode()])
-    if not abs(endpoint.f) <= F_ENDPOINT_TOL:
-        print(f"massbound: chi=1 endpoint f = {endpoint.f:.3g} misses 0 by more than "
+    reports = bound_sweep(mp, cuts + [_CHI_ONE])   # the last is the χ≡1 endpoint
+    _write_table(out / "massbound.csv", cfg, "eps,R,Q1,Q2,f,m_lower",
+                 ((label, r.R, r.Q1, r.Q2, r.f, r.m_lower)
+                  for label, r in zip([*cfg.cutoff_eps_list, 0.0], reports)))
+    if not abs(reports[-1].f) <= F_ENDPOINT_TOL:
+        print(f"massbound: chi=1 endpoint f = {reports[-1].f:.3g} misses 0 by more than "
               f"{F_ENDPOINT_TOL:g}; the grids do not resolve the bound", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     return EXIT_OK
@@ -370,15 +370,17 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("command", choices=_COMMANDS, help="one of the commands below")
     parser.add_argument("--config", required=True, help="path to the JSON config")
-    parser.add_argument("--out", default=None, help="output directory (overrides output.dir)")
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
     args = parser.parse_args(argv)
+    if not args.out:
+        return _fail(EXIT_CONFIG, "output error", ValueError("--out must not be empty"))
 
     try:
         cfg = load_config(args.config)
     except (ConfigError, UnicodeDecodeError, OSError) as exc:
         return _fail(EXIT_CONFIG, "config error", exc)
 
-    out = Path(args.out) if args.out else Path(cfg.output_dir)
+    out = Path(args.out)
     handler, artifacts, _ = _COMMANDS[args.command]
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -2,13 +2,10 @@
 
 Example:
 
-    {
-      "grid.n": 3000, "grid.rmax": 30.0,
-      "momentum.n": 4000, "momentum.pmax": 10.0,
-      "solver.tol_psi": 1e-8, "solver.max_iter": 300,
-      "cutoff.shape": "bump", "cutoff.eps_list": [0.5, 0.2, 0.1, 0.05],
-      "output.dir": "out"
-    }
+    {"grid.n": 3000, "grid.rmax": 30.0,
+     "momentum.n": 4000, "momentum.pmax": 10.0,
+     "solver.tol_psi": 1e-8, "solver.max_iter": 300,
+     "cutoff.shape": "bump", "cutoff.eps_list": [0.5, 0.2, 0.1, 0.05]}
 
 Every key is optional; omitted keys take the defaults above.  Validation
 errors name the offending dotted key.
@@ -44,7 +41,6 @@ class RunConfig:
     solver_max_iter: int = 300
     cutoff_shape: str = "bump"
     cutoff_eps_list: list[float] = field(default_factory=lambda: [0.5, 0.2, 0.1, 0.05])
-    output_dir: str = "out"
 
     def validate(self) -> None:
         for key, top in (("grid.n", _MAX_NODES), ("momentum.n", _MAX_NODES),
@@ -75,8 +71,6 @@ class RunConfig:
             )
         if eps[0] * pmax > 1e150:  # keeps εp, and the gaussian cutoff's (εp)², finite
             raise ConfigError(f"cutoff.eps_list times momentum.pmax must not exceed 1e150, got {eps[0]!r}")
-        if not isinstance(self.output_dir, str) or not self.output_dir:
-            raise ConfigError(f"output.dir must be a non-empty string, got {self.output_dir!r}")
 
     def to_flat_dict(self) -> dict:
         return {key: getattr(self, _attr(key)) for key in _KEYS}

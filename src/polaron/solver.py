@@ -35,11 +35,11 @@ gives the energy of ρ_out,k.
 An explicit imaginary-time gradient flow on the same reduced problem serves
 as an algorithmically independent cross-check (`imaginary_time_oracle`).
 
-The only scipy the package uses is LAPACK's `dpttrf`/`dpttrs`.  They come
-from scipy's private f2py module `scipy.linalg._flapack`, loaded directly
-(`_flapack`) so that `import polaron` skips `scipy.linalg`'s package init,
-which is most of its start time.  Verified on scipy 1.17.1: a default
-`polaron verify` process takes 0.17 s instead of 0.30 s (2 vCPU).
+The only scipy the package uses is LAPACK's `dpttrf`/`dpttrs`, from scipy's
+private f2py module `scipy.linalg._flapack`.  `_flapack` loads it directly, so
+`import polaron` runs neither scipy's nor `scipy.linalg`'s package init, which
+is most of its start time.  Verified on scipy 1.17.1: a default `polaron verify`
+process takes 0.17 s instead of 0.30 s (2 vCPU).
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .coulomb import _newton_potential, coulomb_potential
 from .errors import ConvergenceError, NumericalError, StepSizeError
@@ -60,15 +59,18 @@ from .grid import RadialFunction, RadialGrid, build_grid
 
 
 def _flapack():
-    """scipy.linalg._flapack, loaded without running scipy.linalg's package
-    init and registered under its name, so that a later `import scipy.linalg`
+    """scipy.linalg._flapack, loaded without the package init of scipy or
+    scipy.linalg and registered under its name, so that `import scipy.linalg`
     reuses it.  No fallback: a scipy without it fails, naming its version."""
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "linalg")])
+    scipy = importlib.util.find_spec("scipy")   # its location, without running its init
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(scipy.submodule_search_locations[0], "linalg")])
     if spec is None:
-        raise ImportError(f"{name} (for dpttrf/dpttrs) not found in scipy {scipy.__version__}",
+        from importlib.metadata import version
+        raise ImportError(f"{name} (for dpttrf/dpttrs) not found in scipy {version('scipy')}",
                           name=name)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

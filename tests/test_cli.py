@@ -56,8 +56,8 @@ def one_step_short():
 
 class TestSolveCommand:
     def test_artifacts_and_exit_code(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", {"output.dir": str(tmp_path / "out")})
-        assert main(["solve", "--config", cfg]) == 0
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         state_doc = json.loads((tmp_path / "out" / "pekar_state.json").read_text())
         assert set(state_doc) == {"config", "config_hash", "state"}
         st = state_doc["state"]
@@ -67,8 +67,8 @@ class TestSolveCommand:
         assert st["eP"] < 0
 
     def test_profiles_csv_two_tables(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", {"output.dir": str(tmp_path / "out")})
-        main(["solve", "--config", cfg])
+        cfg = write_config(tmp_path / "c.json")
+        main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
         text = (tmp_path / "out" / "profiles.csv").read_text()
         assert text.startswith("# config_hash=")
         assert "r,psi,rho,Phi" in text
@@ -85,11 +85,27 @@ class TestSolveCommand:
         for name in ("pekar_state.json", "profiles.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_out_flag_overrides_config(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", {"output.dir": str(tmp_path / "ignored")})
-        main(["solve", "--config", cfg, "--out", str(tmp_path / "used")])
-        assert (tmp_path / "used" / "pekar_state.json").exists()
-        assert not (tmp_path / "ignored").exists()
+    def test_artifacts_embed_only_the_computation_keys(self, tmp_path):
+        # the output directory is not part of the configuration: each artifact embeds
+        # and hashes the eight keys that decide its numbers, and nothing else
+        keys = {"grid.n", "grid.rmax", "momentum.n", "momentum.pmax", "solver.tol_psi",
+                "solver.max_iter", "cutoff.shape", "cutoff.eps_list"}
+        cfg = write_config(tmp_path / "c.json")
+        embedded = []
+        for command, name in [("solve", "profiles.csv"), ("verify", "verify.csv"),
+                              ("massbound", "massbound.csv")]:
+            # SMALL_CONFIG's grids fail some verify rows; the table is written either way
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) in (0, 1)
+            hash_line, config_line = (tmp_path / "out" / name).read_text().splitlines()[:2]
+            assert config_line.startswith("# config=")
+            embedded.append((hash_line.removeprefix("# config_hash="),
+                             json.loads(config_line.removeprefix("# config="))))
+        state_doc = json.loads((tmp_path / "out" / "pekar_state.json").read_text())
+        embedded.append((state_doc["config_hash"], state_doc["config"]))
+        for digest, doc in embedded:
+            assert set(doc) == keys
+            assert doc == config_from_dict(SMALL_CONFIG).to_flat_dict()
+            assert digest == config_from_dict(doc).content_hash()
 
     def test_convergence_failure_exit3_with_history(self, tmp_path):
         # every command writes the SCF history when the solve fails
@@ -442,6 +458,24 @@ class TestConfigValidation:
         assert main(["solve", "--config", str(path)]) == 2
         assert "grid.npts" in capsys.readouterr().err
 
+    def test_output_dir_key_rejected(self, tmp_path, capsys):
+        # --out alone places the artifacts: a document that still sets output.dir is
+        # refused naming the key, and nothing is written
+        cfg = write_config(tmp_path / "c.json", {"output.dir": str(tmp_path / "elsewhere")})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "output.dir" in err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "elsewhere").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "massbound"])
+    def test_empty_out_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json")
+        assert main([command, "--config", cfg, "--out", ""]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "--out" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
     def test_eps_list_must_decrease(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {"cutoff.eps_list": [0.1, 0.2]})
         assert main(["solve", "--config", cfg]) == 2
@@ -477,16 +511,15 @@ class TestConfigValidation:
 class TestVerifyCommand:
     def test_default_config_all_rows_pass(self, tmp_path):
         cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps({"output.dir": str(tmp_path / "out")}))
-        assert main(["verify", "--config", str(cfg_path)]) == 0
+        cfg_path.write_text("{}")
+        assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
         lines = (tmp_path / "out" / "verify.csv").read_text().splitlines()
         rows = [ln.split(",") for ln in lines[3:]]
         assert rows and all(row[-1] == "true" for row in rows)
 
     def test_coarse_grid_fails_with_table(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", {"grid.n": 100,
-                                                 "output.dir": str(tmp_path / "out")})
-        assert main(["verify", "--config", cfg]) == 1
+        cfg = write_config(tmp_path / "c.json", {"grid.n": 100})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         lines = (tmp_path / "out" / "verify.csv").read_text().splitlines()
         header = lines[2]
         assert header == "check_name,computed,expected,tolerance,pass"
@@ -502,9 +535,8 @@ class TestVerifyCommand:
 def test_two_node_momentum_grid_exits_cleanly(tmp_path, capsys, command):
     # two momentum nodes resolve nothing: verify's rows and massbound's
     # χ≡1 endpoint (f ≈ 1) both miss their tolerances
-    cfg = write_config(tmp_path / "c.json", {"momentum.n": 2,
-                                             "output.dir": str(tmp_path / "out")})
-    assert main([command, "--config", cfg]) == 1
+    cfg = write_config(tmp_path / "c.json", {"momentum.n": 2})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -616,8 +648,8 @@ def test_any_config_document_gives_an_exit_code(doc, command):
 
 class TestMassboundCommand:
     def test_sweep_structure(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", {"output.dir": str(tmp_path / "out")})
-        assert main(["massbound", "--config", cfg]) == 0
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["massbound", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         lines = (tmp_path / "out" / "massbound.csv").read_text().splitlines()
         assert lines[2] == "eps,R,Q1,Q2,f,m_lower"
         rows = [ln.split(",") for ln in lines[3:]]
@@ -642,19 +674,19 @@ def test_thread_cap_env_var_stable(tmp_path):
 
 
 def test_import_leaves_interpolate_and_signal_unloaded():
-    """Neither `import polaron` nor a first transform call or solve pulls in
-    scipy.interpolate, scipy.signal or scipy.linalg's package init (and with
-    it scipy._lib._array_api); each would add a large share of every
-    interpreter start (a lazy import only moves it to the first call)."""
-    code = ("import sys, polaron; "
+    """Neither `import polaron` nor a first transform call, solve or CLI import
+    pulls in scipy.interpolate, scipy.signal or the package init of scipy or
+    scipy.linalg (with scipy._lib._testutils and scipy._lib._array_api); each
+    would add a large share of every interpreter start (a lazy import only
+    moves it to the first call).  The LAPACK extension is the one scipy module."""
+    code = ("import sys, polaron, polaron.cli; "
             "g = polaron.build_grid(20, 5.0); "
             "polaron.fourier_radial_gradient(polaron.RadialFunction(g, g.nodes), g); "
             "polaron.solve_pekar(polaron.SolverOptions(grid=(200, 20.0))); "
-            "print(sorted(m for m in ('scipy.interpolate', 'scipy.signal', 'scipy.linalg', "
-            "'scipy._lib._array_api') if m in sys.modules))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                           text=True, env=_child_env())
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "['scipy.linalg._flapack']"
 
 
 @pytest.mark.parametrize("first", ["polaron", "scipy.linalg"])

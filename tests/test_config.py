@@ -32,7 +32,8 @@ class TestConfigFromDict:
         ({"cutoff.eps_list": []}, "eps_list"),
         ({"cutoff.eps_list": [0.1, 0.1]}, "eps_list"),
         ({"cutoff.eps_list": [0.1, -0.2]}, "eps_list"),
-        ({"output.dir": ""}, "output.dir"),
+        # not a key either: --out alone places the artifacts
+        ({"output.dir": "out"}, "output.dir"),
         # json accepts NaN and ±Infinity; bool is an int subclass
         ({"cutoff.eps_list": [math.nan]}, "eps_list"),
         ({"cutoff.eps_list": [0.5, math.nan]}, "eps_list"),
@@ -72,7 +73,7 @@ class TestConfigFromDict:
         {"grid.n": 2, "grid.rmax": 600.0}, {"grid.n": 2, "grid.rmax": 2e-50},
         {"momentum.pmax": 1e40}, {"momentum.n": 2, "momentum.pmax": 2e-50},
     ] + [  # the README's f(ε) sweep configurations
-        {"cutoff.shape": shape, "output.dir": f"sweep_{shape}",
+        {"cutoff.shape": shape,
          "cutoff.eps_list": [1.0, 0.7616, 0.58, 0.4417, 0.3364, 0.2562,
                              0.1951, 0.1486, 0.1132, 0.0862, 0.06565, 0.05]}
         for shape in ("bump", "gaussian")
