@@ -42,7 +42,7 @@ from .massbound import (
     potential_term_position_oracle,
 )
 from .config import ConfigError, RunConfig, config_from_dict, load_config
-from .errors import ConvergenceError, DomainError, NumericalError, StepSizeError
+from .errors import ConvergenceError, DomainError, NumericalError
 
 __all__ = [
     "RadialGrid", "RadialFunction", "build_grid", "integrate_3d",
@@ -58,7 +58,7 @@ __all__ = [
     "kinetic_term", "potential_term", "bound_rhs", "bound_sweep", "mass_coefficient",
     "kinetic_term_position_oracle", "potential_term_position_oracle",
     "RunConfig", "ConfigError", "config_from_dict", "load_config",
-    "ConvergenceError", "NumericalError", "DomainError", "StepSizeError",
+    "ConvergenceError", "NumericalError", "DomainError",
 ]
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
-from .errors import ConvergenceError, DomainError, NumericalError, StepSizeError
+from .errors import ConvergenceError, DomainError, NumericalError
 from .grid import build_grid
 from .massbound import _CHI_ONE, CutoffSpec, bound_rhs, bound_sweep
 from .momentum import el_residual_momentum, field_energy, density_expectation
@@ -394,8 +394,7 @@ def main(argv: list[str] | None = None) -> int:
             except ConvergenceError as exc:
                 _write_history(exc, out)
                 raise
-    except (ConvergenceError, NumericalError, DomainError, StepSizeError,
-            ValueError, ArithmeticError) as exc:
+    except (ConvergenceError, NumericalError, DomainError, ValueError, ArithmeticError) as exc:
         return _fail(EXIT_NUMERICAL, "error", exc)
     except OSError as exc:
         return _fail(EXIT_CONFIG, "output error", exc)

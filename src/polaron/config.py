@@ -111,4 +111,6 @@ def load_config(path: str | Path) -> RunConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config is nested too deeply to parse") from exc
     return config_from_dict(doc)

@@ -25,8 +25,3 @@ class NumericalError(RuntimeError):
 class DomainError(RuntimeError):
     """A profile left the domain an operation requires (e.g. a momentum
     profile that is not strictly positive where it must be divided by)."""
-
-
-class StepSizeError(RuntimeError):
-    """Gradient-flow energy increased: the time step is too large for the
-    grid's stability limit."""

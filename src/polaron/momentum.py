@@ -88,14 +88,15 @@ class RadialTestFunction:
 
 
 def _noisy_sign_change(psi_hat: RadialFunction, tail_floor: float = _TAIL_FLOOR) -> int | None:
-    """Index of the first non-positive sample of ψ̂ if a later sample recovers
-    to tail_floor·max(ψ̂) or above, else None (see `momentum_profile`)."""
+    """Index of the first non-positive sample of ψ̂ if ψ̂ has no positive
+    sample or a later one recovers to tail_floor·max(ψ̂) or above, else None
+    (see `momentum_profile`); tail_floor=inf skips the check."""
     v = psi_hat.values
     nonpos = v <= 0.0
-    if not nonpos.any():
+    if tail_floor == np.inf or not nonpos.any():
         return None
     first = int(np.argmax(nonpos))
-    return first if np.any(v[first:] >= tail_floor * v.max()) else None
+    return first if v.max() <= 0.0 or np.any(v[first:] >= tail_floor * v.max()) else None
 
 
 def momentum_profile(state: PekarState, pgrid: RadialGrid,

@@ -10,11 +10,11 @@ DEFAULT_GRID = (3000, 30.0)
 FINE_GRID = (6000, 40.0)
 MOMENTUM_GRID = (4000, 10.0)
 
-# independent grid for the imaginary-time cross-check; the explicit flow is
-# stable for step < h²/2 = 8e-4 here (the Hartree potential only lowers the
-# spectral radius)
-ORACLE_GRID = (500, 20.0)
-ORACLE_STEP = 7e-4
+
+def psi_distance(a, b):
+    """3d L² distance of the profiles of two states on one grid."""
+    diff = a.psi.values - b.psi.values
+    return np.sqrt(pl.integrate_3d(a.psi.with_values(diff**2)))
 
 
 @pytest.fixture(scope="session")
@@ -38,12 +38,10 @@ def mp_fine(state_fine):
 
 
 @pytest.fixture(scope="session")
-def oracle_pair():
-    """(imaginary-time state, SCF state) on the same independent grid."""
-    opts = pl.SolverOptions(grid=ORACLE_GRID, max_iter=2_000_000)
-    flow = pl.imaginary_time_oracle(opts, step=ORACLE_STEP)
-    scf = pl.solve_pekar(pl.SolverOptions(grid=ORACLE_GRID))
-    return flow, scf
+def flow_pairs(state_default, state_fine):
+    """(flow oracle state, SCF state) on the default and on the fine grid."""
+    return [(pl.imaginary_time_oracle(pl.SolverOptions(grid=grid, max_iter=1000)), scf)
+            for grid, scf in ((DEFAULT_GRID, state_default), (FINE_GRID, state_fine))]
 
 
 @pytest.fixture(scope="session")

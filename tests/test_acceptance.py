@@ -13,7 +13,7 @@ import numpy as np
 
 import polaron as pl
 from polaron.massbound import _CHI_ONE
-from conftest import DEFAULT_GRID, MOMENTUM_GRID
+from conftest import DEFAULT_GRID, MOMENTUM_GRID, psi_distance
 
 ONE = pl.RadialTestFunction(lambda p: np.ones_like(p), name="1")
 EPS_LIST = [0.5, 0.2, 0.1, 0.05]
@@ -37,14 +37,15 @@ def test_criterion_1_virial_suite():
            f"solve {elapsed:.2f}s (< 30s)")
 
 
-def test_criterion_2_energy_stability(oracle_pair, state_default, state_fine):
-    flow, scf_same_grid = oracle_pair
-    rel_oracle = abs(flow.eP - scf_same_grid.eP) / abs(scf_same_grid.eP)
+def test_criterion_2_energy_stability(flow_pairs, state_default, state_fine):
+    rel_oracle = max(abs(flow.eP - scf.eP) / abs(scf.eP) for flow, scf in flow_pairs)
+    dist_oracle = max(psi_distance(flow, scf) for flow, scf in flow_pairs)
     rel_grids = abs(state_fine.eP - state_default.eP) / abs(state_default.eP)
     four_digits = round(state_default.eP, 4) == round(state_fine.eP, 4) == -0.1085
-    ok = rel_oracle <= 1e-4 and rel_grids <= 1e-4 and four_digits
+    ok = rel_oracle <= 1e-11 and dist_oracle <= 1e-8 and rel_grids <= 1e-4 and four_digits
     report("criterion 2 (Pekar energy stability)", ok,
-           f"SCF vs imaginary-time rel {rel_oracle:.2e}, resolutions rel {rel_grids:.2e}, "
+           f"SCF vs flow oracle rel {rel_oracle:.2e} in eP, {dist_oracle:.2e} in psi "
+           f"(both grids), resolutions rel {rel_grids:.2e}, "
            f"eP={state_default.eP:.6f} (4 digits: -0.1085)")
 
 

@@ -501,6 +501,19 @@ class TestConfigValidation:
         path.write_text("{not json")
         assert main(["solve", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("text", ["[" * 200_000 + "]" * 200_000,
+                                      '{"a": ' * 100_000 + "1" + "}" * 100_000])
+    @pytest.mark.parametrize("command", ["solve", "verify", "massbound"])
+    def test_deeply_nested_document_exits_2(self, tmp_path, capsys, command, text):
+        # json.loads raises RecursionError here; the text is written directly,
+        # since json.dumps cannot build such a document
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "nested" in err
+        assert not (tmp_path / "out").exists()
+
     def test_config_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_bytes(b"\xff\xfe{}")
@@ -538,6 +551,23 @@ def test_two_node_momentum_grid_exits_cleanly(tmp_path, capsys, command):
     cfg = write_config(tmp_path / "c.json", {"momentum.n": 2})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,code", [("solve", 3), ("verify", 1), ("massbound", 3)])
+def test_nowhere_positive_psi_hat_is_a_sign_fault(tmp_path, capsys, command, code):
+    # ψ̂ is −5.1e-9 and −1.4e-9 at p = 500 and 1000: verify tabulates the
+    # fault as a failed psi_hat_positive row, solve and massbound raise it
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"momentum.n": 2, "momentum.pmax": 1000}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if command == "verify":
+        rows = [ln.split(",") for ln in (out / "verify.csv").read_text().splitlines()[3:]]
+        assert ["psi_hat_positive", "0", "1", "0", "false"] in rows and err == ""
+    else:
+        assert len(err.splitlines()) == 1 and "sign-indefinite" in err
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command,code", [("solve", 3), ("verify", 1), ("massbound", 3)])

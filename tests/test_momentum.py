@@ -69,6 +69,14 @@ class TestMomentumProfile:
         assert np.all(np.isfinite(ratio))
         assert abs(dv[0]) < 10 * abs(ratio[1]) * p[0]
 
+    def test_nowhere_positive_transform_raises(self, state_default):
+        # at p = 500 and 1000, ψ̂ is −5.1e-9 and −1.4e-9: with no positive
+        # sample, no tail threshold can pass it; tail_floor=inf still skips
+        pg = pl.build_grid(2, 1000.0)
+        with pytest.raises(pl.DomainError):
+            pl.momentum_profile(state_default, pg)
+        assert np.all(pl.momentum_profile(state_default, pg, tail_floor=np.inf).psi_hat.values < 0.0)
+
     def test_insufficient_rmax_raises(self):
         # a cramped box leaves a noise floor that flips sign at moderate p
         st_small = pl.solve_pekar(pl.SolverOptions(grid=(800, 8.0)))
