@@ -105,10 +105,18 @@ def potential_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
 
     ΔA_m = ∫_{|p_j−k_i|}^{p_j+k_i} q^m G(q) dq, where k²·(φ(k)/k) =
     ρ̂(k)/(√2 π) has absorbed the field profile: three shell sums s₁ + p² s₂ − s₃
-    with no division by q, added as spectra (`momentum._Shells`, each the Hankel
-    less the Toeplitz part on the shifted primitive, at the smallest 5-smooth
-    length ≥ 2n+1): s₁ − s₃ is one inverse FFT, its s₃ term with the field
-    spectrum negated, and s₂ another, a = wρ̂/k.
+    with no division by q.  Each is a scalar Σ_j w_j x_j s_j(b, y) of
+    `momentum._Shells.form` on the rows G and p²G: s₁ with b = a and (x, y) =
+    (G, p²G), p² s₂ with (p²G, G), −s₃ with b = −ak² and (G, G), a = wρ̂/k.  By
+    the exchange identity each is the field's primitive P as a Fourier-diagonal
+    kernel contracted with the rows' spectra, plus O(n) end terms:
+
+        Q2/4 = (h/L) Σ_k c_k [2 Re(Ĝ Ĝ₂ conj P̂_a) − 2 Ê_a Re(Ĝ conj Ĝ₂)
+                             + Re(Ĝ² conj P̂_{−ak²}) − Ê_{−ak²} |Ĝ|²] + end terms,
+
+    Ê the spectrum of P's even extension, c_k Parseval's weights over the half
+    spectrum, at the smallest 5-smooth length L ≥ 2n+1: 4 forward real FFTs
+    (the two kernels and one 2-row transform of G and p²G), no inverse one.
     """
     return bound_rhs(mp, cut).Q2
 
@@ -124,27 +132,26 @@ def bound_sweep(mp: MomentumProfile, cuts: list[CutoffSpec]) -> list[MassBoundRe
 
     R and Q1 are the grid's quadratures 4π Σ w p³ ψ̂ ψ̂' χ(εp) and
     4π Σ w p² ψ̂'² (p² + μ) χ(εp)², Q2 the shell sums of `potential_term`'s
-    docstring.  The weights of R and Q1 and Q2's two field-side spectra
-    (F(a) and −F(ak²)) are made once for the whole sweep, χ(εp) once per cutoff
-    for R, Q1 and Q2; then each cutoff costs a dot product for R and for Q1,
-    and two forward and two inverse real FFTs for Q2, one cutoff at a time.
+    docstring.  The weights of R and Q1 and Q2's two kernels (of a and −ak²)
+    are made once for the whole sweep, χ(εp) once per cutoff for R, Q1 and Q2;
+    then each cutoff costs a dot product for R and for Q1, and one 2-row
+    forward real FFT of G and p²G for Q2, with no inverse FFT: 2 + 2·(cutoffs)
+    real FFT rows, 12 for the default table's 4 bumps and χ≡1.
     m_lower = 1/(2f) when f > 0; if quadrature noise pushes f ≤ 0 near the
     exact zero, m_lower is the +inf sentinel.
     """
     pg, psi, dpsi = mp.pgrid, mp.psi_hat.values, mp.dpsi_hat.values
-    p, w = pg.nodes, pg.weights
+    p, w, p2 = pg.nodes, pg.weights, pg.nodes**2
     pairing = 4.0 * np.pi * w * p**3 * psi * dpsi
-    kinetic = 4.0 * np.pi * w * p**2 * dpsi**2 * (p**2 + mp.mu)
+    kinetic = 4.0 * np.pi * w * p2 * dpsi**2 * (p2 + mp.mu)
     shells, a = _Shells(pg), _field_weights(mp)   # k and p share the grid: k_i² is p**2
-    fa, minus_fa_k2 = shells.field(a), -shells.field(a * p**2)
+    ka, minus_ka_k2 = shells.kernel(a), shells.kernel(-a * p2)
     reports = []
     for cut in cuts:
         chi = cut.chi(p)
-        G = chi * dpsi
-        prim, prim_q2 = shells.primitive(G), shells.primitive(p**2 * G)
-        shell = (shells.sums((fa, prim_q2), (minus_fa_k2, prim))   # s₁ − s₃
-                 + p**2 * shells.sums((fa, prim)))                 # p² s₂
-        R, Q1, Q2 = float(pairing @ chi), float(kinetic @ chi**2), float(4.0 * (w * G) @ shell)
+        G = chi * dpsi   # rows G and p²G: s₁, p² s₂ and −s₃ as forms
+        Q2 = 4.0 * shells.form(np.stack((G, p2 * G)), (ka, 0, 1), (ka, 1, 0), (minus_ka_k2, 0, 0))
+        R, Q1 = float(pairing @ chi), float(kinetic @ chi**2)
         f = 1.0 + (Q1 - Q2) / 3.0 + 4.0 * R / 3.0
         reports.append(MassBoundReport(eps=cut.eps, R=R, Q1=Q1, Q2=Q2, f=f,
                                        m_lower=math.inf if f <= 0.0 else 1.0 / (2.0 * f)))

@@ -31,10 +31,15 @@ Everywhere a 1/k would meet the field profile, the finite combination
 k φ(k) = ρ̂(k)/(√2 π) is used instead.
 With the primitive shifted by its last value, each sum splits into a Hankel
 and a Toeplitz correlation of length-n arrays, so one circular length ≥ 2n+1
-holds both without wrap-around (the smallest 5-smooth one, 8100 at n = 4000);
-sums that are added (Q2 in massbound.py) are added as spectra, and a
-field-side spectrum serves every sum against the same field (the cutoff sweep
-in massbound.py).
+holds both without wrap-around (the smallest 5-smooth one, 8100 at n = 4000).
+Only the EL residual needs every sum, and reads them from an inverse FFT.  A
+scalar that weighs the sums with grid samples (the cross functional here, Q2
+in massbound.py) needs none: by the exchange identity of `_Shells`, field and
+integrand trade places up to O(n) end terms, the field's primitive becomes a
+Fourier-diagonal kernel, and the scalar is that kernel contracted by Parseval
+with the spectra of the rows it weighs.  Forward real FFTs only: 2 for the
+cross functional, 4 for one Q2, and 2 per cutoff plus 2 kernels made once for
+a cutoff sweep.
 """
 
 from __future__ import annotations
@@ -111,12 +116,18 @@ def momentum_profile(state: PekarState, pgrid: RadialGrid,
     everything after must stay below tail_floor·max(ψ̂).  A recovery above
     that level after a sign change means the noise floor reaches into the
     structured part of the profile, i.e. rmax is too small for the
-    requested pmax, and raises DomainError.  The sub-threshold tail is
+    requested pmax, and raises DomainError; so does a ψ̂ with no positive
+    sample, whose grid starts beyond the floor.  The sub-threshold tail is
     kept as computed; its contribution to every functional in this module
     is O(noise²).  Pass tail_floor=inf to skip the check.
     """
     psi_hat, dpsi_hat, rho_hat = fourier_profile(state.psi, pgrid, state.rho)
     first = _noisy_sign_change(psi_hat, tail_floor)
+    if first is not None and psi_hat.values.max() <= 0.0:
+        raise DomainError(
+            f"transform has no positive sample: the first momentum node, p={pgrid.nodes[0]:g}, "
+            f"already lies in the noise floor; use a finer momentum grid (smaller pmax/n)"
+        )
     if first is not None:
         raise DomainError(
             f"transform sign-indefinite above the noise floor (first sign "
@@ -145,43 +156,92 @@ def number_expectation(mp: MomentumProfile, g: RadialTestFunction) -> float:
 
 
 class _Shells:
-    """The FFT shell sums s_j = Σ_i a_i (A[i+j] − A[|i−j|]), j = 1..n, on pgrid.
+    """The FFT shell sums s_j = Σ_i b_i (A[i+j] − A[|i−j|]), j = 1..n, on pgrid.
 
     A[m] = ∫_0^{mh} F is the on-grid primitive of the integrand samples F
     (A[0] = 0, held at A[n] beyond the grid, where F is taken as zero), so
-    s_j = Σ_i a_i ∫_{|p_j−k_i|}^{p_j+k_i} F(q) dq.  The constant A[n] cancels in
+    s_j = Σ_i b_i ∫_{|p_j−k_i|}^{p_j+k_i} F(q) dq.  The constant A[n] cancels in
     each difference, so s = H − T with Ã = A − A[n], which vanishes from n on:
-    the Hankel part H_j = Σ_i a_i Ã[i+j] and the Toeplitz part
-    T_j = Σ_i a_i Ã[|i−j|].  With a at indices 1..n, H is a circular
+    the Hankel part H_j = Σ_i b_i Ã[i+j] and the Toeplitz part
+    T_j = Σ_i b_i Ã[|i−j|].  With b at indices 1..n, H is a circular
     correlation whose indices i + j ≤ 2n stay below a length L ≥ 2n+1 (`size`,
     the smallest 5-smooth one), and T a circular convolution with Ã's even
     extension, which fills 0..n−1 and L−n+1..L−1 without overlap; both are
-    read at j = 1..n.  `field` and `primitive` give the spectra of a and of
-    Ã, and `sums` adds (field, primitive) terms as spectra under one inverse FFT.
+    read at j = 1..n.  `field` gives the spectra of rows placed at 1..n, and
+    `sums` reads s from one inverse FFT.
+
+    A scalar Σ_j w_j x_j s_j(b, y) needs no inverse FFT.  Written out, s_j is
+    h Σ_il b_i y_l K(i, j, l) plus end terms, and K, 1 for |i−j| < l < i+j,
+    ½ for l = i+j or l = |i−j| and 0 otherwise, is symmetric in (i, j, l); so
+    field and integrand trade places (the exchange identity):
+
+        Σ_j w_j x_j s_j(b, y) = h Σ_jl x_j y_l (P[j+l] − P[|j−l|])
+            + (h/2) [x_1 Σ_l y_l (P[l+1] − P[l−1]) + x_n Σ_l y_l P[n−l]
+                     + y_1 Σ_j w_j x_j b_j − y_n Σ_j w_j x_j Σ_{l>n−j} b_l],
+
+    with P the trapezoid primitive of b shifted by its total, P[m] =
+    −h (Σ_{i>m} b_i + b_m/2) on 0..n and zero beyond (P[n+1] in the second
+    line is 0).  The end terms are the primitive's rectangle first cell
+    (y_1), its hold at A[n] (y_n) and the grid's 1.5h and 0.5h end weights
+    (x_1, x_n).  `kernel(b)` makes P's spectrum (one forward FFT); `form`
+    contracts it with the spectra of x and y by Parseval, the Hankel part as
+    Re(F x · F y · conj F P), the Toeplitz part with P's even extension.
     """
 
     def __init__(self, pgrid: RadialGrid):
         self.pgrid = pgrid
         self.size = _fft_length(2 * pgrid.n + 1)
 
-    def field(self, a: np.ndarray) -> np.ndarray:
-        """Spectrum of a placed at indices 1..n (zero at 0 and beyond n)."""
-        return np.fft.rfft(np.concatenate(([0.0], a)), self.size)
+    def field(self, rows: np.ndarray) -> np.ndarray:
+        """Spectra of the rows of `rows`, each placed at indices 1..n (zero at 0
+        and beyond n)."""
+        padded = np.zeros(rows.shape[:-1] + (self.pgrid.n + 1,))
+        padded[..., 1:] = rows
+        return np.fft.rfft(padded, self.size)
 
-    def primitive(self, integrand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(F Ã, Ê): the spectrum of Ã on indices 0..n−1 and that of its even
-        extension, Ê = 2 Re F Ã − Ã[0]."""
+    def sums(self, b: np.ndarray, integrand: np.ndarray) -> np.ndarray:
+        """s_j, j = 1..n: the Hankel correlation conj(F b)·F Ã less the Toeplitz
+        convolution F b·Ê, Ê = 2 Re F Ã − Ã[0] the spectrum of Ã's even
+        extension, under one inverse FFT."""
         A = cumulative_primitive(self.pgrid, integrand)
         shifted = np.concatenate(([0.0], A[:-1])) - A[-1]
-        spectrum = np.fft.rfft(shifted, self.size)
-        return spectrum, 2.0 * spectrum.real - shifted[0]
-
-    def sums(self, *terms: tuple[np.ndarray, tuple]) -> np.ndarray:
-        """Σ over (field, primitive) terms of s_j, j = 1..n: each term's Hankel
-        correlation conj(F a)·F Ã less its Toeplitz convolution F a·Ê."""
-        spectra = [fa.conj() * spectrum - fa * even for fa, (spectrum, even) in terms]
+        spectrum, field = np.fft.rfft(shifted, self.size), self.field(b)
+        even = 2.0 * spectrum.real - shifted[0]
         # the length is passed on because a 5-smooth length may be odd
-        return np.fft.irfft(sum(spectra[1:], spectra[0]), self.size)[1:self.pgrid.n + 1]
+        return np.fft.irfft(field.conj() * spectrum - field * even, self.size)[1:self.pgrid.n + 1]
+
+    def kernel(self, b: np.ndarray) -> tuple:
+        """The field b's primitive P as `form` contracts it: the spectra of P and
+        of its even extension, weighed for Parseval's sum over the half spectrum
+        (h c_k / L, c_k = 1 at the frequencies that are their own conjugates and
+        2 elsewhere), and the vectors of the end terms."""
+        pg, L = self.pgrid, self.size
+        running = np.cumsum(b)
+        total = running[-1]
+        P = pg.h * (np.concatenate(([0.0], running - 0.5 * b)) - total)
+        scaled = P * (2.0 * pg.h / L)
+        hankel = np.fft.rfft(scaled, L)
+        toeplitz = 2.0 * hankel.real - scaled[0]
+        own = [0, L // 2][:2 - L % 2]   # 0, and L/2 for an even L
+        hankel[own] /= 2.0
+        toeplitz[own] /= 2.0
+        tail = total - np.concatenate((running[-2::-1], [0.0]))   # Σ_{l>n−j} b_l
+        return (hankel.view(float), toeplitz, np.append(P[2:], 0.0) - P[:-1], P[-2::-1],
+                pg.weights * b, pg.weights * tail)
+
+    def form(self, rows: np.ndarray, *terms: tuple[tuple, int, int]) -> float:
+        """Σ over terms (kernel of b, i, k) of Σ_j w_j x_j s_j(b, y), x = rows[i]
+        and y = rows[k], by the exchange identity: one forward FFT of the rows."""
+        spectra = self.field(rows)
+        halves = spectra.view(float)   # real and imaginary parts, interleaved
+        total = 0.0
+        for (hankel, toeplitz, first, last, wb, wtail), i, k in terms:
+            x, y = rows[i], rows[k]
+            bulk = ((spectra[i] * spectra[k]).view(float) @ hankel
+                    - (toeplitz @ (halves[i] * halves[k]).reshape(-1, 2)).sum())
+            ends = x[0] * (y @ first) + x[-1] * (y @ last) + y[0] * (x @ wb) - y[-1] * (x @ wtail)
+            total += bulk + 0.5 * self.pgrid.h * ends
+        return float(total)
 
 
 def _field_weights(mp: MomentumProfile) -> np.ndarray:
@@ -197,14 +257,14 @@ def cross_expectation(mp: MomentumProfile, xi: RadialTestFunction, g: RadialTest
         8π² Σ_ij w_i w_j k_i φ(k_i) ξ(k_i) p_j (ψ̂g)(p_j) [B(p_j+k_i) − B(|p_j−k_i|)],
 
     with B the primitive of q (ψ̂g)(q); g and ξ are called on the grid only.
+    That is `_Shells.form` with x = y = p ψ̂g: two forward real FFTs.
     """
     pg = mp.pgrid
     p = pg.nodes
-    psi_g = mp.psi_hat.values * g(p)
+    x = p * mp.psi_hat.values * g(p)
     k_factor = pg.weights * mp.rho_hat().values / SQRT2_PI * xi(p)   # w k φ(k) ξ(k)
     shells = _Shells(pg)
-    shell = shells.sums((shells.field(k_factor), shells.primitive(p * psi_g)))
-    return float(8.0 * np.pi**2 * ((pg.weights * p * psi_g) @ shell))
+    return 8.0 * np.pi**2 * shells.form(x[np.newaxis], (shells.kernel(k_factor), 0, 0))
 
 
 def el_residual_momentum(mp: MomentumProfile) -> float:
@@ -216,8 +276,7 @@ def el_residual_momentum(mp: MomentumProfile) -> float:
     by the extra transform error; ≤ 1e-3 for a converged state at default
     resolution.
     """
-    p, shells = mp.pgrid.nodes, _Shells(mp.pgrid)
-    field, primitive = shells.field(_field_weights(mp)), shells.primitive(p * mp.psi_hat.values)
-    conv = shells.sums((field, primitive)) / p
+    p = mp.pgrid.nodes
+    conv = _Shells(mp.pgrid).sums(_field_weights(mp), p * mp.psi_hat.values) / p
     defect = (p**2 + mp.mu) * mp.psi_hat.values - (2.0 / np.pi) * conv
     return float(np.sqrt(4.0 * np.pi * mp.pgrid.integrate(p**2 * defect**2)))

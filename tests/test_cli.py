@@ -556,7 +556,8 @@ def test_two_node_momentum_grid_exits_cleanly(tmp_path, capsys, command):
 @pytest.mark.parametrize("command,code", [("solve", 3), ("verify", 1), ("massbound", 3)])
 def test_nowhere_positive_psi_hat_is_a_sign_fault(tmp_path, capsys, command, code):
     # ψ̂ is −5.1e-9 and −1.4e-9 at p = 500 and 1000: verify tabulates the
-    # fault as a failed psi_hat_positive row, solve and massbound raise it
+    # fault as a failed psi_hat_positive row, solve and massbound raise it and
+    # name it as what it is, with no sign change and no rmax advice
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"momentum.n": 2, "momentum.pmax": 1000}))
     out = tmp_path / "out"
@@ -566,7 +567,9 @@ def test_nowhere_positive_psi_hat_is_a_sign_fault(tmp_path, capsys, command, cod
         rows = [ln.split(",") for ln in (out / "verify.csv").read_text().splitlines()[3:]]
         assert ["psi_hat_positive", "0", "1", "0", "false"] in rows and err == ""
     else:
-        assert len(err.splitlines()) == 1 and "sign-indefinite" in err
+        assert len(err.splitlines()) == 1
+        assert "no positive sample" in err and "p=500" in err and "finer momentum grid" in err
+        assert "sign change" not in err and "rmax" not in err
         assert list(out.iterdir()) == []
 
 

@@ -1,15 +1,17 @@
 """FFT budget of the two FFT-heavy layers, counted by wrapping numpy.fft.
 
-Q2's shell sums split into a Hankel and a Toeplitz part on the shifted
-primitive, whose n outputs need a circular length of only the smallest
-5-smooth length ≥ 2n+1 (8100 at n = 4000), and its three sums combine as
-spectra: 4 forward and 2 inverse real transforms, of which the 2 forward
-transforms on the field side serve a whole cutoff sweep.  A
-momentum profile stacks its three chirp-z rows, so the chirp kernel is
-transformed once, at the smallest 5-smooth length ≥ N+M−1.  A change that
-brings back the 3n+1 extension or the 5n+1 window, a per-sum inverse
-transform, per-cutoff field spectra, a second chirp spectrum or power-of-two
-padding fails here.
+Q2 and the cross functional are scalar shell sums, which the exchange
+identity of `momentum._Shells` turns into Fourier-diagonal quadratic forms:
+the field's primitive is the kernel, one forward transform per field, and
+the rows it is contracted with (G and p²G for Q2, p ψ̂g for the cross
+functional) are transformed together, at the smallest 5-smooth length
+≥ 2n+1 (8100 at n = 4000), with no inverse transform.  Q2 makes 4 forward
+real transforms, of which the 2 kernel transforms serve a whole cutoff sweep;
+the cross functional makes 2.  A momentum profile stacks its three chirp-z
+rows, so the chirp kernel is transformed once, at the smallest 5-smooth
+length ≥ N+M−1.  A change that brings back an inverse transform, the 3n+1
+extension or the 5n+1 window, per-cutoff kernels, a row transformed on its
+own, a second chirp spectrum or power-of-two padding fails here.
 """
 
 import bisect
@@ -46,22 +48,31 @@ def _rows(calls):
 
 
 @pytest.mark.parametrize("cut", [_CHI_ONE, pl.CutoffSpec(eps=0.2, shape="bump")], ids=["one", "bump"])
-def test_potential_term_makes_four_forward_and_two_inverse_real_ffts(mp_default, fft_calls, cut):
+def test_potential_term_makes_four_forward_and_no_inverse_real_ffts(mp_default, fft_calls, cut):
     n = mp_default.pgrid.n
     assert n == 4000
     pl.potential_term(mp_default, cut)
-    assert _rows(fft_calls["rfft"]) == 4 and _rows(fft_calls["irfft"]) == 2
+    # the two kernels a and −ak², then the rows G and p²G in one call
+    assert [rows for rows, _ in fft_calls["rfft"]] == [1, 1, 2] and not fft_calls["irfft"]
     assert not fft_calls["fft"] and not fft_calls["ifft"]
     # 2^2·3^4·5^2 = 8100, the smallest 5-smooth length ≥ 2n+1 (8192 as a power of two)
-    assert {length for _, length in fft_calls["rfft"] + fft_calls["irfft"]} == {8100}
+    assert {length for _, length in fft_calls["rfft"]} == {8100}
 
 
 def test_bound_sweep_makes_the_field_spectra_once(mp_default, fft_calls):
     cuts = [pl.CutoffSpec(eps=e, shape="bump") for e in (0.5, 0.2, 0.1, 0.05)] + [_CHI_ONE]
     pl.bound_sweep(mp_default, cuts)
-    # 2 field-side rows, then 2 forward and 2 inverse rows per cutoff (30 rows per call)
-    assert _rows(fft_calls["rfft"]) == 12 and _rows(fft_calls["irfft"]) == 10
-    assert all(length == 8100 for _, length in fft_calls["rfft"] + fft_calls["irfft"])
+    # 2 kernel rows, then 2 forward rows per cutoff
+    assert _rows(fft_calls["rfft"]) == 12 and not fft_calls["irfft"]
+    assert all(length == 8100 for _, length in fft_calls["rfft"])
+
+
+def test_cross_expectation_makes_two_forward_and_no_inverse_real_ffts(mp_default, fft_calls):
+    xi = pl.RadialTestFunction(lambda k: np.exp(-k))
+    pl.cross_expectation(mp_default, xi, pl.RadialTestFunction(lambda p: np.exp(-p)))
+    # the kernel of w k φ(k) ξ(k) and the row p ψ̂g
+    assert [(rows, length) for rows, length in fft_calls["rfft"]] == [(1, 8100), (1, 8100)]
+    assert not fft_calls["irfft"] and not fft_calls["fft"] and not fft_calls["ifft"]
 
 
 def test_momentum_profile_transforms_the_chirp_once(state_default, fft_calls):

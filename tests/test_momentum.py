@@ -185,22 +185,32 @@ def test_shell_sum_matches_direct_loop():
         a = rng.standard_normal(n)
         integrand = rng.standard_normal(n)
         direct = _direct_shell_sum(grid, a, integrand)
-        shells = _Shells(grid)
-        fast = shells.sums((shells.field(a), shells.primitive(integrand)))
+        fast = _Shells(grid).sums(a, integrand)
         assert np.abs(fast - direct).max() <= 1e-12 * np.abs(direct).max(), n
 
-    # Q2's form: two terms added as spectra under one inverse FFT, the second with
-    # its field spectrum negated, at an odd circular length (405 at n = 200) and at
-    # exactly 2n+1 (125 at n = 62)
-    for n, size in ((200, 405), (62, 125)):
+
+def test_form_matches_direct_pair_sum():
+    # Σ_j u_j s_j(b, F) by the exchange identity against the direct pair sum: the
+    # end terms (the primitive's first cell and its hold at A[n], the grid's end
+    # weights) show at every n, an even or odd length (5, 8 at n = 2, 3) at tiny n,
+    # a wrap where the length is exactly 2n+1 (9, 25, 125 at n = 4, 12, 62), and
+    # an odd length at 405 (n = 200)
+    for n in (2, 3, 4, 5, 12, 62, 200):
         grid = pl.build_grid(n, 3.0)
-        a, f, b, g = np.random.default_rng(n).standard_normal((4, n))
-        direct = _direct_shell_sum(grid, a, f) - _direct_shell_sum(grid, b, g)
+        u, b, F, c = np.random.default_rng(n).standard_normal((4, n))
         shells = _Shells(grid)
-        assert shells.size == size
-        fast = shells.sums((shells.field(a), shells.primitive(f)),
-                           (-shells.field(b), shells.primitive(g)))
-        assert np.abs(fast - direct).max() <= 1e-12 * np.abs(direct).max(), n
+        assert shells.size == {2: 5, 3: 8, 4: 9, 5: 12, 12: 25, 62: 125, 200: 405}[n]
+        rows = np.stack((u / grid.weights, F))
+        direct = u @ _direct_shell_sum(grid, b, F)
+        fast = shells.form(rows, (shells.kernel(b), 0, 1))
+        assert abs(fast - direct) <= 1e-12 * abs(direct), n
+
+        # several terms over two rows, each row on either side, as Q2 sums them
+        direct += (grid.weights * F) @ (_direct_shell_sum(grid, c, u / grid.weights)
+                                        + _direct_shell_sum(grid, b, F))
+        fast = shells.form(rows, (shells.kernel(b), 0, 1), (shells.kernel(c), 1, 0),
+                           (shells.kernel(b), 1, 1))
+        assert abs(fast - direct) <= 1e-12 * abs(direct), n
 
 
 def test_test_function_broadcasts_scalars():
