@@ -45,7 +45,6 @@ def random_doc(seed: int) -> tuple[dict, str]:
         "momentum.n": lambda: int(round(_log_uniform(rng, 2, 4000))),
         "momentum.pmax": lambda: _log_uniform(rng, 1e-1, 1e2),
         "solver.tol_psi": lambda: _log_uniform(rng, 1e-12, 1e-2),
-        "solver.max_iter": lambda: int(rng.integers(2, 301)),
         "cutoff.shape": lambda: str(rng.choice(["bump", "gaussian"])),
         "cutoff.eps_list": lambda: sorted({_log_uniform(rng, 1e-3, 1e1)
                                            for _ in range(int(rng.integers(1, 5)))},

@@ -28,7 +28,7 @@ from .errors import ConvergenceError, DomainError, NumericalError
 from .grid import build_grid
 from .massbound import _CHI_ONE, CutoffSpec, bound_rhs, bound_sweep
 from .momentum import el_residual_momentum, field_energy, density_expectation
-from .momentum import MomentumProfile, RadialTestFunction, momentum_profile, _noisy_sign_change
+from .momentum import MomentumProfile, RadialTestFunction, momentum_profile
 from .solver import PekarState, SolverOptions, el_residual_position, solve_pekar
 
 EXIT_OK = 0
@@ -54,11 +54,7 @@ def _artifact_header(cfg: RunConfig) -> str:
 
 
 def run_solver(cfg: RunConfig) -> PekarState:
-    opts = SolverOptions(
-        grid=(cfg.grid_n, cfg.grid_rmax),
-        tol_psi=cfg.solver_tol_psi,
-        max_iter=cfg.solver_max_iter,
-    )
+    opts = SolverOptions(grid=(cfg.grid_n, cfg.grid_rmax), tol_psi=cfg.solver_tol_psi)
     return solve_pekar(opts)
 
 
@@ -289,10 +285,10 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def verification_rows(state: PekarState, mp: MomentumProfile) -> list[tuple]:
-    """(check_name, computed, expected, tolerance, pass) for the identity suite."""
+def verification_rows(state: PekarState, mp: MomentumProfile, psi_hat_ok: bool) -> list[tuple]:
+    """(check_name, computed, expected, tolerance, pass) for the identity suite;
+    psi_hat_ok is whether `momentum_profile` passed mp's sign check."""
     endpoint = bound_rhs(mp, _CHI_ONE)
-    psi_hat_ok = _noisy_sign_change(mp.psi_hat) is None
     one = RadialTestFunction(lambda p: np.ones_like(p), bounded=True, name="1")
 
     rows = [
@@ -318,10 +314,12 @@ def _write_table(path: Path, cfg: RunConfig, columns: str, rows: Iterable[tuple]
 
 def cmd_verify(cfg: RunConfig, out: Path) -> int:
     state = run_solver(cfg)
-    # a sign fault of ψ̂ is tabulated as a failed row, not raised
-    mp = momentum_profile(state, build_grid(cfg.momentum_n, cfg.momentum_pmax),
-                          tail_floor=float("inf"))
-    rows = verification_rows(state, mp)
+    pgrid = build_grid(cfg.momentum_n, cfg.momentum_pmax)
+    try:
+        mp, psi_hat_ok = momentum_profile(state, pgrid), True
+    except DomainError as exc:   # a sign fault of ψ̂ is tabulated as a failed row, not raised
+        mp, psi_hat_ok = exc.profile, False
+    rows = verification_rows(state, mp, psi_hat_ok)
     _write_table(out / "verify.csv", cfg, "check_name,computed,expected,tolerance,pass", rows)
     return EXIT_OK if all(ok for *_, ok in rows) else EXIT_VERIFY_FAILED
 

@@ -4,7 +4,7 @@ Example:
 
     {"grid.n": 3000, "grid.rmax": 30.0,
      "momentum.n": 4000, "momentum.pmax": 10.0,
-     "solver.tol_psi": 1e-8, "solver.max_iter": 300,
+     "solver.tol_psi": 1e-8,
      "cutoff.shape": "bump", "cutoff.eps_list": [0.5, 0.2, 0.1, 0.05]}
 
 Every key is optional; omitted keys take the defaults above.  Validation
@@ -20,11 +20,10 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 
-# Upper bounds on the sizes, far above any grid the paper's numbers need: on 10^6
+# Upper bound on the grid sizes, far above any grid the paper's numbers need: on 10^6
 # nodes over rmax 40 a `solve` peaks at 253 MB and a `verify` with momentum.n 10^3 at
 # 253 MB (ru_maxrss), and profiles.csv takes about 84 B per node.
 _MAX_NODES = 10**7
-_MAX_ITER = 10**5
 
 
 class ConfigError(ValueError):
@@ -38,16 +37,14 @@ class RunConfig:
     momentum_n: int = 4000
     momentum_pmax: float = 10.0
     solver_tol_psi: float = 1e-8
-    solver_max_iter: int = 300
     cutoff_shape: str = "bump"
     cutoff_eps_list: list[float] = field(default_factory=lambda: [0.5, 0.2, 0.1, 0.05])
 
     def validate(self) -> None:
-        for key, top in (("grid.n", _MAX_NODES), ("momentum.n", _MAX_NODES),
-                         ("solver.max_iter", _MAX_ITER)):
+        for key in ("grid.n", "momentum.n"):
             val = getattr(self, _attr(key))
-            if not isinstance(val, int) or isinstance(val, bool) or not 2 <= val <= top:
-                raise ConfigError(f"{key} must be an integer in [2, {top}], got {val!r}")
+            if not isinstance(val, int) or isinstance(val, bool) or not 2 <= val <= _MAX_NODES:
+                raise ConfigError(f"{key} must be an integer in [2, {_MAX_NODES}], got {val!r}")
         for key in ("grid.rmax", "momentum.pmax", "solver.tol_psi"):
             val = getattr(self, _attr(key))
             if not _finite(val) or not val > 0:

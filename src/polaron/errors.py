@@ -24,4 +24,9 @@ class NumericalError(RuntimeError):
 
 class DomainError(RuntimeError):
     """A profile left the domain an operation requires (e.g. a momentum
-    profile that is not strictly positive where it must be divided by)."""
+    profile that is not strictly positive where it must be divided by).
+    Carries that profile, so callers can still tabulate it."""
+
+    def __init__(self, message, profile=None):
+        super().__init__(message)
+        self.profile = profile

@@ -92,20 +92,7 @@ class RadialTestFunction:
         return np.broadcast_to(out, x.shape)
 
 
-def _noisy_sign_change(psi_hat: RadialFunction, tail_floor: float = _TAIL_FLOOR) -> int | None:
-    """Index of the first non-positive sample of ψ̂ if ψ̂ has no positive
-    sample or a later one recovers to tail_floor·max(ψ̂) or above, else None
-    (see `momentum_profile`); tail_floor=inf skips the check."""
-    v = psi_hat.values
-    nonpos = v <= 0.0
-    if tail_floor == np.inf or not nonpos.any():
-        return None
-    first = int(np.argmax(nonpos))
-    return first if v.max() <= 0.0 or np.any(v[first:] >= tail_floor * v.max()) else None
-
-
-def momentum_profile(state: PekarState, pgrid: RadialGrid,
-                     tail_floor: float = _TAIL_FLOOR) -> MomentumProfile:
+def momentum_profile(state: PekarState, pgrid: RadialGrid) -> MomentumProfile:
     """Transform a converged state to momentum space.
 
     ψ̂ of the minimizer is strictly positive, but it decays so fast
@@ -113,28 +100,29 @@ def momentum_profile(state: PekarState, pgrid: RadialGrid,
     quadrature noise floor of double precision, where sign flips of size
     ~1e-8 are unavoidable.  The positivity check is therefore a
     sign-structure check: once the computed transform goes non-positive,
-    everything after must stay below tail_floor·max(ψ̂).  A recovery above
+    everything after must stay below _TAIL_FLOOR·max(ψ̂).  A recovery above
     that level after a sign change means the noise floor reaches into the
     structured part of the profile, i.e. rmax is too small for the
     requested pmax, and raises DomainError; so does a ψ̂ with no positive
-    sample, whose grid starts beyond the floor.  The sub-threshold tail is
-    kept as computed; its contribution to every functional in this module
-    is O(noise²).  Pass tail_floor=inf to skip the check.
+    sample, whose grid starts beyond the floor.  Either DomainError carries
+    the profile as `profile`.  The sub-threshold tail is kept as computed;
+    its contribution to every functional in this module is O(noise²).
     """
     psi_hat, dpsi_hat, rho_hat = fourier_profile(state.psi, pgrid, state.rho)
-    first = _noisy_sign_change(psi_hat, tail_floor)
-    if first is not None and psi_hat.values.max() <= 0.0:
+    phi = RadialFunction(pgrid, rho_hat.values / (SQRT2_PI * pgrid.nodes))
+    mp = MomentumProfile(pgrid=pgrid, psi_hat=psi_hat, dpsi_hat=dpsi_hat, phi=phi, mu=state.mu)
+    v = psi_hat.values
+    if v.max() <= 0.0:
         raise DomainError(
             f"transform has no positive sample: the first momentum node, p={pgrid.nodes[0]:g}, "
-            f"already lies in the noise floor; use a finer momentum grid (smaller pmax/n)"
-        )
-    if first is not None:
+            f"already lies in the noise floor; use a finer momentum grid (smaller pmax/n)",
+            profile=mp)
+    first = int(np.argmax(v <= 0.0))   # 0 if there is no sign change
+    if v[first] <= 0.0 and np.any(v[first:] >= _TAIL_FLOOR * v.max()):
         raise DomainError(
             f"transform sign-indefinite above the noise floor (first sign "
-            f"change at p={pgrid.nodes[first]:g}); increase rmax or decrease pmax"
-        )
-    phi = RadialFunction(pgrid, rho_hat.values / (SQRT2_PI * pgrid.nodes))
-    return MomentumProfile(pgrid=pgrid, psi_hat=psi_hat, dpsi_hat=dpsi_hat, phi=phi, mu=state.mu)
+            f"change at p={pgrid.nodes[first]:g}); increase rmax or decrease pmax", profile=mp)
+    return mp
 
 
 def field_energy(mp: MomentumProfile) -> float:

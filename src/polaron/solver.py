@@ -82,25 +82,28 @@ _lapack = _flapack()
 dpttrf, dpttrs = _lapack.dpttrf, _lapack.dpttrs
 
 
+# the steps `solve_pekar` and `imaginary_time_oracle` take at most: the flow needs 236
+# on 3000/30 and 6000/40, the SCF at most 18 even at tol_psi 1e-15 on grids from
+# 300/20 to 40000/40, so only a broken solve reaches it
+_MAX_ITER = 300
+
+
 @dataclass
 class SolverOptions:
     """Configuration of the ground-state search.
 
     grid is (n, rmax); the SCF stops once both the L² change of ψ and the
     relative self-consistency residual are at most tol_psi, or fails after
-    max_iter steps.  Every solve starts from the stored fits of the grid's
+    _MAX_ITER steps.  Every solve starts from the stored fits of the grid's
     fixed point (`_initial_u`); on the default grid it takes 1 step.
     """
 
     grid: tuple[int, float] = (3000, 30.0)
     tol_psi: float = 1e-8
-    max_iter: int = 300
 
     def __post_init__(self):
         if not self.tol_psi > 0:
             raise ValueError(f"tol_psi must be positive, got {self.tol_psi!r}")
-        if not isinstance(self.max_iter, int) or isinstance(self.max_iter, bool) or self.max_iter < 1:
-            raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
 
 
 @dataclass
@@ -357,8 +360,8 @@ def solve_pekar(opts: SolverOptions) -> PekarState:
 
     Converges when the L² change of ψ and the relative self-consistency
     residual ‖ρ_out − ρ_in‖/‖ρ_out‖ (3d L² norms) are both at most tol_psi.
-    Raises ConvergenceError (carrying the iteration history) if max_iter is
-    exhausted first.
+    Raises ConvergenceError (carrying the iteration history) if _MAX_ITER
+    steps are exhausted first.
     """
     grid = build_grid(*opts.grid)
     u = _normalize_u(grid, _initial_u(grid))
@@ -370,7 +373,7 @@ def solve_pekar(opts: SolverOptions) -> PekarState:
     history: list[tuple[float, float, float]] = []   # (energy, dpsi, scf) per step
 
     x = u  # the eigenstep starts from its own last output, so a settled one recurs exactly
-    for k in range(1, opts.max_iter + 1):
+    for k in range(1, _MAX_ITER + 1):
         _, x = _ground_pair(grid, -2.0 * _newton_potential(grid, rho_in), x)
         u = _normalize_u(grid, x)
         psi = u / grid.nodes
@@ -395,10 +398,10 @@ def solve_pekar(opts: SolverOptions) -> PekarState:
         psi_prev = psi
 
     raise ConvergenceError(
-        f"SCF did not converge in {opts.max_iter} iterations "
+        f"SCF did not converge in {_MAX_ITER} iterations "
         f"(last |dpsi|={history[-1][1]:.3e}, "
         f"last |rho_out-rho_in|/|rho_out|={scf:.3e})",
-        last_state=_state_from_u(grid, u, T, D, rho, iterations=opts.max_iter,
+        last_state=_state_from_u(grid, u, T, D, rho, iterations=_MAX_ITER,
                                  residual=history[-1][1]),
         history=history,
     )
@@ -418,8 +421,8 @@ def imaginary_time_oracle(opts: SolverOptions) -> PekarState:
     tune.  The energy must be non-increasing (up to 1e-12 per step), else
     NumericalError: with the first node's weight 1.5h, g is not the gradient of
     the discrete T − D, and on coarse grids the energy rises.  Stops at the
-    first of at most max_iter gradients with 3d L² norm ≤ _FLOW_TOL and returns
-    how many it evaluated as `iterations`; reads only opts.grid and opts.max_iter.
+    first of at most _MAX_ITER gradients with 3d L² norm ≤ _FLOW_TOL and returns
+    how many it evaluated as `iterations`; reads only opts.grid.
     """
     grid = build_grid(*opts.grid)
     h = grid.h
@@ -432,7 +435,7 @@ def imaginary_time_oracle(opts: SolverOptions) -> PekarState:
     d, e, _ = dpttrf(np.full(grid.n - 1, 1.0 + 2.0 / h**2), np.full(max(grid.n - 2, 1), -1.0 / h**2))
 
     T, D, rho, phi = _energies(grid, u)
-    for k in range(1, opts.max_iter + 1):
+    for k in range(1, _MAX_ITER + 1):
         # λ = ⟨u, Hu⟩ = T − 2D for the normalized u
         g = _apply_kinetic(u, h) - (2.0 * phi + (T - 2.0 * D)) * u
         g[-1] = 0.0  # the wall is pinned, not an equation
@@ -449,8 +452,8 @@ def imaginary_time_oracle(opts: SolverOptions) -> PekarState:
                                  f"on the {grid.n}-node grid")
 
     raise ConvergenceError(
-        f"flow did not reach |g| <= {_FLOW_TOL:g} in {opts.max_iter} steps (last {g_norm:.3e})",
-        last_state=_state_from_u(grid, u, T, D, rho, iterations=opts.max_iter, residual=g_norm),
+        f"flow did not reach |g| <= {_FLOW_TOL:g} in {_MAX_ITER} steps (last {g_norm:.3e})",
+        last_state=_state_from_u(grid, u, T, D, rho, iterations=_MAX_ITER, residual=g_norm),
     )
 
 

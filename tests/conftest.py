@@ -40,7 +40,7 @@ def mp_fine(state_fine):
 @pytest.fixture(scope="session")
 def flow_pairs(state_default, state_fine):
     """(flow oracle state, SCF state) on the default and on the fine grid."""
-    return [(pl.imaginary_time_oracle(pl.SolverOptions(grid=grid, max_iter=1000)), scf)
+    return [(pl.imaginary_time_oracle(pl.SolverOptions(grid=grid)), scf)
             for grid, scf in ((DEFAULT_GRID, state_default), (FINE_GRID, state_fine))]
 
 

@@ -46,11 +46,12 @@ def write_config(path, overrides=None):
     return str(path)
 
 
-def one_step_short():
-    """`solver.max_iter` one below the steps SMALL_CONFIG's solve takes, so a
-    run with it fails on the last step whatever the SCF's start."""
+def one_step_short(monkeypatch):
+    """Sets the SCF's step bound one below the steps SMALL_CONFIG's solve takes, so
+    a run of it fails on the last step whatever the SCF's start; returns the bound."""
     steps = polaron.cli.run_solver(config_from_dict(SMALL_CONFIG)).iterations
     assert steps >= 2
+    monkeypatch.setattr(polaron.solver, "_MAX_ITER", steps - 1)
     return steps - 1
 
 
@@ -87,9 +88,9 @@ class TestSolveCommand:
 
     def test_artifacts_embed_only_the_computation_keys(self, tmp_path):
         # the output directory is not part of the configuration: each artifact embeds
-        # and hashes the eight keys that decide its numbers, and nothing else
+        # and hashes the seven keys that decide its numbers, and nothing else
         keys = {"grid.n", "grid.rmax", "momentum.n", "momentum.pmax", "solver.tol_psi",
-                "solver.max_iter", "cutoff.shape", "cutoff.eps_list"}
+                "cutoff.shape", "cutoff.eps_list"}
         cfg = write_config(tmp_path / "c.json")
         embedded = []
         for command, name in [("solve", "profiles.csv"), ("verify", "verify.csv"),
@@ -107,10 +108,10 @@ class TestSolveCommand:
             assert doc == config_from_dict(SMALL_CONFIG).to_flat_dict()
             assert digest == config_from_dict(doc).content_hash()
 
-    def test_convergence_failure_exit3_with_history(self, tmp_path):
+    def test_convergence_failure_exit3_with_history(self, tmp_path, monkeypatch):
         # every command writes the SCF history when the solve fails
-        max_iter = one_step_short()
-        cfg = write_config(tmp_path / "c.json", {"solver.max_iter": max_iter})
+        max_iter = one_step_short(monkeypatch)
+        cfg = write_config(tmp_path / "c.json")
         for command in ("solve", "verify", "massbound"):
             out = tmp_path / command
             assert main([command, "--config", cfg, "--out", str(out)]) == 3
@@ -118,11 +119,13 @@ class TestSolveCommand:
             assert len(history["history"]) == max_iter
             assert all(set(step) == {"energy", "dpsi", "scf"} for step in history["history"])
 
-    def test_success_after_failure_leaves_no_history(self, tmp_path):
+    def test_success_after_failure_leaves_no_history(self, tmp_path, monkeypatch):
         # a failed run's history does not stay beside a later run's artifacts,
         # which are the bytes a run into a fresh directory writes
-        failing = write_config(tmp_path / "fail.json", {"solver.max_iter": one_step_short()})
-        (tmp_path / "c.json").write_text("{}")   # the defaults, on which every command exits 0
+        one_step_short(monkeypatch)
+        failing = write_config(tmp_path / "fail.json")
+        # the defaults, on which every command exits 0: their solve takes 1 step
+        (tmp_path / "c.json").write_text("{}")
         cfg = str(tmp_path / "c.json")
         for command, names in [("solve", ["pekar_state.json", "profiles.csv"]),
                                ("verify", ["verify.csv"]), ("massbound", ["massbound.csv"])]:
@@ -139,10 +142,11 @@ class TestSolveCommand:
         # at β = 1e-300 energy and ψ stop moving; only the self-consistency
         # residual ‖ρ_out − ρ_in‖/‖ρ_out‖ of each step shows the failure
         monkeypatch.setattr(polaron.solver, "_BETA", 1e-300)
+        monkeypatch.setattr(polaron.solver, "_MAX_ITER", 5)
         cfg = write_config(tmp_path / "c.json")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         history = json.loads((tmp_path / "out" / "residual_history.json").read_text())["history"]
-        assert len(history) == 300
+        assert len(history) == 5
         assert history[-1]["dpsi"] <= 1e-8 and history[-1]["scf"] > 1e-8   # solver.tol_psi
 
 
@@ -155,6 +159,49 @@ def test_mixing_too_small_to_move_exits_3(tmp_path, capsys, monkeypatch, command
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "rho_out-rho_in" in err
+
+
+# another valid value for each config key, to vary alone from SMALL_CONFIG
+_VARIED = {"grid.n": 1200, "grid.rmax": 24.0, "momentum.n": 900, "momentum.pmax": 5.5,
+           "solver.tol_psi": 1e-12, "cutoff.shape": "gaussian", "cutoff.eps_list": [0.5, 0.3]}
+
+
+def _artifact_numbers(doc, tmp_path):
+    """The numeric fields of every command's artifacts for doc, the embedded
+    configuration and its hash set aside."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    numbers = []
+    for command in ("solve", "verify", "massbound"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) in (0, 1)
+        for artifact in sorted(out.iterdir()):
+            if artifact.suffix == ".json":
+                state = json.loads(artifact.read_text())["state"]
+                numbers += [v for v in state.values() if not isinstance(v, dict)]
+                numbers += state["grid"].values()
+                continue
+            for line in artifact.read_text().splitlines():
+                if line.startswith("#"):
+                    continue
+                for field in line.split(","):
+                    with contextlib.suppress(ValueError):   # names, headers, true/false
+                        numbers.append(float(field))
+    return np.array(numbers, dtype=float)
+
+
+@pytest.fixture(scope="module")
+def small_config_numbers(tmp_path_factory):
+    return _artifact_numbers(SMALL_CONFIG, tmp_path_factory.mktemp("base"))
+
+
+@pytest.mark.parametrize("key", list(config_from_dict({}).to_flat_dict()))
+def test_each_config_key_decides_some_number(tmp_path, small_config_numbers, key):
+    # a key whose value changes no number of any artifact decides only whether a
+    # run fails, and has no place in the configuration
+    numbers = _artifact_numbers({**SMALL_CONFIG, key: _VARIED[key]}, tmp_path)
+    assert not (numbers.shape == small_config_numbers.shape
+                and np.array_equal(numbers, small_config_numbers, equal_nan=True))
 
 
 def _fmt_rows(*columns):
@@ -644,7 +691,7 @@ _POSITIVE = st.one_of(st.floats(1e-300, 1e300), st.sampled_from([1e-300, 1e300])
 _VALID_DOCS = st.fixed_dictionaries({}, optional={
     "grid.n": st.integers(2, 4000), "grid.rmax": _POSITIVE,   # up to the default grid sizes
     "momentum.n": st.integers(2, 4000), "momentum.pmax": _POSITIVE,
-    "solver.tol_psi": _POSITIVE, "solver.max_iter": st.integers(2, 300),
+    "solver.tol_psi": _POSITIVE,
     "cutoff.shape": st.sampled_from(["bump", "gaussian"]),
     "cutoff.eps_list": st.lists(_POSITIVE, min_size=1, max_size=4)
                          .map(lambda e: sorted(set(e), reverse=True)),
@@ -658,7 +705,7 @@ _KEYS = ["grid.n", "grid.rmax", "momentum.n", "momentum.pmax", "solver.mixing",
          "solver.tol_energy", "solver.tol_psi", "solver.max_iter", "cutoff.shape",
          "cutoff.eps_list", "output.dir", "grid.npts", ""]
 # a valid document, or one with a single key replaced by junk (or an unknown key,
-# solver.mixing and solver.tol_energy among them)
+# solver.mixing, solver.tol_energy and solver.max_iter among them)
 _CONFIG_DOCS = _VALID_DOCS | st.builds(lambda doc, key, val: {**doc, key: val},
                                        _VALID_DOCS, st.sampled_from(_KEYS), _JUNK)
 
