@@ -39,9 +39,11 @@ def random_doc(seed: int) -> tuple[dict, str]:
     """A config document inside the validated ranges, each key present with
     probability 1/2, and a command; grids span 2 nodes to the default sizes."""
     rng = np.random.default_rng(seed)
+    doc = {}
     draws = {
         "grid.n": lambda: int(round(_log_uniform(rng, 2, 4000))),
-        "grid.rmax": lambda: _log_uniform(rng, 1e-2, 1e3),
+        # the radial step rmax / n validates up to 300; 3000 is grid.n's default
+        "grid.rmax": lambda: _log_uniform(rng, 1e-2, min(1e3, 300 * doc.get("grid.n", 3000))),
         "momentum.n": lambda: int(round(_log_uniform(rng, 2, 4000))),
         "momentum.pmax": lambda: _log_uniform(rng, 1e-1, 1e2),
         "solver.tol_psi": lambda: _log_uniform(rng, 1e-12, 1e-2),
@@ -50,7 +52,9 @@ def random_doc(seed: int) -> tuple[dict, str]:
                                            for _ in range(int(rng.integers(1, 5)))},
                                           reverse=True),
     }
-    doc = {key: draw() for key, draw in draws.items() if rng.random() < 0.5}
+    for key, draw in draws.items():
+        if rng.random() < 0.5:
+            doc[key] = draw()
     return doc, str(rng.choice(COMMANDS))
 
 

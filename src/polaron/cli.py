@@ -1,8 +1,8 @@
 """Batch front end: the solve / verify / massbound commands.
 
 All artifacts are deterministic for a fixed configuration: no timestamps, fixed
-key order, 17-significant-digit fields.  Each but `residual_history.json` embeds
-the computation's configuration (not `--out`) and its SHA-256 content hash.
+key order, CSV floats in C `%.16e` (17 digits).  Each but `residual_history.json`
+embeds the computation's configuration (not `--out`) and its SHA-256 content hash.
 
 Exit codes: 0 success, 1 verification failure (a failed verify.csv row, or
 a massbound χ≡1 endpoint with |f| above the f=0 tolerance), 2 config or
@@ -42,7 +42,7 @@ F_ENDPOINT_TOL = 1e-3
 
 def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
+        return format(float(x), ".16e")
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     return str(x)
@@ -82,21 +82,20 @@ def _write_state_json(cfg: RunConfig, state: PekarState, out: Path) -> None:
     _write_artifact(out / "pekar_state.json", [text.encode()])
 
 
-# A profiles.csv field is `_fmt` of a double x: C "%.17g", the 17-digit decimal
-# D = round(z), z = |x|·10^s, s = 16 − X, X the decimal exponent of x, in fixed notation
-# for X in [−4, 16] and in scientific notation otherwise, trailing zeros and a bare point
-# stripped.  `_round17` forms z in float64 double-double (Dekker, 1971).  10^s is
-# hi + lo + δ with hi and lo each correctly rounded, so |δ| ≤ 2^−106·hi.  Veltkamp's split
-# of |x| and of hi into halves of at most 26 bits makes |x|·hi = p + e exact, and
-# f = e + |x|·lo rounds twice.  For z < 10^17, |x|·lo < 16 rounds by at most 2^−50,
-# |e + |x|·lo| < 32 by 2^−49, |x|·δ < 2^−49.5 and frac = f − ⌊f⌋ rounds by at most 2^−54,
-# so p + ⌊f⌋ + frac (p ≥ 2^53, an integer) lies within 2^−47 of z.  A field is written
-# from D = p + ⌊f⌋ + (frac > ½) where 10^16 ≤ p + ⌊f⌋, D < 10^17 and |frac − ½| exceeds
-# _MARGIN, four times that bound: D is then z rounded (a z less than 2^−47 below 10^16
-# gives 10^16 at the next exponent, as %.17g does).  The splits overflow above about
-# 1.3e300, so `_tens` stops at 10^300 and only |x| in [_TINY, _HUGE) is scaled.  Every
-# other field (±0, inf, nan, extreme exponents and a double next to a power of ten whose
-# X `log10` misses) is formatted by `_fmt`.
+# A profiles.csv field is `_fmt` of a double x: C "%.16e", the 17-digit decimal
+# D = round(z), z = |x|·10^s, s = 16 − X, X the decimal exponent of x, written as
+# d.dddddddddddddddde±XX.  `_round17` forms z in float64 double-double (Dekker, 1971).
+# 10^s is hi + lo + δ with hi and lo each correctly rounded, so |δ| ≤ 2^−106·hi.
+# Veltkamp's split of |x| and of hi into halves of at most 26 bits makes |x|·hi = p + e
+# exact, and f = e + |x|·lo rounds twice.  For z < 10^17, |x|·lo < 16 rounds by at most
+# 2^−50, |e + |x|·lo| < 32 by 2^−49, |x|·δ < 2^−49.5 and frac = f − ⌊f⌋ rounds by at most
+# 2^−54, so p + ⌊f⌋ + frac (p ≥ 2^53, an integer) lies within 2^−47 of z.  A field is
+# written from D = p + ⌊f⌋ + (frac > ½) where 10^16 ≤ p + ⌊f⌋, D < 10^17 and
+# |frac − ½| exceeds _MARGIN, four times that bound: D is then z rounded (a z less than
+# 2^−47 below 10^16 gives 10^16 at the next exponent, as %.16e does).  The splits
+# overflow above about 1.3e300, so `_tens` stops at 10^300 and only |x| in
+# [_TINY, _HUGE) is scaled.  Every other field (±0, inf, nan, extreme exponents and a
+# double next to a power of ten whose X `log10` misses) is formatted by `_fmt`.
 _XMIN, _XMAX = -284, 299                # the decimal exponents `_tens` covers
 _TINY, _HUGE = 1e-283, 1e299            # X from `log10` is one off at most
 _SPLIT = 2.0**27 + 1
@@ -122,10 +121,8 @@ def _tens() -> np.ndarray:
     return ten
 
 
-_NX = 633      # decimal exponents −324 … 308
-_WIDTH = 32    # bytes per field, NUL padded: sign and "0.0…" right-aligned in 0–5,
-               # digits and point in 6–23, exponent and separator from 24
-_K = np.arange(18, dtype=np.int8)[:, None]
+_NX = 634      # exponent words per separator: decimal exponents −324 … 308, then none
+_WIDTH = 32    # bytes per field, NUL padded: sign in 5, digits and point in 6–23, exponent last
 # profiles.csv rows formatted at a time: a block's temporaries peak at about 90 B per
 # field (the NUL mask 32 B).  A `_csv_rows` call costs about 130 µs even for one row,
 # so a block keeps both tables of a 6000/4000 solve whole
@@ -133,26 +130,13 @@ _BLOCK_ROWS = 8192
 
 
 @functools.cache   # built on first use, not at import
-def _layout_tables() -> tuple[np.ndarray, ...]:
-    """Per decimal exponent (from −324): a field's first word (sign and "0.0…" but its
-    last character, for x > 0, then for x < 0), its last word (exponent and separator,
-    for inner, then for last columns), the digit P the point follows (−1: the point,
-    or a zero after it, goes before the digits) and the character after digit P."""
-    lead, tail, point, mark = [], [], [], []
-    for x in range(-324, 309):
-        fixed = -4 <= x <= 16
-        small = "0." + "0" * (-x - 1) if fixed and x < 0 else ""
-        lead.append(small[:-1])
-        mark.append(small[-1:] or ".")
-        tail.append("" if fixed else f"e{x:+03d}")
-        point.append(max(x, -1) if fixed else 0)
-    first = np.array([(sign + t).rjust(6, "\0") for sign in ("", "-") for t in lead], "S8")
-    last = np.array([t + sep for sep in ",\n" for t in tail], "S8")
-    tables = (first.view(np.uint64), last.view(np.uint64), np.array(point, np.int8),
-              np.frombuffer("".join(mark).encode(), np.uint8))
-    for table in tables:
-        table.flags.writeable = False   # shared by every call
-    return tables
+def _exponents() -> np.ndarray:
+    """A field's last word: "e±XX" and a comma per decimal exponent from −324, then the
+    bare comma after a field `_fmt` writes; from `_NX` on, the same with a newline."""
+    tails = [*(f"e{x:+03d}" for x in range(-324, 309)), ""]
+    words = np.array([t + sep for sep in ",\n" for t in tails], "S8").view(np.uint64)
+    words.flags.writeable = False   # shared by every call
+    return words
 
 
 def _round17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,9 +176,8 @@ def _round17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _digit_chars(D: np.ndarray) -> np.ndarray:
-    """The digits of each D in [10^16, 10^17) as characters, most significant first,
-    in rows 0–16 of an (18, n) uint8 array whose row 17 is NUL."""
-    dig = np.zeros((18, D.size), np.uint8)
+    """The 17 digits of each D in [10^16, 10^17) as characters, most significant first."""
+    dig = np.empty((17, D.size), np.uint8)
     high = (D // 10**9).astype(np.int32)
     part = (D - high * np.int64(10**9)).astype(np.int32)
     for k in range(16, -1, -1):
@@ -211,35 +194,22 @@ def _padded_fields(*columns: np.ndarray) -> np.ndarray:
     c = len(columns)
     v = np.stack(columns, axis=1).ravel()
     D, X, exact = _round17(v)
-    firsts, lasts, points, marks = _layout_tables()
     dig = _digit_chars(D)
     del D   # not needed past here; the field buffer below sets a block's peak
-    # strip trailing zeros behind the point; only a D ending in 0 has any
-    P = points[X]
-    last = np.full(v.size, 16, np.int8)   # the last digit kept
-    zero = np.flatnonzero(dig[16] == 48)
-    if zero.size:
-        tail = dig[:17, zero]
-        last[zero] = ((tail != 48) * _K[:17]).max(axis=0)
-        tail *= _K[:17] <= np.maximum(last[zero], P[zero])
-        dig[:17, zero] = tail
-
-    buf = np.empty((v.size, _WIDTH), np.uint8)
+    buf = np.zeros((v.size, _WIDTH), np.uint8)
     words = buf.view(np.uint64)
-    words[:, 0] = firsts[X + _NX * np.signbit(v)]
-    # character 6 + j: digit j up to digit P, the mark after it, then digit j − 1
+    buf[np.signbit(v), 5] = ord("-")
     buf[:, 6] = dig[0]
-    buf[:, 7:24] = dig[:-1].T
-    np.copyto(buf[:, 7:24], dig[1:].T, where=(_K[1:] <= P).T)
-    buf.ravel()[np.arange(7, v.size * _WIDTH, _WIDTH) + P] = (last > P) * marks[X]
+    buf[:, 7] = ord(".")
+    buf[:, 8:24] = dig[1:].T
     X[c - 1::c] += _NX   # the separator: ",", or "\n" after the last column
-    words[:, 3] = lasts[X]
+    words[:, 3] = _exponents()[X]
 
     slow = np.flatnonzero(~exact)
     if slow.size:
         text = [_fmt(x) for x in v[slow].tolist()]
         buf[slow, :24] = np.array(text, dtype="S24").view(np.uint8).reshape(-1, 24)
-        words[slow, 3] = lasts[324 + _NX * (slow % c == c - 1)]
+        words[slow, 3] = _exponents()[_NX - 1 + _NX * (slow % c == c - 1)]
     return buf
 
 

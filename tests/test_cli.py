@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -342,9 +343,54 @@ def test_powers_of_ten_are_double_doubles():
 
 def test_fmt_writes_numpy_scalars_as_python_values():
     assert (_fmt(np.True_), _fmt(np.False_), _fmt(True)) == ("true", "false", "true")
-    assert _fmt(np.float32(0.1)) == "0.10000000149011612" == _fmt(float(np.float32(0.1)))
-    assert _fmt(np.float64(0.1)) == _fmt(0.1) == "0.10000000000000001"
+    assert _fmt(np.float32(0.1)) == "1.0000000149011612e-01" == _fmt(float(np.float32(0.1)))
+    assert _fmt(np.float64(0.1)) == _fmt(0.1) == "1.0000000000000001e-01"
+    assert (_fmt(-0.0), _fmt(1e300)) == ("-0.0000000000000000e+00", "1.0000000000000001e+300")
     assert (_fmt(np.int64(7)), _fmt(7), _fmt("f=0")) == ("7", "7", "f=0")
+
+
+_FLOAT_FIELD = re.compile(r"-?\d\.\d{16}e[+-]\d{2,3}|-?inf|nan")
+
+
+def _data_rows(path):
+    """The fields of a CSV artifact's data lines, its comment and header lines set aside."""
+    rows = []
+    for table in path.read_text().split("\n\n"):
+        lines = [line for line in table.splitlines() if not line.startswith("#")]
+        rows += [line.split(",") for line in lines[1:]]
+    return rows
+
+
+def test_csv_floats_are_16e_of_the_library_values(tmp_path):
+    # every float field of the three CSV artifacts is `%.16e`, one layout for every
+    # exponent, and parses back to the double the library computes for the same state
+    cfg = write_config(tmp_path / "c.json")
+    for command in ("solve", "verify", "massbound"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) in (0, 1)
+    conf = config_from_dict(SMALL_CONFIG)
+    state, mp = run_pipeline(conf)
+    g, pg, phi = state.psi.grid, mp.pgrid, coulomb_potential(state.rho)
+    columns = [(g.nodes, state.psi.values, state.rho.values, phi.values),
+               (pg.nodes, mp.psi_hat.values, mp.dpsi_hat.values, mp.phi.values)]
+    cuts = [polaron.CutoffSpec(eps=eps, shape=conf.cutoff_shape) for eps in conf.cutoff_eps_list]
+    reports = polaron.bound_sweep(mp, cuts + [polaron.massbound._CHI_ONE])
+    expected = {
+        "solve/profiles.csv": [row for table in columns for row in zip(*(c.tolist() for c in table))],
+        "verify/verify.csv": polaron.cli.verification_rows(state, mp, True),
+        "massbound/massbound.csv": [(eps, r.R, r.Q1, r.Q2, r.f, r.m_lower)
+                                    for eps, r in zip([*conf.cutoff_eps_list, 0.0], reports)],
+    }
+    for name, rows in expected.items():
+        written = _data_rows(tmp_path / name)
+        assert len(written) == len(rows)
+        for fields, values in zip(written, rows):
+            assert len(fields) == len(values)
+            for field, value in zip(fields, values):
+                if isinstance(value, (float, np.floating)):
+                    assert _FLOAT_FIELD.fullmatch(field), (name, field)
+                    assert float(field).hex() == float(value).hex(), (name, field)
+                else:
+                    assert field == _fmt(value)
 
 
 def _profiles_reference(cfg, state, mp):
@@ -450,7 +496,7 @@ def test_failed_write_leaves_no_artifact(tmp_path, command, limit, artifact):
 def test_import_builds_no_writer_table():
     # the profiles.csv writer's tables are made on its first use, not at every import
     code = ("import polaron.cli as c; "
-            "print(c._layout_tables.cache_info().currsize, c._tens.cache_info().currsize)")
+            "print(c._exponents.cache_info().currsize, c._tens.cache_info().currsize)")
     done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                           text=True, env=_child_env())
     assert done.stdout.split() == ["0", "0"]
@@ -612,7 +658,8 @@ def test_nowhere_positive_psi_hat_is_a_sign_fault(tmp_path, capsys, command, cod
     err = capsys.readouterr().err
     if command == "verify":
         rows = [ln.split(",") for ln in (out / "verify.csv").read_text().splitlines()[3:]]
-        assert ["psi_hat_positive", "0", "1", "0", "false"] in rows and err == ""
+        zero, one = "0.0000000000000000e+00", "1.0000000000000000e+00"
+        assert ["psi_hat_positive", zero, one, zero, "false"] in rows and err == ""
     else:
         assert len(err.splitlines()) == 1
         assert "no positive sample" in err and "p=500" in err and "finer momentum grid" in err
