@@ -2,7 +2,8 @@
 
 All artifacts are deterministic for a fixed configuration: no timestamps, fixed
 key order, CSV floats in C `%.16e` (17 digits).  Each but `residual_history.json`
-embeds the computation's configuration (not `--out`) and its SHA-256 content hash.
+embeds the computation's configuration (not `--out`) as sorted-key JSON, which
+alone names the run: a CSV in its one `# config=` line, `pekar_state.json` as `config`.
 
 Exit codes: 0 success, 1 verification failure (a failed verify.csv row, or
 a massbound χ≡1 endpoint with |f| above the f=0 tolerance), 2 config or
@@ -49,8 +50,7 @@ def _fmt(x) -> str:
 
 
 def _artifact_header(cfg: RunConfig) -> str:
-    flat = json.dumps(cfg.to_flat_dict(), sort_keys=True)
-    return f"# config_hash={cfg.content_hash()}\n# config={flat}\n"
+    return f"# config={json.dumps(cfg.to_flat_dict(), sort_keys=True)}\n"
 
 
 def run_solver(cfg: RunConfig) -> PekarState:
@@ -67,7 +67,6 @@ def run_pipeline(cfg: RunConfig) -> tuple[PekarState, MomentumProfile]:
 def _write_state_json(cfg: RunConfig, state: PekarState, out: Path) -> None:
     doc = {
         "config": cfg.to_flat_dict(),
-        "config_hash": cfg.content_hash(),
         "state": {
             "T": state.T,
             "D": state.D,

@@ -13,7 +13,6 @@ errors name the offending dotted key.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -71,10 +70,6 @@ class RunConfig:
 
     def to_flat_dict(self) -> dict:
         return {key: getattr(self, _attr(key)) for key in _KEYS}
-
-    def content_hash(self) -> str:
-        canonical = json.dumps(self.to_flat_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 _KEYS = tuple(f.name.replace("_", ".", 1) for f in fields(RunConfig))

@@ -61,7 +61,7 @@ class TestSolveCommand:
         cfg = write_config(tmp_path / "c.json")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         state_doc = json.loads((tmp_path / "out" / "pekar_state.json").read_text())
-        assert set(state_doc) == {"config", "config_hash", "state"}
+        assert set(state_doc) == {"config", "state"}
         st = state_doc["state"]
         for key in ("T", "D", "eP", "mu", "iterations", "residual", "grid"):
             assert key in st
@@ -72,12 +72,12 @@ class TestSolveCommand:
         cfg = write_config(tmp_path / "c.json")
         main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
         text = (tmp_path / "out" / "profiles.csv").read_text()
-        assert text.startswith("# config_hash=")
+        assert text.startswith("# config=")
         assert "r,psi,rho,Phi" in text
         assert "p,psi_hat,dpsi_hat,phi" in text
         blocks = text.split("\n\n")
         assert len(blocks) == 2
-        n_rows = len(blocks[0].strip().splitlines()) - 3  # hash, config, header
+        n_rows = len(blocks[0].strip().splitlines()) - 2  # config, header
         assert n_rows == SMALL_CONFIG["grid.n"]
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -89,7 +89,7 @@ class TestSolveCommand:
 
     def test_artifacts_embed_only_the_computation_keys(self, tmp_path):
         # the output directory is not part of the configuration: each artifact embeds
-        # and hashes the seven keys that decide its numbers, and nothing else
+        # the seven keys that decide its numbers, and nothing else
         keys = {"grid.n", "grid.rmax", "momentum.n", "momentum.pmax", "solver.tol_psi",
                 "cutoff.shape", "cutoff.eps_list"}
         cfg = write_config(tmp_path / "c.json")
@@ -98,16 +98,14 @@ class TestSolveCommand:
                               ("massbound", "massbound.csv")]:
             # SMALL_CONFIG's grids fail some verify rows; the table is written either way
             assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) in (0, 1)
-            hash_line, config_line = (tmp_path / "out" / name).read_text().splitlines()[:2]
-            assert config_line.startswith("# config=")
-            embedded.append((hash_line.removeprefix("# config_hash="),
-                             json.loads(config_line.removeprefix("# config="))))
-        state_doc = json.loads((tmp_path / "out" / "pekar_state.json").read_text())
-        embedded.append((state_doc["config_hash"], state_doc["config"]))
-        for digest, doc in embedded:
+            header = [line for line in (tmp_path / "out" / name).read_text().splitlines()
+                      if line.startswith("#")]
+            assert len(header) == 1 and header[0].startswith("# config=")
+            embedded.append(json.loads(header[0].removeprefix("# config=")))
+        embedded.append(json.loads((tmp_path / "out" / "pekar_state.json").read_text())["config"])
+        for doc in embedded:
             assert set(doc) == keys
             assert doc == config_from_dict(SMALL_CONFIG).to_flat_dict()
-            assert digest == config_from_dict(doc).content_hash()
 
     def test_convergence_failure_exit3_with_history(self, tmp_path, monkeypatch):
         # every command writes the SCF history when the solve fails
@@ -169,7 +167,7 @@ _VARIED = {"grid.n": 1200, "grid.rmax": 24.0, "momentum.n": 900, "momentum.pmax"
 
 def _artifact_numbers(doc, tmp_path):
     """The numeric fields of every command's artifacts for doc, the embedded
-    configuration and its hash set aside."""
+    configuration set aside."""
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(doc))
     numbers = []
@@ -620,16 +618,16 @@ class TestVerifyCommand:
         cfg_path.write_text("{}")
         assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
         lines = (tmp_path / "out" / "verify.csv").read_text().splitlines()
-        rows = [ln.split(",") for ln in lines[3:]]
+        rows = [ln.split(",") for ln in lines[2:]]
         assert rows and all(row[-1] == "true" for row in rows)
 
     def test_coarse_grid_fails_with_table(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"grid.n": 100})
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         lines = (tmp_path / "out" / "verify.csv").read_text().splitlines()
-        header = lines[2]
+        header = lines[1]
         assert header == "check_name,computed,expected,tolerance,pass"
-        rows = [ln.split(",") for ln in lines[3:]]
+        rows = [ln.split(",") for ln in lines[2:]]
         assert any(row[-1] == "false" for row in rows)
         names = [row[0] for row in rows]
         assert "Q1-Q2=3" in names
@@ -657,7 +655,7 @@ def test_nowhere_positive_psi_hat_is_a_sign_fault(tmp_path, capsys, command, cod
     assert main([command, "--config", str(path), "--out", str(out)]) == code
     err = capsys.readouterr().err
     if command == "verify":
-        rows = [ln.split(",") for ln in (out / "verify.csv").read_text().splitlines()[3:]]
+        rows = [ln.split(",") for ln in (out / "verify.csv").read_text().splitlines()[2:]]
         zero, one = "0.0000000000000000e+00", "1.0000000000000000e+00"
         assert ["psi_hat_positive", zero, one, zero, "false"] in rows and err == ""
     else:
@@ -778,8 +776,8 @@ class TestMassboundCommand:
         cfg = write_config(tmp_path / "c.json")
         assert main(["massbound", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         lines = (tmp_path / "out" / "massbound.csv").read_text().splitlines()
-        assert lines[2] == "eps,R,Q1,Q2,f,m_lower"
-        rows = [ln.split(",") for ln in lines[3:]]
+        assert lines[1] == "eps,R,Q1,Q2,f,m_lower"
+        rows = [ln.split(",") for ln in lines[2:]]
         assert len(rows) == len(SMALL_CONFIG["cutoff.eps_list"]) + 1
         assert [float(r[0]) for r in rows] == SMALL_CONFIG["cutoff.eps_list"] + [0.0]
 
@@ -814,6 +812,22 @@ def test_import_leaves_interpolate_and_signal_unloaded():
     done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                           text=True, env=_child_env())
     assert done.stdout.strip() == "['scipy.linalg._flapack']"
+
+
+def test_commands_leave_hashlib_unloaded(tmp_path):
+    """Neither `import polaron` nor solve, verify or massbound loads hashlib or
+    OpenSSL's `_hashlib`: the embedded configuration alone names a run.  Checked in
+    a child interpreter, because pytest imports hashlib itself."""
+    cfg, out = write_config(tmp_path / "c.json"), str(tmp_path / "out")
+    code = ("import sys, polaron, polaron.cli; "
+            "print([polaron.cli.main([c, '--config', sys.argv[1], '--out', sys.argv[2]]) "
+            "for c in ('solve', 'verify', 'massbound')]); "
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code, cfg, out], check=True,
+                          capture_output=True, text=True, env=_child_env())
+    codes, loaded = done.stdout.splitlines()
+    # SMALL_CONFIG's grids fail some verify rows; every command runs to its table
+    assert codes in ("[0, 0, 0]", "[0, 1, 0]") and loaded == "[]"
 
 
 @pytest.mark.parametrize("first", ["polaron", "scipy.linalg"])

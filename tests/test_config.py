@@ -4,6 +4,7 @@ import math
 import pytest
 
 import polaron as pl
+from polaron.cli import _artifact_header
 from polaron.config import config_from_dict
 
 
@@ -103,13 +104,15 @@ class TestConfigFromDict:
             config_from_dict([1, 2, 3])
 
 
-class TestHashAndRoundTrip:
-    def test_hash_stable_and_sensitive(self):
-        a = config_from_dict({})
-        b = config_from_dict({})
-        c = config_from_dict({"grid.n": 2999})
-        assert a.content_hash() == b.content_hash()
-        assert a.content_hash() != c.content_hash()
+class TestHeaderAndRoundTrip:
+    def test_header_stable_and_sensitive(self):
+        # the embedded configuration is a run's identity: equal for equal documents,
+        # different when any key differs
+        a = _artifact_header(config_from_dict({}))
+        b = _artifact_header(config_from_dict({}))
+        c = _artifact_header(config_from_dict({"grid.n": 2999}))
+        assert a == b
+        assert a != c
 
     def test_flat_dict_round_trips(self):
         cfg = config_from_dict({"grid.n": 1234, "cutoff.shape": "gaussian"})
