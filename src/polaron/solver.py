@@ -18,10 +18,10 @@ the continuum minimizer, its h² and h³ offsets on the grid and the wall's
 boundary layer (`_initial_u`, within 1e-8 in L² of the fixed point on the
 default grid and on 6000/40), and takes 1 step there.  Each step finds its
 lowest eigenpair by inverse iteration warm-started from the current iterate,
-with shifts certified to lie below the spectrum (an O(n) LDLᵀ factorization
-with positive pivots, see `_ground_pair`).  The input density is then updated
-by Anderson (Pulay, "DIIS") mixing of the residual f_k = ρ_out,k − ρ_in,k with
-ρ_out,k = |ψ_new|²:
+with one solve per shift certified to lie below the spectrum (an O(n) LDLᵀ
+factorization with positive pivots, see `_ground_pair`).  The input density
+is then updated by Anderson (Pulay, "DIIS") mixing of the residual
+f_k = ρ_out,k − ρ_in,k with ρ_out,k = |ψ_new|²:
 
     ρ_in,k+1 = ρ_in,k + β f_k − Σ_j γ_j (Δρ_in,j + β Δf_j),
 
@@ -218,7 +218,6 @@ def _kinetic_energy(grid: RadialGrid, u: np.ndarray) -> float:
 # inverse iteration in `_ground_pair`
 _STEP_TOL = 1e-12
 _SHIFT_FLOOR = 1e-10
-_SOLVES_PER_SHIFT = 3
 _MAX_SHIFTS = 100
 
 
@@ -250,15 +249,15 @@ def _ground_pair(grid: RadialGrid, w_pot: np.ndarray,
     """Lowest eigenpair of H = −d²/dr² + W on interior nodes r_1..r_{n−1},
     by inverse iteration from the guess u (the wall value u[-1] is ignored).
 
-    Each shift lies δ below the Rayleigh quotient λ of the unit iterate x,
-    δ = max(‖Hx − λx‖, _SHIFT_FLOOR, 4 eps ‖H‖) grown fourfold until
-    `_factor_below` certifies it below λ₀, so the iteration converges to the
-    lowest pair from any guess; it is re-centred after _SOLVES_PER_SHIFT
-    solves.  (Pivot rounding moves the inertia of H − σI by up to about
-    eps ‖H‖/4, measured for rmax from 1e-6 to 1e3; a smaller δ may never
-    pass.)  The iterate settles once a solve moves it by at most _STEP_TOL,
-    and is returned when the next shift passes at its first δ, which proves
-    λ₀ ∈ (λ − δ, λ]: a settled excited pair fails that test and iterates on.
+    Each pass makes one solve with H − σI at a new shift σ, which lies δ
+    below the Rayleigh quotient λ of the unit iterate x, δ = max(‖Hx − λx‖,
+    _SHIFT_FLOOR, 4 eps ‖H‖) grown fourfold until `_factor_below` certifies it
+    below λ₀, so the iteration converges to the lowest pair from any guess.
+    (Pivot rounding moves the inertia of H − σI by up to about eps ‖H‖/4,
+    measured for rmax from 1e-6 to 1e3; a smaller δ may never pass.)  The
+    pair (λ, x) is returned once σ passed at its first δ, which proves
+    λ₀ ∈ (λ − δ, λ], and the solve moved x by at most _STEP_TOL: a settled
+    excited pair fails the certificate and iterates on.
 
     Every call makes at least one solve, so the SCF iterate follows each
     change of W.  A certified x that a solve no longer moves is kept rather
@@ -267,45 +266,38 @@ def _ground_pair(grid: RadialGrid, w_pot: np.ndarray,
 
     Limit: when the lowest state is localized away from the guess (a
     component of ~1e-50 along it) or nearly degenerate (a gap of ~1e-11),
-    as in random or symmetric multi-well potentials, inverse iteration can
-    exhaust _MAX_SHIFTS and raise NumericalError where a dense solver
-    returns the pair.  The SCF's W = −2Φ is monotone in r, and no CLI run
-    has been seen to reach this.
+    inverse iteration can exhaust _MAX_SHIFTS and raise NumericalError where
+    a dense solver returns the pair.  The SCF's W = −2Φ is monotone in r,
+    and no CLI run has been seen to reach this.  Measured from cold guesses
+    with A log-uniform in [1, 1e6] on 10 to 3000 nodes, it raised on none of
+    400 Coulomb-like W = −AΦ_ρ (ρ a sum of 1–5 random Gaussians) and on 71
+    of 200 symmetric wells W = −A cos²(6πr/rmax).
     """
     h = grid.h
     w_in = w_pot[:-1]
     diag = 2.0 / h**2 + w_in
     if not (np.isfinite(diag).all() and np.isfinite(u).all()):
         raise NumericalError("eigenstep got a non-finite potential, grid step or guess")
-    if diag.size == 1:  # one interior node: H is a number
-        return float(diag[0]), np.array([1.0, 0.0])
     c = -1.0 / h**2
-    off = np.full(diag.size - 1, c)
+    off = np.full(max(diag.size - 1, 1), c)  # f2py wants e[0] even for one node
     w_min = float(w_in.min())
     floor = max(_SHIFT_FLOOR, 4.0 * np.finfo(float).eps * (np.abs(diag).max() + 2.0 / h**2))
     x = u[:-1] / math.sqrt(u[:-1] @ u[:-1])
-    r = np.empty_like(x)  # Hx, then Hx − λx, then each solve's step y − x
-    settled = False
+    r = np.empty_like(x)  # Hx, then Hx − λx, then the solve's step y − x
     for _ in range(_MAX_SHIFTS):
         np.multiply(diag, x, out=r)
         r[1:] += c * x[:-1]
         r[:-1] += c * x[1:]
         lam = float(x @ r)
         r -= lam * x
-        delta = max(math.sqrt(r @ r), floor)
-        d, e, first = _factor_below(diag, off, lam, delta, w_min)
-        if settled and first:
+        d, e, first = _factor_below(diag, off, lam, max(math.sqrt(r @ r), floor), w_min)
+        # (H − σI)⁻¹ is positive definite, so y·x > 0: no sign flip
+        y = dpttrs(d, e, x)[0]
+        y /= math.sqrt(y @ y)
+        np.subtract(y, x, out=r)
+        if first and math.sqrt(r @ r) <= _STEP_TOL:  # certified and still: keep x
             return lam, np.append(x, 0.0)
-        for _ in range(_SOLVES_PER_SHIFT):
-            # (H − σI)⁻¹ is positive definite, so y·x > 0: no sign flip
-            y = dpttrs(d, e, x)[0]
-            y /= math.sqrt(y @ y)
-            np.subtract(y, x, out=r)
-            step = math.sqrt(r @ r)
-            if step <= _STEP_TOL and first:  # certified and still: keep x
-                break
-            x = y
-        settled = step <= _STEP_TOL
+        x = y
     raise NumericalError(f"inverse iteration did not settle in {_MAX_SHIFTS} shifts")
 
 

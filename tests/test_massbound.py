@@ -43,6 +43,15 @@ class TestCutoffSpec:
         assert np.all(chi[p * 2.0 >= 1.0] == 0.0)
         assert np.all(chi[p * 2.0 < 1.0] > 0.0)
 
+    def test_bump_raises_nothing_up_to_its_edge(self):
+        # inside |s| < 1, 1 − s² ≥ 2.2e-16, so the bump neither divides by zero
+        # nor overflows: its exp only underflows to 0, which `main` lets pass
+        s = np.array([0.0, 0.5, np.nextafter(1.0, 0.0), 1.0, 2.0])
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            chi = pl.CutoffSpec(eps=1.0, shape="bump").chi(s)
+        assert chi[0] == 1.0 and 0.0 < chi[1] < 1.0
+        assert np.all(chi[2:] == 0.0)
+
     @pytest.mark.parametrize("kwargs", [
         {"eps": 0.0}, {"eps": -1.0}, {"eps": 0.1, "shape": "box"},
         {"eps": float("nan")},

@@ -79,17 +79,32 @@ class TestSolvePekar:
         small = pl.solve_pekar(pl.SolverOptions(grid=(800, 20.0)))
         assert max(st.iterations for st in (state_default, state_fine, small)) <= 6
 
-    def test_lapack_call_budget(self, monkeypatch):
-        # the eigensteps of a default solve: factorizations (one per shift
-        # tried) and triangular solves
+    @staticmethod
+    def _lapack_calls(monkeypatch, opts):
+        """Factorizations (one per shift tried) and triangular solves made by
+        the eigensteps of one solve."""
         calls = {"dpttrf": 0, "dpttrs": 0}
         for name in calls:
             def counted(*args, _name=name, _original=getattr(solver, name)):
                 calls[_name] += 1
                 return _original(*args)
             monkeypatch.setattr(solver, name, counted)
-        pl.solve_pekar(pl.SolverOptions(grid=DEFAULT_GRID))
-        assert calls["dpttrf"] <= 2 and calls["dpttrs"] <= 2
+        pl.solve_pekar(opts)
+        return calls["dpttrf"], calls["dpttrs"]
+
+    def test_lapack_call_budget(self, monkeypatch):
+        factors, solves = self._lapack_calls(monkeypatch, pl.SolverOptions(grid=DEFAULT_GRID))
+        assert factors <= 2 and solves <= 2
+
+    @pytest.mark.parametrize("grid, budget", [((3000, 30.0), 11), ((6000, 40.0), 13)],
+                             ids=["3000/30", "6000/40"])
+    def test_one_factorization_per_solve(self, monkeypatch, grid, budget):
+        # at tol_psi 1e-12 the SCF takes 6 and 7 steps from a warm iterate,
+        # whose shifts all pass at their first δ: each eigenstep pass factors
+        # H − σI once and solves with it once, and no factorization goes unused
+        factors, solves = self._lapack_calls(monkeypatch,
+                                             pl.SolverOptions(grid=grid, tol_psi=1e-12))
+        assert factors == solves <= budget
 
     def test_lapack_loader_has_no_fallback(self, monkeypatch):
         # without scipy's _flapack extension the import fails, naming scipy's version
