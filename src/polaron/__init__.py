@@ -41,7 +41,7 @@ from .massbound import (
     potential_term,
     potential_term_position_oracle,
 )
-from .config import ConfigError, RunConfig, config_from_dict, load_config
+from .config import ConfigError, config_from_dict, load_config
 from .errors import ConvergenceError, DomainError, NumericalError
 
 __all__ = [
@@ -57,7 +57,7 @@ __all__ = [
     "CutoffSpec", "MassBoundReport", "pairing_term",
     "kinetic_term", "potential_term", "bound_rhs", "bound_sweep", "mass_coefficient",
     "kinetic_term_position_oracle", "potential_term_position_oracle",
-    "RunConfig", "ConfigError", "config_from_dict", "load_config",
+    "ConfigError", "config_from_dict", "load_config",
     "ConvergenceError", "NumericalError", "DomainError",
 ]
 

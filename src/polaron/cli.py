@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, load_config
+from .coulomb import coulomb_potential
 from .errors import ConvergenceError, DomainError, NumericalError
 from .grid import build_grid
 from .massbound import _CHI_ONE, CutoffSpec, bound_rhs, bound_sweep
@@ -49,24 +50,24 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _artifact_header(cfg: RunConfig) -> str:
-    return f"# config={json.dumps(cfg.to_flat_dict(), sort_keys=True)}\n"
+def _artifact_header(cfg: dict) -> str:
+    return f"# config={json.dumps(cfg, sort_keys=True)}\n"
 
 
-def run_solver(cfg: RunConfig) -> PekarState:
-    opts = SolverOptions(grid=(cfg.grid_n, cfg.grid_rmax), tol_psi=cfg.solver_tol_psi)
+def run_solver(cfg: dict) -> PekarState:
+    opts = SolverOptions(grid=(cfg["grid.n"], cfg["grid.rmax"]), tol_psi=cfg["solver.tol_psi"])
     return solve_pekar(opts)
 
 
-def run_pipeline(cfg: RunConfig) -> tuple[PekarState, MomentumProfile]:
+def run_pipeline(cfg: dict) -> tuple[PekarState, MomentumProfile]:
     state = run_solver(cfg)
-    pgrid = build_grid(cfg.momentum_n, cfg.momentum_pmax)
+    pgrid = build_grid(cfg["momentum.n"], cfg["momentum.pmax"])
     return state, momentum_profile(state, pgrid)
 
 
-def _write_state_json(cfg: RunConfig, state: PekarState, out: Path) -> None:
+def _write_state_json(cfg: dict, state: PekarState, out: Path) -> None:
     doc = {
-        "config": cfg.to_flat_dict(),
+        "config": cfg,
         "state": {
             "T": state.T,
             "D": state.D,
@@ -235,9 +236,7 @@ def _write_artifact(path: Path, chunks: Iterable[bytes]) -> None:
         raise
 
 
-def _write_profiles_csv(cfg: RunConfig, state: PekarState, mp: MomentumProfile, out: Path) -> None:
-    from .coulomb import coulomb_potential
-
+def _write_profiles_csv(cfg: dict, state: PekarState, mp: MomentumProfile, out: Path) -> None:
     phi_pos = coulomb_potential(state.rho)
     g, pg = state.psi.grid, mp.pgrid
     _write_artifact(out / "profiles.csv", itertools.chain(
@@ -247,7 +246,7 @@ def _write_profiles_csv(cfg: RunConfig, state: PekarState, mp: MomentumProfile, 
         _table(pg.nodes, mp.psi_hat.values, mp.dpsi_hat.values, mp.phi.values)))
 
 
-def cmd_solve(cfg: RunConfig, out: Path) -> int:
+def cmd_solve(cfg: dict, out: Path) -> int:
     state, mp = run_pipeline(cfg)
     _write_state_json(cfg, state, out)
     _write_profiles_csv(cfg, state, mp, out)
@@ -276,14 +275,14 @@ def verification_rows(state: PekarState, mp: MomentumProfile, psi_hat_ok: bool) 
     return [(name, comp, exp, tol, abs(comp - exp) <= tol) for name, comp, exp, tol in rows]
 
 
-def _write_table(path: Path, cfg: RunConfig, columns: str, rows: Iterable[tuple]) -> None:
+def _write_table(path: Path, cfg: dict, columns: str, rows: Iterable[tuple]) -> None:
     lines = [columns, *(",".join(map(_fmt, row)) for row in rows)]
     _write_artifact(path, [(_artifact_header(cfg) + "\n".join(lines) + "\n").encode()])
 
 
-def cmd_verify(cfg: RunConfig, out: Path) -> int:
+def cmd_verify(cfg: dict, out: Path) -> int:
     state = run_solver(cfg)
-    pgrid = build_grid(cfg.momentum_n, cfg.momentum_pmax)
+    pgrid = build_grid(cfg["momentum.n"], cfg["momentum.pmax"])
     try:
         mp, psi_hat_ok = momentum_profile(state, pgrid), True
     except DomainError as exc:   # a sign fault of ψ̂ is tabulated as a failed row, not raised
@@ -293,13 +292,13 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK if all(ok for *_, ok in rows) else EXIT_VERIFY_FAILED
 
 
-def cmd_massbound(cfg: RunConfig, out: Path) -> int:
+def cmd_massbound(cfg: dict, out: Path) -> int:
     state, mp = run_pipeline(cfg)
-    cuts = [CutoffSpec(eps=eps, shape=cfg.cutoff_shape) for eps in cfg.cutoff_eps_list]
+    cuts = [CutoffSpec(eps=eps, shape=cfg["cutoff.shape"]) for eps in cfg["cutoff.eps_list"]]
     reports = bound_sweep(mp, cuts + [_CHI_ONE])   # the last is the χ≡1 endpoint
     _write_table(out / "massbound.csv", cfg, "eps,R,Q1,Q2,f,m_lower",
                  ((label, r.R, r.Q1, r.Q2, r.f, r.m_lower)
-                  for label, r in zip([*cfg.cutoff_eps_list, 0.0], reports)))
+                  for label, r in zip([*cfg["cutoff.eps_list"], 0.0], reports)))
     if not abs(reports[-1].f) <= F_ENDPOINT_TOL:
         print(f"massbound: chi=1 endpoint f = {reports[-1].f:.3g} misses 0 by more than "
               f"{F_ENDPOINT_TOL:g}; the grids do not resolve the bound", file=sys.stderr)

@@ -8,13 +8,12 @@ failures that can only be detected while a computation is running.
 class ConvergenceError(RuntimeError):
     """An iterative solver exhausted its iteration budget.
 
-    Carries the last iterate and the per-iteration history so callers can
-    inspect (or persist) what happened.
+    Carries the per-iteration history so callers can inspect (or persist)
+    what happened.
     """
 
-    def __init__(self, message, last_state=None, history=None):
+    def __init__(self, message, history=None):
         super().__init__(message)
-        self.last_state = last_state
         self.history = list(history) if history is not None else []
 
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import integrate_3d
+from .coulomb import coulomb_bilinear
+from .grid import integrate_3d, radial_derivative
 from .momentum import MomentumProfile, _Shells, _field_weights
 from .solver import PekarState
 
@@ -169,8 +170,6 @@ def kinetic_term_position_oracle(state: PekarState) -> float:
 
     so Q1(0) = 4π ∫ r⁴ ψ'² dr + μ · 4π ∫ r⁴ ψ² dr.
     """
-    from .grid import radial_derivative
-
     g = state.psi.grid
     r = g.nodes
     dpsi = radial_derivative(state.psi).values
@@ -184,8 +183,6 @@ def potential_term_position_oracle(state: PekarState) -> float:
 
         Q2(0) = 2 ∬ ρ(x) |y|² ρ(y) / |x−y| dx dy.
     """
-    from .coulomb import coulomb_bilinear
-
     g = state.rho.grid
     weighted = state.rho.with_values(g.nodes**2 * state.rho.values)
     return 2.0 * coulomb_bilinear(state.rho, weighted)

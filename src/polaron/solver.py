@@ -393,8 +393,6 @@ def solve_pekar(opts: SolverOptions) -> PekarState:
         f"SCF did not converge in {_MAX_ITER} iterations "
         f"(last |dpsi|={history[-1][1]:.3e}, "
         f"last |rho_out-rho_in|/|rho_out|={scf:.3e})",
-        last_state=_state_from_u(grid, u, T, D, rho, iterations=_MAX_ITER,
-                                 residual=history[-1][1]),
         history=history,
     )
 
@@ -444,9 +442,7 @@ def imaginary_time_oracle(opts: SolverOptions) -> PekarState:
                                  f"on the {grid.n}-node grid")
 
     raise ConvergenceError(
-        f"flow did not reach |g| <= {_FLOW_TOL:g} in {_MAX_ITER} steps (last {g_norm:.3e})",
-        last_state=_state_from_u(grid, u, T, D, rho, iterations=_MAX_ITER, residual=g_norm),
-    )
+        f"flow did not reach |g| <= {_FLOW_TOL:g} in {_MAX_ITER} steps (last {g_norm:.3e})")
 
 
 def el_residual_position(state: PekarState) -> float:

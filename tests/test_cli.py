@@ -105,7 +105,7 @@ class TestSolveCommand:
         embedded.append(json.loads((tmp_path / "out" / "pekar_state.json").read_text())["config"])
         for doc in embedded:
             assert set(doc) == keys
-            assert doc == config_from_dict(SMALL_CONFIG).to_flat_dict()
+            assert doc == config_from_dict(SMALL_CONFIG)
 
     def test_convergence_failure_exit3_with_history(self, tmp_path, monkeypatch):
         # every command writes the SCF history when the solve fails
@@ -194,7 +194,7 @@ def small_config_numbers(tmp_path_factory):
     return _artifact_numbers(SMALL_CONFIG, tmp_path_factory.mktemp("base"))
 
 
-@pytest.mark.parametrize("key", list(config_from_dict({}).to_flat_dict()))
+@pytest.mark.parametrize("key", list(config_from_dict({})))
 def test_each_config_key_decides_some_number(tmp_path, small_config_numbers, key):
     # a key whose value changes no number of any artifact decides only whether a
     # run fails, and has no place in the configuration
@@ -370,13 +370,14 @@ def test_csv_floats_are_16e_of_the_library_values(tmp_path):
     g, pg, phi = state.psi.grid, mp.pgrid, coulomb_potential(state.rho)
     columns = [(g.nodes, state.psi.values, state.rho.values, phi.values),
                (pg.nodes, mp.psi_hat.values, mp.dpsi_hat.values, mp.phi.values)]
-    cuts = [polaron.CutoffSpec(eps=eps, shape=conf.cutoff_shape) for eps in conf.cutoff_eps_list]
+    cuts = [polaron.CutoffSpec(eps=eps, shape=conf["cutoff.shape"])
+            for eps in conf["cutoff.eps_list"]]
     reports = polaron.bound_sweep(mp, cuts + [polaron.massbound._CHI_ONE])
     expected = {
         "solve/profiles.csv": [row for table in columns for row in zip(*(c.tolist() for c in table))],
         "verify/verify.csv": polaron.cli.verification_rows(state, mp, True),
         "massbound/massbound.csv": [(eps, r.R, r.Q1, r.Q2, r.f, r.m_lower)
-                                    for eps, r in zip([*conf.cutoff_eps_list, 0.0], reports)],
+                                    for eps, r in zip([*conf["cutoff.eps_list"], 0.0], reports)],
     }
     for name, rows in expected.items():
         written = _data_rows(tmp_path / name)
@@ -605,6 +606,18 @@ class TestConfigValidation:
         assert len(err.splitlines()) == 1 and "nested" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "massbound"])
+    def test_number_literal_past_the_digit_limit_exits_2(self, tmp_path, capsys, command):
+        # json.loads raises a plain ValueError for an integer literal of more than
+        # 4,300 digits (int's string-conversion limit); the text is written directly,
+        # since json.dumps cannot write such an integer
+        path = tmp_path / "c.json"
+        path.write_text('{"grid.n": 1' + "0" * 5000 + "}")
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_config_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_bytes(b"\xff\xfe{}")
@@ -695,6 +708,12 @@ def test_one_or_two_interior_radial_nodes_exit_cleanly(tmp_path, capsys, n, comm
     # config that still sets either former key is refused, not ignored
     ("solve", {"solver.mixing": 0.5}, "solver.mixing"),
     ("verify", {"solver.tol_energy": 1e-10}, "solver.tol_energy"),
+    # integers past the largest float spell no float: they once overflowed in the
+    # validation's rmax / n and ε·pmax (exit 1 with a traceback) or in the SCF's stop
+    # test (exit 3)
+    ("verify", {"grid.rmax": 10**400}, "grid.rmax"),
+    ("massbound", {"cutoff.eps_list": [10**400]}, "cutoff.eps_list"),
+    ("solve", {"solver.tol_psi": 10**400}, "solver.tol_psi"),
 ])
 def test_unrepresentable_scales_exit_2_naming_the_key(tmp_path, capsys, command, overrides, key):
     # these configs once ran into a floating-point fault (exit 3, naming only
@@ -744,7 +763,8 @@ _VALID_DOCS = st.fixed_dictionaries({}, optional={
 _JUNK = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3), st.lists(st.floats(), max_size=3),
     st.floats(allow_nan=True, allow_infinity=True), st.integers(-2, 10),
-    st.sampled_from([1e-300, 1e300, -1e300, 0.0, -1.0, [], [0.1, 0.1], [0.2, float("nan")]]),
+    st.sampled_from([1e-300, 1e300, -1e300, 0.0, -1.0, [], [0.1, 0.1], [0.2, float("nan")],
+                     10**400, -10**400, [10**400]]),
 )
 _KEYS = ["grid.n", "grid.rmax", "momentum.n", "momentum.pmax", "solver.mixing",
          "solver.tol_energy", "solver.tol_psi", "solver.max_iter", "cutoff.shape",

@@ -10,16 +10,20 @@ from polaron.config import config_from_dict
 
 class TestConfigFromDict:
     def test_defaults(self):
-        cfg = config_from_dict({})
-        assert cfg.grid_n == 3000
-        assert cfg.momentum_pmax == 10.0
-        assert cfg.cutoff_eps_list == [0.5, 0.2, 0.1, 0.05]
+        assert config_from_dict({}) == {
+            "grid.n": 3000, "grid.rmax": 30.0, "momentum.n": 4000, "momentum.pmax": 10.0,
+            "solver.tol_psi": 1e-8, "cutoff.shape": "bump",
+            "cutoff.eps_list": [0.5, 0.2, 0.1, 0.05]}
+
+    def test_defaults_are_not_shared(self):
+        # each call builds its own defaults: changing one configuration's list
+        # changes no later one
+        config_from_dict({})["cutoff.eps_list"].append(0.01)
+        assert config_from_dict({})["cutoff.eps_list"] == [0.5, 0.2, 0.1, 0.05]
 
     def test_partial_override(self):
         cfg = config_from_dict({"grid.n": 500, "solver.tol_psi": 1e-9})
-        assert cfg.grid_n == 500
-        assert cfg.solver_tol_psi == 1e-9
-        assert cfg.grid_rmax == 30.0
+        assert cfg == {**config_from_dict({}), "grid.n": 500, "solver.tol_psi": 1e-9}
 
     @pytest.mark.parametrize("doc,field", [
         ({"grid.n": 1}, "grid.n"),
@@ -65,6 +69,12 @@ class TestConfigFromDict:
         # χ ≡ 1 is the endpoint row massbound always appends, not a shape
         ({"cutoff.shape": "one"}, "cutoff.shape"),
         ({"momentum.pmax": 1e40, "cutoff.eps_list": [1e111]}, "cutoff.eps_list"),
+        # integers past the largest float: no float holds them
+        ({"grid.rmax": 10**400}, "grid.rmax"),
+        ({"momentum.pmax": -10**400}, "momentum.pmax"),
+        ({"solver.tol_psi": 10**400}, "solver.tol_psi"),
+        ({"cutoff.eps_list": [10**400]}, "cutoff.eps_list"),
+        ({"cutoff.eps_list": [0.5, 10**309]}, "cutoff.eps_list"),
     ])
     def test_invalid_values_name_the_field(self, doc, field):
         with pytest.raises(pl.ConfigError) as exc_info:
@@ -90,7 +100,7 @@ class TestConfigFromDict:
     ])
     def test_sizes_are_bounded_above(self, key, top):
         # validation only: no solve runs at these sizes
-        assert getattr(config_from_dict({key: top}), key.replace(".", "_")) == top
+        assert config_from_dict({key: top})[key] == top
         with pytest.raises(pl.ConfigError) as exc_info:
             config_from_dict({key: top + 1})
         assert key in str(exc_info.value)
@@ -116,5 +126,5 @@ class TestHeaderAndRoundTrip:
 
     def test_flat_dict_round_trips(self):
         cfg = config_from_dict({"grid.n": 1234, "cutoff.shape": "gaussian"})
-        again = config_from_dict(json.loads(json.dumps(cfg.to_flat_dict())))
+        again = config_from_dict(json.loads(json.dumps(cfg)))
         assert again == cfg

@@ -153,7 +153,7 @@ def test_bound_sweep_matches_the_term_definitions(mp_200, mp_default):
 
     # on the default grids, the default bump list, a gaussian and χ≡1: each row of a
     # sweep is the one-cutoff sweep of its cutoff
-    cuts = ([pl.CutoffSpec(eps=eps) for eps in pl.RunConfig().cutoff_eps_list]
+    cuts = ([pl.CutoffSpec(eps=eps) for eps in pl.config_from_dict({})["cutoff.eps_list"]]
             + [pl.CutoffSpec(eps=0.1, shape="gaussian"), _CHI_ONE])
     for cut, rep in zip(cuts, pl.bound_sweep(mp_default, cuts)):
         assert rep == pl.bound_sweep(mp_default, [cut])[0]
