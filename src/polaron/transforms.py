@@ -26,12 +26,14 @@ time and O(N+M) memory, at the smallest 5-smooth length ≥ N+M−1 (`_fft_lengt
 7200 for 3000/4000 nodes, 10000 for 6000/4000).  Each phase θs²/2 is an exact
 integer square times θ/2, so it carries one rounding, as the product p_j r_i of
 the direct sum does.
-The chirp depends on the grids only, so `fourier_profile` sums the stacked rows
-(r ψ, r² ψ, r ρ) with one chirp transform, ψ̂ and ψ̂' sharing ψ's sine moment.
-The rows live in one zero-padded (rows, L) complex buffer, which the forward
-FFT, the product with the chirp's spectrum, the inverse FFT and the final chirp
-factor each overwrite (numpy.fft's `out=`), so a transform holds that buffer
-and a few arrays of N+M complex: a traced peak of 113 MB on 10⁶/4000 nodes.
+The chirp depends on the grids only, so `fourier_profile` sums the rows
+(r ψ, r² ψ, r ρ) with one chirp and one spectrum of it, ψ̂ and ψ̂' sharing ψ's
+sine moment.  The rows pass one at a time through one zero-padded L-long complex
+buffer, which the forward FFT, the product with the chirp's spectrum and the
+inverse FFT each overwrite (numpy.fft's `out=`), so a transform holds that
+buffer, the spectrum, the chirp and the (rows, M) moments: a traced peak of
+57 MB on 10⁶/4000 nodes.  A batched FFT of all rows in one (rows, L) buffer
+would take about 4·L complex more work memory, which tracemalloc does not see.
 """
 
 from __future__ import annotations
@@ -62,26 +64,28 @@ def _fft_length(m: int) -> int:
 
 def _chirp_moment(grid: RadialGrid, pgrid: RadialGrid, *rows: tuple[int, np.ndarray]) -> np.ndarray:
     """X[l]_j = Σ_i w_i r_i^k f(r_i) e^{−i p_j r_i} at each node p_j for each row l = (k, f)
-    on `grid`, by FFT convolutions with one chirp e^{iθm²/2}, m = j − i = 1−N..M−1, in one
-    zero-padded (rows, L) buffer that every step overwrites."""
+    on `grid`, by FFT convolutions with one chirp e^{iθm²/2}, m = j − i = 1−N..M−1, each
+    row in turn in one zero-padded L-long buffer that every step overwrites."""
     n, m = grid.n, pgrid.n
-    squares = np.arange(max(n, m) + 1, dtype=float) ** 2
-    chirp = np.exp(0.5j * (grid.h * pgrid.h) * squares)              # e^{iθs²/2}
+    chirp = 0.5j * (grid.h * pgrid.h) * np.arange(max(n, m) + 1, dtype=float) ** 2
+    np.exp(chirp, out=chirp)                                          # e^{iθs²/2}
     np.conjugate(chirp, out=chirp)                                    # e^{−iθs²/2} from here
     size = _fft_length(n + m - 1)                                     # ≥ N+M−1: no wrap
-    buf = np.zeros((len(rows), size), complex)
-    for row, (k, f) in zip(buf, rows):
-        np.multiply(grid.weights * grid.nodes**k * f, chirp[1:n + 1], out=row[:n])
-    np.fft.fft(buf, out=buf)
     kernel = np.zeros(size, complex)                                  # m = 1−N..M−1
     np.conjugate(chirp[n - 1::-1], out=kernel[:n])
     np.conjugate(chirp[:m], out=kernel[n - 1:n + m - 1])
-    buf *= np.fft.fft(kernel, out=kernel)
-    del kernel   # freed before the inverse transform copies buf
-    np.fft.ifft(buf, out=buf)
-    X = buf[:, n - 1:n + m - 1]
-    # the chirp first: numpy's complex product rounds differently with the operands swapped
-    return np.multiply(chirp[1:m + 1], X, out=X)
+    np.fft.fft(kernel, out=kernel)
+    buf = np.empty(size, complex)
+    X = np.empty((len(rows), m), complex)
+    for x, (k, f) in zip(X, rows):
+        buf[n:] = 0
+        np.multiply(grid.weights * grid.nodes**k * f, chirp[1:n + 1], out=buf[:n])
+        np.fft.fft(buf, out=buf)
+        buf *= kernel
+        np.fft.ifft(buf, out=buf)
+        # the chirp first: numpy's complex product rounds differently with the operands swapped
+        np.multiply(chirp[1:m + 1], buf[n - 1:n + m - 1], out=x)
+    return X
 
 
 def fourier_radial(f: RadialFunction, pgrid: RadialGrid) -> RadialFunction:

@@ -7,11 +7,12 @@ the rows it is contracted with (G and p²G for Q2, p ψ̂g for the cross
 functional) are transformed together, at the smallest 5-smooth length
 ≥ 2n+1 (8100 at n = 4000), with no inverse transform.  Q2 makes 4 forward
 real transforms, of which the 2 kernel transforms serve a whole cutoff sweep;
-the cross functional makes 2.  A momentum profile stacks its three chirp-z
-rows, so the chirp kernel is transformed once, at the smallest 5-smooth
-length ≥ N+M−1.  A change that brings back an inverse transform, the 3n+1
-extension or the 5n+1 window, per-cutoff kernels, a row transformed on its
-own, a second chirp spectrum or power-of-two padding fails here.
+the cross functional makes 2.  A momentum profile transforms the chirp
+kernel once, then each of its three chirp-z rows forward and back on its own
+through one buffer, all at the smallest 5-smooth length ≥ N+M−1.  A change
+that brings back an inverse transform of the shell sums, the 3n+1 extension
+or the 5n+1 window, per-cutoff kernels, a second chirp spectrum, a longer
+chirp-z length or power-of-two padding fails here.
 """
 
 import bisect
@@ -78,11 +79,10 @@ def test_cross_expectation_makes_two_forward_and_no_inverse_real_ffts(mp_default
 def test_momentum_profile_transforms_the_chirp_once(state_default, fft_calls):
     pl.momentum_profile(state_default, pl.build_grid(4000, 10.0))
     forward, inverse = fft_calls["fft"], fft_calls["ifft"]
-    # one forward transform of the chirp kernel, one of the three stacked rows
-    assert sorted(rows for rows, _ in forward) == [1, 3]
-    assert [rows for rows, _ in inverse] == [3]
-    # 2^5·3^2·5^2 = 7200, the smallest 5-smooth length ≥ 3000 + 4000 − 1 (8192 as a power of two)
-    assert {length for _, length in forward + inverse} == {7200}
+    # the chirp kernel first, then each of the three rows forward and back, one row a call,
+    # at 2^5·3^2·5^2 = 7200, the smallest 5-smooth length ≥ 3000 + 4000 − 1 (8192 as a power of two)
+    assert forward == [(1, 7200)] * 4
+    assert inverse == [(1, 7200)] * 3
     assert not fft_calls["rfft"] and not fft_calls["irfft"]
 
 

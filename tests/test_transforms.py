@@ -92,7 +92,30 @@ def _random_profile(n, rmax):
     return pl.RadialFunction(pl.build_grid(n, rmax), np.random.default_rng(n).standard_normal(n))
 
 
-@pytest.mark.parametrize("source, pgrid_shape", [
+def _stacked_chirp_moment(grid, pgrid, *rows):
+    """The chirp-z sum of `_chirp_moment` with all rows in one zero-padded (rows, L)
+    buffer, transformed by batched FFTs: the reference that the row-by-row
+    pipeline must reproduce bit for bit, as the artifacts' byte identity needs."""
+    n, m = grid.n, pgrid.n
+    squares = np.arange(max(n, m) + 1, dtype=float) ** 2
+    chirp = np.exp(0.5j * (grid.h * pgrid.h) * squares)
+    np.conjugate(chirp, out=chirp)
+    size = _fft_length(n + m - 1)
+    buf = np.zeros((len(rows), size), complex)
+    for row, (k, f) in zip(buf, rows):
+        np.multiply(grid.weights * grid.nodes**k * f, chirp[1:n + 1], out=row[:n])
+    np.fft.fft(buf, out=buf)
+    kernel = np.zeros(size, complex)
+    np.conjugate(chirp[n - 1::-1], out=kernel[:n])
+    np.conjugate(chirp[:m], out=kernel[n - 1:n + m - 1])
+    buf *= np.fft.fft(kernel, out=kernel)
+    np.fft.ifft(buf, out=buf)
+    X = buf[:, n - 1:n + m - 1]
+    return np.multiply(chirp[1:m + 1], X, out=X)
+
+
+# (ψ's state or (n, rmax) of a random profile, momentum grid) of the chirp-z tests
+CHIRP_CASES = [
     ("state_default", MOMENTUM_GRID),   # 3000/30 → 4000/10
     ("state_fine", MOMENTUM_GRID),      # 6000/40 → 4000/10
     # small and lopsided sizes, where an index slip in the convolution shows
@@ -100,7 +123,19 @@ def _random_profile(n, rmax):
     ((3, 2.0), (5, 3.0)),
     ((7, 3.0), (3, 2.0)),
     ((300, 12.0), (200, 8.0)),
-])
+]
+
+
+def _profiles(request, source):
+    """(ψ, ρ) of a solved state, or two random profiles on one (n, rmax) grid."""
+    if isinstance(source, str):
+        state = request.getfixturevalue(source)
+        return state.psi, state.rho
+    psi = _random_profile(*source)
+    return psi, psi.with_values(np.random.default_rng(1).standard_normal(psi.grid.n))
+
+
+@pytest.mark.parametrize("source, pgrid_shape", CHIRP_CASES)
 def test_chirp_moments_match_direct_sum(request, source, pgrid_shape):
     f = request.getfixturevalue(source).psi if isinstance(source, str) else _random_profile(*source)
     pgrid = pl.build_grid(*pgrid_shape)
@@ -112,9 +147,22 @@ def test_chirp_moments_match_direct_sum(request, source, pgrid_shape):
     assert np.abs(cos_fast - cos_direct).max() <= 1e-12 * np.abs(cos_direct).max()
 
 
+@pytest.mark.parametrize("source, pgrid_shape", CHIRP_CASES)
+def test_chirp_moments_equal_the_stacked_buffer_bit_for_bit(request, source, pgrid_shape):
+    # the ψ rows that momentum_profile's moments come from, alone and with ρ's row;
+    # compared as bits, so that a signed zero or a last-digit rounding shows
+    psi, rho = _profiles(request, source)
+    pgrid = pl.build_grid(*pgrid_shape)
+    for rows in [((1, psi.values), (2, psi.values)),
+                 ((1, psi.values), (2, psi.values), (1, rho.values))]:
+        X = _chirp_moment(psi.grid, pgrid, *rows)
+        reference = _stacked_chirp_moment(psi.grid, pgrid, *rows)
+        assert np.array_equal(X.view(np.uint64), reference.view(np.uint64))
+
+
 def test_momentum_profile_memory_stays_linear(state_fine):
     # a dense N_p×N_r kernel at 6000/40 → 4000/10 holds 192 MB (128 MB even in
-    # 8M-element slabs); the chirp-z transforms hold O(N_r + N_p) arrays, ~1 MB
+    # 8M-element slabs); the chirp-z transforms hold O(N_r + N_p) arrays, 0.75–0.88 MB
     pgrid = pl.build_grid(*MOMENTUM_GRID)
     tracemalloc.start()
     try:
@@ -122,14 +170,14 @@ def test_momentum_profile_memory_stays_linear(state_fine):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16e6
+    assert peak < 2e6
 
 
 @pytest.mark.parametrize("source", ["state_default", "state_fine"])
 def test_fourier_profile_holds_one_buffer(request, source):
-    # the three rows share one zero-padded (3, L) complex buffer that the FFTs
-    # overwrite; besides it and the kernel's spectrum (L complex) only O(N + M)
-    # arrays live: the chirp, a row's real product, an FFT's work row
+    # the rows pass one at a time through one zero-padded L-long complex buffer that
+    # the FFTs overwrite; besides it, the kernel's spectrum (L complex) and the
+    # (3, M) complex moments only O(N + M) arrays live: the chirp, a row's real product
     state = request.getfixturevalue(source)
     pgrid = pl.build_grid(*MOMENTUM_GRID)
     n, m = state.psi.grid.n, pgrid.n
@@ -139,17 +187,10 @@ def test_fourier_profile_holds_one_buffer(request, source):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * (3 + 1) * _fft_length(n + m - 1) + 4 * 16 * (n + m)
+    assert peak <= 16 * (2 * _fft_length(n + m - 1) + 3 * m) + 64 * (n + m)
 
 
-@pytest.mark.parametrize("source, pgrid_shape", [
-    ("state_default", MOMENTUM_GRID),
-    ("state_fine", MOMENTUM_GRID),
-    ((2, 1.0), (2, 1.5)),
-    ((3, 2.0), (5, 3.0)),
-    ((7, 3.0), (3, 2.0)),
-    ((300, 12.0), (200, 8.0)),
-])
+@pytest.mark.parametrize("source, pgrid_shape", CHIRP_CASES)
 def test_stacked_profile_matches_one_row_transforms(request, source, pgrid_shape):
     # the rows of one chirp-z call, scaled to ψ̂, ψ̂' and ρ̂ by `fourier_profile` (and ρ̂
     # to φ and back by `momentum_profile`), give each row's own direct sum:
@@ -160,14 +201,11 @@ def test_stacked_profile_matches_one_row_transforms(request, source, pgrid_shape
     pgrid = pl.build_grid(*pgrid_shape)
     every = slice(None, None, 8 if pgrid.n > 500 else 1)
     p = pgrid.nodes[every]
+    psi, rho = _profiles(request, source)
     if isinstance(source, str):
-        state = request.getfixturevalue(source)
-        psi, rho = state.psi, state.rho
-        mp = pl.momentum_profile(state, pgrid)
+        mp = pl.momentum_profile(request.getfixturevalue(source), pgrid)
         stacked = (mp.psi_hat, mp.dpsi_hat, mp.rho_hat())
     else:
-        psi = _random_profile(*source)
-        rho = psi.with_values(np.random.default_rng(1).standard_normal(psi.grid.n))
         stacked = fourier_profile(psi, pgrid, rho)
     unitary = np.sqrt(2.0 / np.pi)
     sin_psi = _direct_moment(psi, p, 1, np.sin)
