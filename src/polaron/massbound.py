@@ -105,7 +105,8 @@ def potential_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
 
     ΔA_m = ∫_{|p_j−k_i|}^{p_j+k_i} q^m G(q) dq, where k²·(φ(k)/k) =
     ρ̂(k)/(√2 π) has absorbed the field profile: three shell sums s₁ + p² s₂ − s₃
-    with no division by q.  Each is a scalar Σ_j w_j x_j s_j(b, y) of
+    with no division by q, each shell integral the trapezoid rule on the
+    Gregory-corrected samples of q^m G.  Each is a scalar Σ_j w_j x_j s_j(b, y) of
     `momentum._Shells.form` on the rows G and p²G: s₁ with b = a and (x, y) =
     (G, p²G), p² s₂ with (p²G, G), −s₃ with b = −ak² and (G, G), a = wρ̂/k.  By
     the exchange identity each is the field's primitive P as a Fourier-diagonal
@@ -114,9 +115,11 @@ def potential_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
         Q2/4 = (h/L) Σ_k c_k [2 Re(Ĝ Ĝ₂ conj P̂_a) − 2 Ê_a Re(Ĝ conj Ĝ₂)
                              + Re(Ĝ² conj P̂_{−ak²}) − Ê_{−ak²} |Ĝ|²] + end terms,
 
-    Ê the spectrum of P's even extension, c_k Parseval's weights over the half
-    spectrum, at the smallest 5-smooth length L ≥ 2n+1: 4 forward real FFTs
-    (the two kernels and one 2-row transform of G and p²G), no inverse one.
+    P̂ the spectrum of P taken through the Gregory stencil (`_Shells`' SP), Ê
+    that of its even extension, c_k Parseval's weights over the half spectrum,
+    at the smallest 5-smooth length L ≥ 2n+1: 4 forward real FFTs (the two
+    kernels and one 2-row transform of G and p²G), no inverse one.  On the
+    default grids Q2(χ≡1) lies 6.5e-7 (relative) from its position oracle.
     """
     return bound_rhs(mp, cut).Q2
 

@@ -11,6 +11,12 @@ FINE_GRID = (6000, 40.0)
 MOMENTUM_GRID = (4000, 10.0)
 
 
+def gregory(y):
+    """ỹ_l = (−y_{l−1} + 14 y_l − y_{l+1})/12 on nodes 1..n, y_0 = y_{n+1} = 0: the
+    trapezoid rule on ỹ subtracts Euler–Maclaurin's (h²/12)[F′] at both limits."""
+    return np.convolve(y, [-1.0, 14.0, -1.0])[1:-1] / 12.0
+
+
 def psi_distance(a, b):
     """3d L² distance of the profiles of two states on one grid."""
     diff = a.psi.values - b.psi.values

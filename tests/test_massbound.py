@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import polaron as pl
+from conftest import gregory
 from polaron.massbound import _CHI_ONE
 from polaron.grid import cumulative_primitive
 from polaron.momentum import SQRT2_PI, _Shells
@@ -94,8 +95,9 @@ class TestPairingTerm:
 
 def _direct_q2(mp, cut):
     """Q2 = 4 Σ_ij w_i w_j (ρ̂_i/k_i) G_j [ΔA₂ + (p_j² − k_i²) ΔA₀], ΔA_m the
-    difference A_m[i+j] − A_m[|i−j|] of the primitive of q^m G (held at its
-    last value beyond the grid), summed directly over all pairs (i, j)."""
+    difference A_m[i+j] − A_m[|i−j|] of the primitive of the Gregory-corrected
+    samples ỹ of y = q^m G (held at its last value beyond the grid), summed
+    directly over all pairs (i, j)."""
     pg = mp.pgrid
     n, p, w = pg.n, pg.nodes, pg.weights
     G = cut.chi(p) * mp.dpsi_hat.values
@@ -103,7 +105,7 @@ def _direct_q2(mp, cut):
     i, j = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1), indexing="ij")
 
     def delta(integrand):
-        A = np.concatenate(([0.0], cumulative_primitive(pg, integrand)))
+        A = np.concatenate(([0.0], cumulative_primitive(pg, gregory(integrand))))
         return A[np.minimum(i + j, n)] - A[np.abs(i - j)]
 
     pairs = delta(p**2 * G) + (p[j - 1] ** 2 - p[i - 1] ** 2) * delta(G)
@@ -129,7 +131,9 @@ def test_potential_term_matches_its_shell_sum_definition(mp_200, cut):
 def test_potential_term_at_the_exact_2n_plus_1_length(state_default):
     # 62 nodes: the circular length is 125 = 2n+1, where a wrap in either part shows;
     # at pmax = 1 ψ̂ is still 5e-3 of its peak, so the pair i = j = n, which a length
-    # of 2n would fold onto Ã[0], weighs in (Q2 then misses its pair sum by 1e-7)
+    # of 2n would fold onto Ã[0], weighs in (Q2 then misses its pair sum by 1e-7), and
+    # so does the G_n term that moving the Gregory stencil onto the field's primitive
+    # leaves
     mp = pl.momentum_profile(state_default, pl.build_grid(62, 1.0))
     assert _Shells(mp.pgrid).size == 2 * 62 + 1
     for cut in (_CHI_ONE, pl.CutoffSpec(eps=0.2, shape="bump")):
@@ -194,12 +198,20 @@ class TestPotentialTerm:
         assert abs(q2 - oracle) <= 1e-4 * abs(oracle)
 
     def test_oracle_gap_second_order(self, mp_default, state_default):
-        # halving the momentum step cuts the shell-sum error about fourfold
+        # halving the momentum step cuts the shell-sum error about fourfold: the gap
+        # falls 4.3-fold from 2000 to 4000 nodes (2.0e-5 to 4.8e-6), the remainder
+        # being the sums' h_p³ origin term and the radial grid
         oracle = pl.potential_term_position_oracle(state_default)
         mp_coarse = pl.momentum_profile(state_default, pl.build_grid(2000, 10.0))
         gap_coarse = abs(pl.potential_term(mp_coarse, _CHI_ONE) - oracle)
         gap_default = abs(pl.potential_term(mp_default, _CHI_ONE) - oracle)
         assert gap_coarse >= 3.0 * gap_default
+
+    def test_oracle_gap_below_the_trapezoid_floor(self, mp_default, state_default):
+        # the Gregory-corrected shell sums take the relative gap on the defaults from
+        # the plain trapezoid's 4.1e-6 to 6.5e-7
+        oracle = pl.potential_term_position_oracle(state_default)
+        assert abs(pl.potential_term(mp_default, _CHI_ONE) - oracle) <= 1.5e-6 * abs(oracle)
 
     def test_three_identity(self, mp_default):
         q1 = pl.kinetic_term(mp_default, _CHI_ONE)
@@ -219,6 +231,21 @@ class TestBoundRhs:
         assert abs(rep.R + 1.5) < 1e-3
         assert abs(rep.Q1 - rep.Q2 - 3.0) < 1e-3
         assert rep.m_lower == 1.0 / (2.0 * rep.f)
+
+    def test_endpoint_floor(self, mp_default):
+        # f(χ≡1) on the defaults is 8.9e-7 with the Gregory-corrected shell sums, against
+        # 9.4e-6 under the plain trapezoid rule
+        assert abs(pl.bound_rhs(mp_default, _CHI_ONE).f) <= 2e-6
+
+    def test_default_sweep_near_the_continuum(self, mp_default):
+        # the default bump table's f(0.05) is 1.36e-6, 2.9× its continuum value, that of
+        # the Pekar minimizer in an even-tempered Gaussian basis, where every integral
+        # has a closed form (the plain trapezoid rule printed 9.89e-6, 21×)
+        continuum = 4.682471e-7
+        cuts = [pl.CutoffSpec(eps=eps) for eps in pl.config_from_dict({})["cutoff.eps_list"]]
+        assert cuts[-1].eps == 0.05
+        f = pl.bound_sweep(mp_default, cuts)[-1].f
+        assert continuum / 4.0 <= f <= 4.0 * continuum
 
     def test_eps_sequence_monotone(self, mp_default):
         reports = [pl.bound_rhs(mp_default, pl.CutoffSpec(eps=e, shape="bump"))

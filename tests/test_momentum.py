@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polaron as pl
+from conftest import gregory
 from polaron.grid import cumulative_primitive
 from polaron.momentum import SQRT2_PI, _Shells
 
@@ -167,10 +168,10 @@ class TestCrossExpectation:
 
 
 def _direct_shell_sum(grid, a, integrand):
-    """s_j = Σ_i a_i (A[i+j] − A[|i−j|]) with A[0] = 0 and A held at A[n] beyond
-    the grid, summed term by term."""
+    """s_j = Σ_i a_i (A[i+j] − A[|i−j|]) with A[0] = 0, A the primitive of the
+    integrand's `gregory` ỹ, held at A[n] beyond the grid, summed term by term."""
     n = grid.n
-    A = np.concatenate(([0.0], cumulative_primitive(grid, integrand)))
+    A = np.concatenate(([0.0], cumulative_primitive(grid, gregory(integrand))))
     return np.array([sum(a[i - 1] * (A[min(i + j, n)] - A[abs(i - j)]) for i in range(1, n + 1))
                      for j in range(1, n + 1)])
 
@@ -192,9 +193,11 @@ def test_shell_sum_matches_direct_loop():
 def test_form_matches_direct_pair_sum():
     # Σ_j u_j s_j(b, F) by the exchange identity against the direct pair sum: the
     # end terms (the primitive's first cell and its hold at A[n], the grid's end
-    # weights) show at every n, an even or odd length (5, 8 at n = 2, 3) at tiny n,
-    # a wrap where the length is exactly 2n+1 (9, 25, 125 at n = 4, 12, 62), and
-    # an odd length at 405 (n = 200)
+    # weights, all taken in the Gregory-corrected F̃, and the F_n term that moving the
+    # stencil onto the field's primitive leaves) show at every n (random rows:
+    # F_n ≠ 0), an even or odd length (5, 8 at n = 2, 3) at tiny n, a wrap where the
+    # length is exactly 2n+1 (9, 25, 125 at n = 4, 12, 62), and an odd length at 405
+    # (n = 200)
     for n in (2, 3, 4, 5, 12, 62, 200):
         grid = pl.build_grid(n, 3.0)
         u, b, F, c = np.random.default_rng(n).standard_normal((4, n))
