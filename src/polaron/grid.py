@@ -12,6 +12,9 @@ weights are
     w = (3h/2, h, ..., h, h/2),   sum(w) = rmax  (exact),
 
 and the induced bilinear Coulomb form is exactly symmetric (see coulomb.py).
+These weights are the radial grid's rule.  A momentum grid is built here too,
+for its nodes; momentum.py and massbound.py integrate on it by the trapezoid
+rule from p = 0, with the integrand's limit at the origin.
 """
 
 from __future__ import annotations
@@ -66,7 +69,8 @@ def build_grid(n: int, rmax: float) -> RadialGrid:
 
     The first node absorbs the origin cell [0, h] as a right-endpoint
     rectangle (integrands vanish there), the last node carries the usual
-    half weight; the weights sum to rmax exactly.
+    half weight; the weights sum to rmax exactly.  The radial rule only: the
+    momentum layer takes the nodes and h, not these weights.
 
     Raises ValueError for n < 2 or rmax <= 0.
     """

@@ -30,7 +30,7 @@ import numpy as np
 
 from .coulomb import coulomb_bilinear
 from .grid import integrate_3d, radial_derivative
-from .momentum import MomentumProfile, _Shells, _field_weights
+from .momentum import MomentumProfile, _Shells, _field_weights, _weights
 from .solver import PekarState
 
 
@@ -103,8 +103,11 @@ def potential_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
 
         Q2 = 4 Σ_ij w_i w_j (ρ̂(k_i)/k_i) G(p_j) [ΔA₂ + (p_j² − k_i²) ΔA₀],
 
-    ΔA_m = ∫_{|p_j−k_i|}^{p_j+k_i} q^m G(q) dq, where k²·(φ(k)/k) =
-    ρ̂(k)/(√2 π) has absorbed the field profile: three shell sums s₁ + p² s₂ − s₃
+    ΔA_m = ∫_{|p_j−k_i|}^{p_j+k_i} q^m G(q) dq, w the trapezoid weights from 0,
+    where k²·(φ(k)/k) = ρ̂(k)/(√2 π) has absorbed the field profile.  The p = 0
+    shell vanishes with G(0) = 0; in the k = 0 shell ΔA_m → 2k p^m G(p), so its
+    limit at weight h/2 adds 8h ρ̂(0) Σ_j w_j p_j² G_j², an O(n) term.  The rest
+    is three shell sums s₁ + p² s₂ − s₃
     with no division by q, each shell integral the trapezoid rule on the
     Gregory-corrected samples of q^m G.  Each is a scalar Σ_j w_j x_j s_j(b, y) of
     `momentum._Shells.form` on the rows G and p²G: s₁ with b = a and (x, y) =
@@ -119,7 +122,9 @@ def potential_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
     that of its even extension, c_k Parseval's weights over the half spectrum,
     at the smallest 5-smooth length L ≥ 2n+1: 4 forward real FFTs (the two
     kernels and one 2-row transform of G and p²G), no inverse one.  On the
-    default grids Q2(χ≡1) lies 6.5e-7 (relative) from its position oracle.
+    default grids Q2(χ≡1) lies 3.4e-7 (relative) from its position oracle, the
+    radial grid's h_r² error: 1.5e-7 on 6000/40, and within 3e-9 of it on half
+    the momentum nodes.
     """
     return bound_rhs(mp, cut).Q2
 
@@ -133,27 +138,30 @@ def mass_coefficient(state: PekarState) -> float:
 def bound_sweep(mp: MomentumProfile, cuts: list[CutoffSpec]) -> list[MassBoundReport]:
     """f(ε) = 1 + (Q1 − Q2)/3 + 4R/3 for each cutoff, in order.
 
-    R and Q1 are the grid's quadratures 4π Σ w p³ ψ̂ ψ̂' χ(εp) and
-    4π Σ w p² ψ̂'² (p² + μ) χ(εp)², Q2 the shell sums of `potential_term`'s
-    docstring.  The weights of R and Q1 and Q2's two kernels (of a and −ak²)
-    are made once for the whole sweep, χ(εp) once per cutoff for R, Q1 and Q2;
-    then each cutoff costs a dot product for R and for Q1, and one 2-row
+    R and Q1 are the trapezoid sums from p = 0, 4π Σ w p³ ψ̂ ψ̂' χ(εp) and
+    4π Σ w p² ψ̂'² (p² + μ) χ(εp)², whose integrands vanish at the origin, Q2 the
+    shell sums and the k = 0 shell of `potential_term`'s docstring.  The weights
+    of R, Q1 and Q2's k = 0 shell and Q2's two kernels (of a and −ak²) are made
+    once for the whole sweep, χ(εp) once per cutoff for R, Q1 and Q2; then each
+    cutoff costs a dot product for R, for Q1 and for the k = 0 shell, and one 2-row
     forward real FFT of G and p²G for Q2, with no inverse FFT: 2 + 2·(cutoffs)
     real FFT rows, 12 for the default table's 4 bumps and χ≡1.
     m_lower = 1/(2f) when f > 0; if quadrature noise pushes f ≤ 0 near the
     exact zero, m_lower is the +inf sentinel.
     """
     pg, psi, dpsi = mp.pgrid, mp.psi_hat.values, mp.dpsi_hat.values
-    p, w, p2 = pg.nodes, pg.weights, pg.nodes**2
+    p, w, p2 = pg.nodes, _weights(pg), pg.nodes**2
     pairing = 4.0 * np.pi * w * p**3 * psi * dpsi
     kinetic = 4.0 * np.pi * w * p2 * dpsi**2 * (p2 + mp.mu)
+    origin = 8.0 * pg.h * mp.rho_hat0 * w * p2   # Q2's k = 0 shell, weighed by G²
     shells, a = _Shells(pg), _field_weights(mp)   # k and p share the grid: k_i² is p**2
     ka, minus_ka_k2 = shells.kernel(a), shells.kernel(-a * p2)
     reports = []
     for cut in cuts:
         chi = cut.chi(p)
         G = chi * dpsi   # rows G and p²G: s₁, p² s₂ and −s₃ as forms
-        Q2 = 4.0 * shells.form(np.stack((G, p2 * G)), (ka, 0, 1), (ka, 1, 0), (minus_ka_k2, 0, 0))
+        Q2 = (4.0 * shells.form(np.stack((G, p2 * G)), (ka, 0, 1), (ka, 1, 0), (minus_ka_k2, 0, 0))
+              + origin @ G**2)
         R, Q1 = float(pairing @ chi), float(kinetic @ chi**2)
         f = 1.0 + (Q1 - Q2) / 3.0 + 4.0 * R / 3.0
         reports.append(MassBoundReport(eps=cut.eps, R=R, Q1=Q1, Q2=Q2, f=f,

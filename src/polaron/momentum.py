@@ -27,8 +27,7 @@ and on the uniform momentum grid (p = jh, k = ih) both limits are nodes,
 i + j and |i − j|.  Each double integral is therefore a difference of an
 on-grid primitive, summed by `_Shells` with FFTs in O(n log n); no value
 is ever needed between nodes.  Each shell integral is the trapezoid rule on
-Gregory-corrected samples (see `_Shells`), so the error is the grid's own,
-O((pmax/n)³): on the default grids f(χ≡1) of massbound.py is 8.9e-7.
+Gregory-corrected samples (see `_Shells`), so it errs by O((pmax/n)³).
 Everywhere a 1/k would meet the field profile, the finite combination
 k φ(k) = ρ̂(k)/(√2 π) is used instead.
 With the primitive shifted by its last value, each sum splits into a Hankel
@@ -42,6 +41,17 @@ Fourier-diagonal kernel, and the scalar is that kernel contracted by Parseval
 with the spectra of the rows it weighs.  Forward real FFTs only: 2 for the
 cross functional, 4 for one Q2, and 2 per cutoff plus 2 kernels made once for
 a cutoff sweep.
+
+Every integral over p or k is the trapezoid rule from the origin (`_weights`):
+h at the nodes 1..n−1, h/2 at the last, and h/2 at p = 0, which is not a node.
+On integrands even and smooth through 0 it converges spectrally (Trefethen and
+Weideman, SIAM Review 2014).  Most vanish at 0, so the origin adds nothing; three
+do not and add their limit, with ρ̂(0) = ∫ ρ d³x taken from the state: the field
+energy's p² φ² → ρ̂(0)²/(2π²), Q2's k = 0 shell (massbound.py) and the EL
+convolution's.  On the default grids f(χ≡1) of massbound.py is 1.5e-7, and
+1.4e-7 on half the momentum nodes, so what is left is the radial grid's.  With
+`build_grid`'s radial weights (1.5h at the first node) it read 8.9e-7, of which
+an h_p³ term made 7.4e-7.
 """
 
 from __future__ import annotations
@@ -52,7 +62,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .grid import RadialFunction, RadialGrid, cumulative_primitive, integrate_3d
+from .grid import RadialFunction, RadialGrid, integrate_3d
 from .solver import PekarState
 from .transforms import _fft_length, fourier_profile
 
@@ -69,6 +79,7 @@ class MomentumProfile:
     dpsi_hat: RadialFunction
     phi: RadialFunction
     mu: float
+    rho_hat0: float   # ρ̂(0) = ∫ ρ d³x, the p = 0 limit the momentum grid has no node for
 
     def rho_hat(self) -> RadialFunction:
         """Raw-convention density transform, recovered exactly from φ."""
@@ -112,7 +123,8 @@ def momentum_profile(state: PekarState, pgrid: RadialGrid) -> MomentumProfile:
     """
     psi_hat, dpsi_hat, rho_hat = fourier_profile(state.psi, pgrid, state.rho)
     phi = RadialFunction(pgrid, rho_hat.values / (SQRT2_PI * pgrid.nodes))
-    mp = MomentumProfile(pgrid=pgrid, psi_hat=psi_hat, dpsi_hat=dpsi_hat, phi=phi, mu=state.mu)
+    mp = MomentumProfile(pgrid=pgrid, psi_hat=psi_hat, dpsi_hat=dpsi_hat, phi=phi, mu=state.mu,
+                         rho_hat0=integrate_3d(state.rho))
     v = psi_hat.values
     if v.max() <= 0.0:
         raise DomainError(
@@ -127,15 +139,27 @@ def momentum_profile(state: PekarState, pgrid: RadialGrid) -> MomentumProfile:
     return mp
 
 
+def _weights(pgrid: RadialGrid) -> np.ndarray:
+    """The trapezoid rule from p = 0 at the nodes 1..n: h, ..., h, h/2.  The origin's
+    weight h/2 multiplies the integrand's p = 0 limit, which the callers whose
+    integrand does not vanish there add themselves."""
+    w = np.full(pgrid.n, pgrid.h)
+    w[-1] = 0.5 * pgrid.h
+    return w
+
+
 def field_energy(mp: MomentumProfile) -> float:
-    """∫ φ(p)² d³p; equals the position-space pair energy D."""
-    return integrate_3d(mp.phi.with_values(mp.phi.values**2))
+    """∫ φ(p)² d³p = 4π ∫ p² φ² dp, p² φ² → ρ̂(0)²/(2π²) at the origin; equals the
+    position-space pair energy D."""
+    p, phi = mp.pgrid.nodes, mp.phi.values
+    origin = 0.5 * mp.pgrid.h * mp.rho_hat0**2 / (2.0 * np.pi**2)
+    return float(4.0 * np.pi * (_weights(mp.pgrid) @ (p**2 * phi**2) + origin))
 
 
 def density_expectation(mp: MomentumProfile, g: RadialTestFunction) -> float:
     """∫ |ψ̂(p)|² g(|p|) d³p."""
-    vals = mp.psi_hat.values**2 * g(mp.pgrid.nodes)
-    return integrate_3d(RadialFunction(mp.pgrid, vals))
+    p = mp.pgrid.nodes
+    return float(4.0 * np.pi * (_weights(mp.pgrid) @ (p**2 * mp.psi_hat.values**2 * g(p))))
 
 
 def number_expectation(mp: MomentumProfile, g: RadialTestFunction) -> float:
@@ -150,8 +174,8 @@ class _Shells:
 
     A[m] ≈ ∫_0^{mh} F is the on-grid primitive of the integrand samples y
     (A[0] = 0, held at A[n] beyond the grid, where F is taken as zero), so
-    s_j ≈ Σ_i b_i ∫_{|p_j−k_i|}^{p_j+k_i} F(q) dq.  A is the grid's trapezoid
-    primitive (`cumulative_primitive`) of the Gregory-corrected samples
+    s_j ≈ Σ_i b_i ∫_{|p_j−k_i|}^{p_j+k_i} F(q) dq.  A is the trapezoid primitive
+    from F(0) = 0 of the Gregory-corrected samples
 
         ỹ_l = (−y_{l−1} + 14 y_l − y_{l+1})/12,   l = 1..n,   y_0 = y_{n+1} = 0:
 
@@ -167,26 +191,26 @@ class _Shells:
     L−n+1..L−1 without overlap; both are read at j = 1..n.  `field` gives the
     spectra of rows placed at 1..n, and `sums` reads s from one inverse FFT.
 
-    A scalar Σ_j w_j x_j s_j(b, y) needs no inverse FFT.  Written out, s_j is
-    h Σ_il b_i ỹ_l K(i, j, l) plus end terms, and K, 1 for |i−j| < l < i+j,
-    ½ for l = i+j or l = |i−j| and 0 otherwise, is symmetric in (i, j, l); so
-    field and integrand trade places (the exchange identity):
+    A scalar Σ_j w_j x_j s_j(b, y), w the trapezoid weights (`_weights`), needs
+    no inverse FFT.  Written out, s_j is h Σ_il b_i ỹ_l K(i, j, l) less the hold's
+    end term, and K, 1 for |i−j| < l < i+j, ½ for l = i+j or l = |i−j| and 0
+    otherwise, is symmetric in (i, j, l); so field and integrand trade places
+    (the exchange identity):
 
         Σ_j w_j x_j s_j(b, y) = h Σ_jl x_j ỹ_l (P[j+l] − P[|j−l|])
-            + (h/2) [x_1 Σ_l ỹ_l (P[l+1] − P[l−1]) + x_n Σ_l ỹ_l P[n−l]
-                     + ỹ_1 Σ_j w_j x_j b_j − ỹ_n Σ_j w_j x_j Σ_{l>n−j} b_l],
+            + (h/2) [x_n Σ_l ỹ_l P[n−l] − ỹ_n Σ_j w_j x_j Σ_{l>n−j} b_l],
 
     with P the trapezoid primitive of b shifted by its total, P[m] =
-    −h (Σ_{i>m} b_i + b_m/2) on 0..n and zero beyond (P[n+1] in the second
-    line is 0).  The end terms are the primitive's rectangle first cell
-    (ỹ_1), its hold at A[n] (ỹ_n) and the grid's 1.5h and 0.5h end weights
-    (x_1, x_n).  The stencil S: y ↦ ỹ is symmetric, so in the first line it
+    −h (Σ_{i>m} b_i + b_m/2) on 0..n and zero beyond.  The end terms are the
+    last node's half weight (x_n) and the primitive's hold at A[n] (ỹ_n); the
+    first node has the bulk's weight h, and the first cell is the bulk's
+    trapezoid.  The stencil S: y ↦ ỹ is symmetric, so in the first line it
     moves onto P by parts: with D_j[l] = P[j+l] − P[|j−l|] (D_j[0] = 0,
     D_j[n+1] = −P[n+1−j]), Σ_l ỹ_l D_j[l] = Σ_l y_l (S D_j)[l] − y_n P[n+1−j]/12,
     and (S D_j)[l] = SP[j+l] − SP[|j−l|], SP the stencil of P (zero beyond n) on
     0..n+1, at 0 taken on P's even extension: the bulk is the first line's with
     SP for P, less (h y_n/12) Σ_j x_j P[n+1−j].  In the second line S moves
-    onto the vectors that ỹ meets.  `kernel(b)` makes SP's spectrum (one
+    onto the vector P[n−l] that ỹ meets.  `kernel(b)` makes SP's spectrum (one
     forward FFT); `form` contracts it with the spectra of x and y by Parseval,
     the Hankel part as Re(F x · F y · conj F SP), the Toeplitz part with SP's
     even extension.
@@ -207,7 +231,8 @@ class _Shells:
         """s_j, j = 1..n: the Hankel correlation conj(F b)·F Ã less the Toeplitz
         convolution F b·Ê, Ê = 2 Re F Ã − Ã[0] the spectrum of Ã's even
         extension, under one inverse FFT."""
-        A = cumulative_primitive(self.pgrid, _gregory(integrand))
+        y = _gregory(integrand)
+        A = self.pgrid.h * (np.cumsum(y) - 0.5 * y)   # the trapezoid rule from A[0] = 0
         shifted = np.concatenate(([0.0], A[:-1])) - A[-1]
         spectrum, field = np.fft.rfft(shifted, self.size), self.field(b)
         even = 2.0 * spectrum.real - shifted[0]
@@ -233,8 +258,8 @@ class _Shells:
         hankel[own] /= 2.0
         toeplitz[own] /= 2.0
         tail = total - np.concatenate((running[-2::-1], [0.0]))   # Σ_{l>n−j} b_l
-        return (hankel.view(float), toeplitz, _gregory(np.append(P[2:], 0.0) - P[:-1]),
-                _gregory(P[-2::-1]), pg.weights * b, pg.weights * tail, P[:0:-1] / 6.0)
+        return (hankel.view(float), toeplitz, _gregory(P[-2::-1]), _weights(pg) * tail,
+                P[:0:-1] / 6.0)
 
     def form(self, rows: np.ndarray, *terms: tuple[tuple, int, int]) -> float:
         """Σ over terms (kernel of b, i, k) of Σ_j w_j x_j s_j(b, y), x = rows[i]
@@ -242,14 +267,13 @@ class _Shells:
         spectra = self.field(rows)
         halves = spectra.view(float)   # real and imaginary parts, interleaved
         total = 0.0
-        for (hankel, toeplitz, first, last, wb, wtail, spill), i, k in terms:
+        for (hankel, toeplitz, last, wtail, spill), i, k in terms:
             x, y = rows[i], rows[k]
             bulk = ((spectra[i] * spectra[k]).view(float) @ hankel
                     - (toeplitz @ (halves[i] * halves[k]).reshape(-1, 2)).sum())
-            y1, yn = (14.0 * y[0] - y[1]) / 12.0, (14.0 * y[-1] - y[-2]) / 12.0   # ỹ_1, ỹ_n
+            yn = (14.0 * y[-1] - y[-2]) / 12.0   # ỹ_n
             # the last term takes off (h y_n/12) Σ_j x_j P[n+1−j], which SP's bulk adds
-            ends = (x[0] * (y @ first) + x[-1] * (y @ last) + y1 * (x @ wb) - yn * (x @ wtail)
-                    - y[-1] * (x @ spill))
+            ends = x[-1] * (y @ last) - yn * (x @ wtail) - y[-1] * (x @ spill)
             total += bulk + 0.5 * self.pgrid.h * ends
         return float(total)
 
@@ -264,7 +288,7 @@ def _gregory(y: np.ndarray) -> np.ndarray:
 
 def _field_weights(mp: MomentumProfile) -> np.ndarray:
     """w_i ρ̂(k_i)/k_i: the k-side factor of the convolutions with φ(k)/k."""
-    return mp.pgrid.weights * mp.rho_hat().values / mp.pgrid.nodes
+    return _weights(mp.pgrid) * mp.rho_hat().values / mp.pgrid.nodes
 
 
 def cross_expectation(mp: MomentumProfile, xi: RadialTestFunction, g: RadialTestFunction) -> float:
@@ -274,13 +298,15 @@ def cross_expectation(mp: MomentumProfile, xi: RadialTestFunction, g: RadialTest
 
         8π² Σ_ij w_i w_j k_i φ(k_i) ξ(k_i) p_j (ψ̂g)(p_j) [B(p_j+k_i) − B(|p_j−k_i|)],
 
-    with B the primitive of q (ψ̂g)(q); g and ξ are called on the grid only.
-    That is `_Shells.form` with x = y = p ψ̂g: two forward real FFTs.
+    with B the primitive of q (ψ̂g)(q) and w the trapezoid weights from 0; g and ξ
+    are called on the grid only.  Both origin shells vanish: at k = 0 the width
+    B(p+k) − B(p−k) multiplies k φ(k) → ρ̂(0)/(√2 π), and at p = 0 the factor p
+    does.  That is `_Shells.form` with x = y = p ψ̂g: two forward real FFTs.
     """
     pg = mp.pgrid
     p = pg.nodes
     x = p * mp.psi_hat.values * g(p)
-    k_factor = pg.weights * mp.rho_hat().values / SQRT2_PI * xi(p)   # w k φ(k) ξ(k)
+    k_factor = _weights(pg) * mp.rho_hat().values / SQRT2_PI * xi(p)   # w k φ(k) ξ(k)
     shells = _Shells(pg)
     return 8.0 * np.pi**2 * shells.form(x[np.newaxis], (shells.kernel(k_factor), 0, 0))
 
@@ -290,11 +316,12 @@ def el_residual_momentum(mp: MomentumProfile) -> float:
 
     The convolution term is (2/π) ∫ dk ρ̂(k) ∫ dc ψ̂(|p+k|), which the shell
     reduction turns into (2/π) (1/p) Σ_i w_i (ρ̂_i/k_i) [B(p+k_i) − B(|p−k_i|)]
-    with B the primitive of q ψ̂(q).  Looser than the position-space residual
-    by the extra transform error; ≤ 1e-3 for a converged state at default
-    resolution.
+    with B the primitive of q ψ̂(q), plus the k = 0 shell's limit 2ρ̂(0)ψ̂(p) at
+    the origin's weight h/2.  Looser than the position-space residual by the
+    extra transform error; ≤ 1e-3 for a converged state at default resolution.
     """
-    p = mp.pgrid.nodes
-    conv = _Shells(mp.pgrid).sums(_field_weights(mp), p * mp.psi_hat.values) / p
-    defect = (p**2 + mp.mu) * mp.psi_hat.values - (2.0 / np.pi) * conv
-    return float(np.sqrt(4.0 * np.pi * mp.pgrid.integrate(p**2 * defect**2)))
+    pg, psi = mp.pgrid, mp.psi_hat.values
+    p = pg.nodes
+    conv = _Shells(pg).sums(_field_weights(mp), p * psi) / p + pg.h * mp.rho_hat0 * psi
+    defect = (p**2 + mp.mu) * psi - (2.0 / np.pi) * conv
+    return float(np.sqrt(4.0 * np.pi * (_weights(pg) @ (p**2 * defect**2))))

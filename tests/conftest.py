@@ -17,6 +17,19 @@ def gregory(y):
     return np.convolve(y, [-1.0, 14.0, -1.0])[1:-1] / 12.0
 
 
+def trapezoid_weights(grid):
+    """The trapezoid rule from p = 0 at nodes 1..n: h, ..., h, h/2 (the origin's h/2
+    goes with the integrand's p = 0 limit)."""
+    w = np.full(grid.n, grid.h)
+    w[-1] = grid.h / 2
+    return w
+
+
+def trapezoid_primitive(grid, y):
+    """A[m] = ∫_0^{mh} on m = 0..n by the trapezoid rule through y_0 = 0, A[0] = 0."""
+    return np.concatenate(([0.0], grid.h * (np.cumsum(y) - y / 2)))
+
+
 def psi_distance(a, b):
     """3d L² distance of the profiles of two states on one grid."""
     diff = a.psi.values - b.psi.values

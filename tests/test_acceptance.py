@@ -13,7 +13,7 @@ import numpy as np
 
 import polaron as pl
 from polaron.massbound import _CHI_ONE
-from conftest import DEFAULT_GRID, MOMENTUM_GRID, psi_distance
+from conftest import DEFAULT_GRID, MOMENTUM_GRID, psi_distance, trapezoid_weights
 
 ONE = pl.RadialTestFunction(lambda p: np.ones_like(p), name="1")
 EPS_LIST = [0.5, 0.2, 0.1, 0.05]
@@ -120,7 +120,7 @@ def test_criterion_9_functional_oracles(state_default, mp_default):
     rel_pair = abs(pair - state_default.D) / state_default.D
     xi = pl.RadialTestFunction(lambda k: np.exp(-k), name="exp(-k)")
     pg = mp_default.pgrid
-    oracle = 4 * np.pi * pg.integrate(
+    oracle = 4 * np.pi * trapezoid_weights(pg) @ (
         pg.nodes**2 * mp_default.phi.values * np.exp(-pg.nodes)
         * mp_default.rho_hat().values)
     cross = pl.cross_expectation(mp_default, xi, ONE)

@@ -427,7 +427,8 @@ def _synthetic_profile(n_r, n_p):
     q = 1 + pg.nodes**2
     mp = polaron.MomentumProfile(pgrid=pg, psi_hat=polaron.RadialFunction(pg, q**-2),
                                  dpsi_hat=polaron.RadialFunction(pg, -4 * pg.nodes * q**-3),
-                                 phi=polaron.RadialFunction(pg, np.sqrt(2) / q), mu=1.0)
+                                 phi=polaron.RadialFunction(pg, np.sqrt(2) / q), mu=1.0,
+                                 rho_hat0=1.0)
     return state, mp
 
 

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 import polaron as pl
-from conftest import gregory
+from conftest import MOMENTUM_GRID, gregory, trapezoid_primitive, trapezoid_weights
 from polaron.massbound import _CHI_ONE
-from polaron.grid import cumulative_primitive
 from polaron.momentum import SQRT2_PI, _Shells
 
 EPS_LADDER = [0.5, 0.2, 0.1, 0.05]
@@ -28,6 +27,7 @@ def sentinel_profile():
         dpsi_hat=pl.RadialFunction(pg, -k * np.exp(-(k**2) / 2)),
         phi=pl.RadialFunction(pg, 1e-12 / (SQRT2_PI * k)),
         mu=0.0,
+        rho_hat0=1e-12,
     )
 
 
@@ -89,27 +89,35 @@ class TestPairingTerm:
                 assert np.all(pairing[chi == 0.0] == 0.0)
                 assert np.all(kinetic[chi == 0.0] == 0.0)
             for term, integrand in [(pl.pairing_term, pairing), (pl.kinetic_term, kinetic)]:
-                exact = 4 * np.pi * math.fsum((pg.weights * integrand).tolist())
+                exact = 4 * np.pi * math.fsum((trapezoid_weights(pg) * integrand).tolist())
                 assert abs(term(mp, cut) - exact) <= 2e-15 * abs(exact)
 
 
 def _direct_q2(mp, cut):
     """Q2 = 4 Σ_ij w_i w_j (ρ̂_i/k_i) G_j [ΔA₂ + (p_j² − k_i²) ΔA₀], ΔA_m the
-    difference A_m[i+j] − A_m[|i−j|] of the primitive of the Gregory-corrected
-    samples ỹ of y = q^m G (held at its last value beyond the grid), summed
-    directly over all pairs (i, j)."""
+    difference A_m[i+j] − A_m[|i−j|] of the trapezoid primitive from 0 of the
+    Gregory-corrected samples ỹ of y = q^m G (held at its last value beyond the
+    grid), summed directly over all pairs (i, j), w the trapezoid weights from 0.
+    The k = 0 shell, of weight h/2, enters as its limit: ΔA_m → 2k p^m G(p), so
+    (ρ̂/k)[ΔA₂ + (p² − k²) ΔA₀] → 4ρ̂(0) p² G(p); the p = 0 shell has G(0) = 0."""
     pg = mp.pgrid
-    n, p, w = pg.n, pg.nodes, pg.weights
+    n, p, w = pg.n, pg.nodes, trapezoid_weights(pg)
     G = cut.chi(p) * mp.dpsi_hat.values
     a = w * mp.rho_hat().values / p
     i, j = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1), indexing="ij")
 
     def delta(integrand):
-        A = np.concatenate(([0.0], cumulative_primitive(pg, gregory(integrand))))
+        A = trapezoid_primitive(pg, gregory(integrand))
         return A[np.minimum(i + j, n)] - A[np.abs(i - j)]
 
     pairs = delta(p**2 * G) + (p[j - 1] ** 2 - p[i - 1] ** 2) * delta(G)
-    return 4.0 * np.sum(a[i - 1] * (w * G)[j - 1] * pairs)
+    origin = pg.h / 2 * np.sum(w * G * 4.0 * mp.rho_hat0 * p**2 * G)
+    return 4.0 * (np.sum(a[i - 1] * (w * G)[j - 1] * pairs) + origin)
+
+
+@pytest.fixture(scope="module")
+def mp_2000(state_default):
+    return pl.momentum_profile(state_default, pl.build_grid(2000, MOMENTUM_GRID[1]))
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +134,27 @@ def mp_200(state_default):
 def test_potential_term_matches_its_shell_sum_definition(mp_200, cut):
     direct = _direct_q2(mp_200, cut)
     assert abs(pl.potential_term(mp_200, cut) - direct) <= 1e-12 * abs(direct)
+
+
+def test_bound_sweep_matches_its_definitions_at_any_length():
+    # random rows, so every end term weighs in, on the lengths of
+    # test_form_matches_direct_pair_sum: Q2 against its pair sum with the k = 0 shell's
+    # limit, R and Q1 against the trapezoid sums from p = 0
+    for n in (2, 3, 4, 5, 12, 62, 200):
+        pg = pl.build_grid(n, 3.0)
+        psi, dpsi, phi = np.random.default_rng(n).standard_normal((3, n))
+        mp = pl.MomentumProfile(pgrid=pg, psi_hat=pl.RadialFunction(pg, psi),
+                                dpsi_hat=pl.RadialFunction(pg, dpsi),
+                                phi=pl.RadialFunction(pg, phi), mu=0.3, rho_hat0=0.7)
+        p, w = pg.nodes, trapezoid_weights(pg)
+        cuts = [_CHI_ONE, pl.CutoffSpec(eps=0.5, shape="gaussian")]
+        for cut, rep in zip(cuts, pl.bound_sweep(mp, cuts)):
+            chi = cut.chi(p)
+            direct = _direct_q2(mp, cut)
+            assert abs(rep.Q2 - direct) <= 1e-12 * abs(direct), n
+            R = 4 * np.pi * w @ (p**3 * chi * psi * dpsi)
+            Q1 = 4 * np.pi * w @ (p**2 * chi**2 * dpsi**2 * (p**2 + mp.mu))
+            assert abs(rep.R - R) <= 1e-12 * abs(R) and abs(rep.Q1 - Q1) <= 1e-12 * abs(Q1), n
 
 
 def test_potential_term_at_the_exact_2n_plus_1_length(state_default):
@@ -197,21 +226,24 @@ class TestPotentialTerm:
         oracle = pl.potential_term_position_oracle(state_default)
         assert abs(q2 - oracle) <= 1e-4 * abs(oracle)
 
-    def test_oracle_gap_second_order(self, mp_default, state_default):
-        # halving the momentum step cuts the shell-sum error about fourfold: the gap
-        # falls 4.3-fold from 2000 to 4000 nodes (2.0e-5 to 4.8e-6), the remainder
-        # being the sums' h_p³ origin term and the radial grid
+    def test_oracle_gap_second_order(self, mp_default, mp_2000, state_default, mp_fine,
+                                     state_fine):
+        # the gap is the radial grid's, of second order in h_r: it falls 2.25-fold from
+        # 3000/30 to 6000/40 (3.44e-7 to 1.53e-7 relative), (150/100)², while halving
+        # the momentum step moves it by 2.7e-9 (relative, 2000 to 4000 nodes)
         oracle = pl.potential_term_position_oracle(state_default)
-        mp_coarse = pl.momentum_profile(state_default, pl.build_grid(2000, 10.0))
-        gap_coarse = abs(pl.potential_term(mp_coarse, _CHI_ONE) - oracle)
+        gap_coarse = abs(pl.potential_term(mp_2000, _CHI_ONE) - oracle)
         gap_default = abs(pl.potential_term(mp_default, _CHI_ONE) - oracle)
-        assert gap_coarse >= 3.0 * gap_default
+        assert abs(gap_coarse - gap_default) <= 1e-8 * abs(oracle)
+        oracle_fine = pl.potential_term_position_oracle(state_fine)
+        gap_fine = abs(pl.potential_term(mp_fine, _CHI_ONE) - oracle_fine)
+        assert gap_default / abs(oracle) >= 2.0 * gap_fine / abs(oracle_fine)
 
     def test_oracle_gap_below_the_trapezoid_floor(self, mp_default, state_default):
-        # the Gregory-corrected shell sums take the relative gap on the defaults from
-        # the plain trapezoid's 4.1e-6 to 6.5e-7
+        # the relative gap on the defaults: 4.1e-6 under the plain trapezoid shell sums,
+        # 6.5e-7 with Gregory's end correction, 3.4e-7 with the trapezoid rule from p = 0
         oracle = pl.potential_term_position_oracle(state_default)
-        assert abs(pl.potential_term(mp_default, _CHI_ONE) - oracle) <= 1.5e-6 * abs(oracle)
+        assert abs(pl.potential_term(mp_default, _CHI_ONE) - oracle) <= 5e-7 * abs(oracle)
 
     def test_three_identity(self, mp_default):
         q1 = pl.kinetic_term(mp_default, _CHI_ONE)
@@ -233,19 +265,27 @@ class TestBoundRhs:
         assert rep.m_lower == 1.0 / (2.0 * rep.f)
 
     def test_endpoint_floor(self, mp_default):
-        # f(χ≡1) on the defaults is 8.9e-7 with the Gregory-corrected shell sums, against
-        # 9.4e-6 under the plain trapezoid rule
-        assert abs(pl.bound_rhs(mp_default, _CHI_ONE).f) <= 2e-6
+        # f(χ≡1) on the defaults is 1.45e-7 with the trapezoid rule from p = 0, against
+        # 8.9e-7 with the first node's 1.5h weight and 9.4e-6 under plain trapezoid
+        # shell sums
+        assert abs(pl.bound_rhs(mp_default, _CHI_ONE).f) <= 3e-7
+
+    def test_endpoint_floor_is_the_radial_grids(self, mp_default, mp_2000):
+        # f(χ≡1) is 1.389e-7 on 2000 momentum nodes and 1.455e-7 on 4000: what is left
+        # of the floor is the radial grid's (6.1e-6 and 8.9e-7 with the 1.5h weight)
+        f = [pl.bound_rhs(mp, _CHI_ONE).f for mp in (mp_2000, mp_default)]
+        assert abs(f[0] - f[1]) <= 2e-8
 
     def test_default_sweep_near_the_continuum(self, mp_default):
-        # the default bump table's f(0.05) is 1.36e-6, 2.9× its continuum value, that of
-        # the Pekar minimizer in an even-tempered Gaussian basis, where every integral
-        # has a closed form (the plain trapezoid rule printed 9.89e-6, 21×)
+        # the default bump table's f(0.05) is 6.12e-7, 1.31× its continuum value, that
+        # of the Pekar minimizer in an even-tempered Gaussian basis, where every
+        # integral has a closed form (2.9× with the first node's 1.5h weight, 21× under
+        # plain trapezoid shell sums)
         continuum = 4.682471e-7
         cuts = [pl.CutoffSpec(eps=eps) for eps in pl.config_from_dict({})["cutoff.eps_list"]]
         assert cuts[-1].eps == 0.05
         f = pl.bound_sweep(mp_default, cuts)[-1].f
-        assert continuum / 4.0 <= f <= 4.0 * continuum
+        assert continuum / 1.5 <= f <= 1.5 * continuum
 
     def test_eps_sequence_monotone(self, mp_default):
         reports = [pl.bound_rhs(mp_default, pl.CutoffSpec(eps=e, shape="bump"))
@@ -303,7 +343,8 @@ class TestMassCoefficient:
         # Plancherel route: ∫ ρ² d³x = ∫_0^∞ k⁴ φ(k)² dk
         a = pl.mass_coefficient(state_default)
         k = mp_default.pgrid.nodes
-        b = 8.0 * np.pi / 3.0 * mp_default.pgrid.integrate(k**4 * mp_default.phi.values**2)
+        w = trapezoid_weights(mp_default.pgrid)
+        b = 8.0 * np.pi / 3.0 * w @ (k**4 * mp_default.phi.values**2)
         assert abs(a - b) <= 1e-4 * a
 
     def test_dilation_scaling(self):

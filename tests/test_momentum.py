@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polaron as pl
-from conftest import gregory
-from polaron.grid import cumulative_primitive
+from conftest import gregory, trapezoid_primitive, trapezoid_weights
 from polaron.momentum import SQRT2_PI, _Shells
 
 ONE = pl.RadialTestFunction(lambda p: np.ones_like(p), name="1")
@@ -23,12 +22,15 @@ def synthetic_gaussian_profile():
         dpsi_hat=pl.RadialFunction(pg, -k * np.exp(-(k**2) / 2)),
         phi=pl.RadialFunction(pg, np.exp(-(k**2)) / (SQRT2_PI * k)),
         mu=0.0,
+        rho_hat0=1.0,
     )
 
 
 class TestMomentumProfile:
     def test_plancherel(self, mp_default):
-        assert abs(pl.density_expectation(mp_default, ONE) - 1.0) < 1e-5
+        # 2.8e-8 by the trapezoid rule from p = 0; the first node's old 1.5h weight
+        # added an h_p³ term and read 1.2e-6
+        assert abs(pl.density_expectation(mp_default, ONE) - 1.0) <= 1e-7
 
     def test_sign_structure(self, mp_default):
         # strictly positive until the quadrature noise floor; once a sign
@@ -142,14 +144,16 @@ class TestCrossExpectation:
         assert pl.cross_expectation(mp_default, ZERO, g) == 0.0
 
     def test_unit_g_reduces_to_radial_integral(self, mp_default):
-        # ∫dp ψ̂(p+k)ψ̂(p) = ρ̂(k) collapses the double integral
+        # ∫dp ψ̂(p+k)ψ̂(p) = ρ̂(k) collapses the double integral; under one rule, the
+        # trapezoid rule from k = 0 (the integrand vanishes there), the two agree to
+        # 5.1e-8 on the defaults
         xi = pl.RadialTestFunction(lambda k: np.exp(-k), name="exp(-k)")
         pg = mp_default.pgrid
         rho_hat = mp_default.rho_hat()
-        oracle = 4 * np.pi * pg.integrate(
+        oracle = 4 * np.pi * trapezoid_weights(pg) @ (
             pg.nodes**2 * mp_default.phi.values * np.exp(-pg.nodes) * rho_hat.values)
         val = pl.cross_expectation(mp_default, xi, ONE)
-        assert abs(val - oracle) <= 1e-4 * abs(oracle)
+        assert abs(val - oracle) <= 1e-6 * abs(oracle)
 
     def test_sign_symmetry_of_g(self, mp_default):
         xi = pl.RadialTestFunction(lambda k: np.exp(-k))
@@ -168,10 +172,10 @@ class TestCrossExpectation:
 
 
 def _direct_shell_sum(grid, a, integrand):
-    """s_j = Σ_i a_i (A[i+j] − A[|i−j|]) with A[0] = 0, A the primitive of the
+    """s_j = Σ_i a_i (A[i+j] − A[|i−j|]) with A the trapezoid primitive from 0 of the
     integrand's `gregory` ỹ, held at A[n] beyond the grid, summed term by term."""
     n = grid.n
-    A = np.concatenate(([0.0], cumulative_primitive(grid, gregory(integrand))))
+    A = trapezoid_primitive(grid, gregory(integrand))
     return np.array([sum(a[i - 1] * (A[min(i + j, n)] - A[abs(i - j)]) for i in range(1, n + 1))
                      for j in range(1, n + 1)])
 
@@ -192,24 +196,24 @@ def test_shell_sum_matches_direct_loop():
 
 def test_form_matches_direct_pair_sum():
     # Σ_j u_j s_j(b, F) by the exchange identity against the direct pair sum: the
-    # end terms (the primitive's first cell and its hold at A[n], the grid's end
-    # weights, all taken in the Gregory-corrected F̃, and the F_n term that moving the
-    # stencil onto the field's primitive leaves) show at every n (random rows:
+    # end terms (the primitive's hold at A[n] and the last node's half weight, both
+    # taken in the Gregory-corrected F̃, and the F_n term that moving the stencil onto
+    # the field's primitive leaves) show at every n (random rows:
     # F_n ≠ 0), an even or odd length (5, 8 at n = 2, 3) at tiny n, a wrap where the
     # length is exactly 2n+1 (9, 25, 125 at n = 4, 12, 62), and an odd length at 405
     # (n = 200)
     for n in (2, 3, 4, 5, 12, 62, 200):
         grid = pl.build_grid(n, 3.0)
         u, b, F, c = np.random.default_rng(n).standard_normal((4, n))
-        shells = _Shells(grid)
+        shells, w = _Shells(grid), trapezoid_weights(grid)
         assert shells.size == {2: 5, 3: 8, 4: 9, 5: 12, 12: 25, 62: 125, 200: 405}[n]
-        rows = np.stack((u / grid.weights, F))
+        rows = np.stack((u / w, F))
         direct = u @ _direct_shell_sum(grid, b, F)
         fast = shells.form(rows, (shells.kernel(b), 0, 1))
         assert abs(fast - direct) <= 1e-12 * abs(direct), n
 
         # several terms over two rows, each row on either side, as Q2 sums them
-        direct += (grid.weights * F) @ (_direct_shell_sum(grid, c, u / grid.weights)
+        direct += (w * F) @ (_direct_shell_sum(grid, c, u / w)
                                         + _direct_shell_sum(grid, b, F))
         fast = shells.form(rows, (shells.kernel(b), 0, 1), (shells.kernel(c), 1, 0),
                            (shells.kernel(b), 1, 1))
