@@ -20,8 +20,8 @@ from pathlib import Path
 
 
 # Upper bound on the grid sizes, far above any grid the paper's numbers need: on 10^6
-# nodes over rmax 40 a `solve` peaks at 156 MB and a `verify` with momentum.n 10^3 at
-# 156 MB (ru_maxrss), and profiles.csv takes about 92 B per node.
+# nodes over rmax 40 a `solve` and a `verify` with momentum.n 10^3 each peak at 153 MB
+# (ru_maxrss), and profiles.csv takes about 92 B per node.
 _MAX_NODES = 10**7
 
 

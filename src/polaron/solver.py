@@ -36,20 +36,19 @@ A Sobolev-gradient flow on the same reduced problem, from its own start and
 with neither eigenstep nor mixing, serves as an algorithmically independent
 cross-check on the SCF's own grids (`imaginary_time_oracle`).
 
-The only scipy the package uses is LAPACK's `dpttrf`/`dpttrs`, from scipy's
-private f2py module `scipy.linalg._flapack`.  `_flapack` loads it directly, so
-`import polaron` runs neither scipy's nor `scipy.linalg`'s package init, which
-is most of its start time.  Verified on scipy 1.17.1: a default `polaron verify`
-process takes 0.17 s instead of 0.30 s (2 vCPU).
+LAPACK's `dpttrf`/`dpttrs` come from the LAPACK numpy itself links, bound with
+ctypes on the handle of `numpy.linalg._umath_linalg`, so a run maps one BLAS
+and imports no scipy.  Two ILP64 symbol spellings are tried: `scipy_dpttrf_64_`
+(scipy-openblas64, numpy's wheels on Linux and Intel macOS) and
+`dpttrf$NEWLAPACK$ILP64` (Accelerate, numpy's macOS 14 arm64 wheels).  A numpy
+with neither, such as a conda or distro LP64 build or Windows (unsupported, not
+verified), fails at `import polaron` with an ImportError naming its LAPACK.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
+import ctypes
 import math
-import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,27 +58,60 @@ from .errors import ConvergenceError, NumericalError
 from .grid import RadialFunction, RadialGrid, build_grid
 
 
-def _flapack():
-    """scipy.linalg._flapack, loaded without the package init of scipy or
-    scipy.linalg and registered under its name, so that `import scipy.linalg`
-    reuses it.  No fallback: a scipy without it fails, naming its version."""
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    scipy = importlib.util.find_spec("scipy")   # its location, without running its init
-    spec = scipy and importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(scipy.submodule_search_locations[0], "linalg")])
-    if spec is None:
-        from importlib.metadata import version
-        raise ImportError(f"{name} (for dpttrf/dpttrs) not found in scipy {version('scipy')}",
-                          name=name)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return sys.modules.setdefault(name, module)
+# spellings of a LAPACK routine in numpy's own builds, both ILP64 (64-bit integers)
+_LAPACK_SPELLINGS = ("scipy_{}_64_", "{}$NEWLAPACK$ILP64")
+_INT = ctypes.POINTER(ctypes.c_int64)
+_F64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
 
 
-_lapack = _flapack()
-dpttrf, dpttrs = _lapack.dpttrf, _lapack.dpttrs
+def _lapack_routine(lib: ctypes.CDLL, name: str, *argtypes):
+    """`name` in the first spelling `lib` exports.  No fallback: a numpy
+    whose LAPACK has neither fails, naming that LAPACK and both spellings."""
+    symbols = [spelling.format(name) for spelling in _LAPACK_SPELLINGS]
+    for symbol in symbols:
+        try:
+            routine = lib[symbol]
+        except AttributeError:
+            continue
+        routine.argtypes, routine.restype = argtypes, None
+        return routine
+    lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
+    raise ImportError(f"numpy's LAPACK ({lapack}) exports neither {' nor '.join(symbols)}")
+
+
+# numpy has loaded this module already, and it links numpy's LAPACK
+_numpy_lapack = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+_dpttrf = _lapack_routine(_numpy_lapack, "dpttrf", _INT, _F64, _F64, _INT)
+_dpttrs = _lapack_routine(_numpy_lapack, "dpttrs", _INT, _INT, _F64, _F64, _F64, _INT, _INT)
+
+
+def _order(d: np.ndarray, e: np.ndarray, b: np.ndarray | None = None) -> ctypes.c_int64:
+    """n = len(d) ≥ 1, once e has at least n − 1 entries and b, if given, n.
+    The argtypes then check that each array is 1-d contiguous float64."""
+    n = d.size
+    if not (n >= 1 and e.size >= n - 1 and (b is None or b.size == n)):
+        raise ValueError(f"LAPACK wants n ≥ 1 diagonal, n − 1 off-diagonal and n right-hand "
+                         f"entries, got {n}, {e.size} and {'-' if b is None else b.size}")
+    return ctypes.c_int64(n)
+
+
+def dpttrf(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """LDLᵀ of the symmetric tridiagonal matrix with diagonal d and off-diagonal
+    e[:n−1], in f2py's call shape `d, e, info = dpttrf(d, e)`: new arrays, and
+    info = k > 0 where the k-th pivot is not positive."""
+    n = _order(d, e)
+    d, e, info = d.copy(), e.copy(), ctypes.c_int64()
+    _dpttrf(n, d, e, info)
+    return d, e, info.value
+
+
+def dpttrs(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Solution of L D Lᵀ x = b from `dpttrf`'s factors, in f2py's call shape
+    `x, info = dpttrs(d, e, b)`; b is not overwritten."""
+    n = _order(d, e, b)
+    x, info = b.copy(), ctypes.c_int64()
+    _dpttrs(n, ctypes.c_int64(1), d, e, x, n, info)
+    return x, info.value
 
 
 # the steps `solve_pekar` and `imaginary_time_oracle` take at most: the flow needs 236
@@ -279,7 +311,7 @@ def _ground_pair(grid: RadialGrid, w_pot: np.ndarray,
     if not (np.isfinite(diag).all() and np.isfinite(u).all()):
         raise NumericalError("eigenstep got a non-finite potential, grid step or guess")
     c = -1.0 / h**2
-    off = np.full(max(diag.size - 1, 1), c)  # f2py wants e[0] even for one node
+    off = np.full(max(diag.size - 1, 1), c)  # e[0] even for one node, f2py's shape
     w_min = float(w_in.min())
     floor = max(_SHIFT_FLOOR, 4.0 * np.finfo(float).eps * (np.abs(diag).max() + 2.0 / h**2))
     x = u[:-1] / math.sqrt(u[:-1] @ u[:-1])
@@ -421,7 +453,7 @@ def imaginary_time_oracle(opts: SolverOptions) -> PekarState:
     u = grid.nodes * np.exp(-5.0 * grid.nodes / 16.0)
     u[-1] = 0.0  # Dirichlet wall
     u = _normalize_u(grid, u)
-    # 1 − δ²/h² on the interior nodes, positive definite (f2py wants e[0] even for one node)
+    # 1 − δ²/h² on the interior nodes, positive definite (e[0] even for one node)
     d, e, _ = dpttrf(np.full(grid.n - 1, 1.0 + 2.0 / h**2), np.full(max(grid.n - 2, 1), -1.0 / h**2))
 
     T, D, rho, phi = _energies(grid, u)

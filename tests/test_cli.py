@@ -821,10 +821,10 @@ def test_thread_cap_env_var_stable(tmp_path):
 
 def test_import_leaves_interpolate_and_signal_unloaded():
     """Neither `import polaron` nor a first transform call, solve or CLI import
-    pulls in scipy.interpolate, scipy.signal or the package init of scipy or
-    scipy.linalg (with scipy._lib._testutils and scipy._lib._array_api); each
-    would add a large share of every interpreter start (a lazy import only
-    moves it to the first call).  The LAPACK extension is the one scipy module."""
+    loads any scipy module: polaron's LAPACK is numpy's own, and scipy's
+    package init, scipy.interpolate or scipy.signal would each add a large
+    share of every interpreter start (a lazy import only moves it to the
+    first call)."""
     code = ("import sys, polaron, polaron.cli; "
             "g = polaron.build_grid(20, 5.0); "
             "polaron.fourier_radial_gradient(polaron.RadialFunction(g, g.nodes), g); "
@@ -832,7 +832,40 @@ def test_import_leaves_interpolate_and_signal_unloaded():
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                           text=True, env=_child_env())
-    assert done.stdout.strip() == "['scipy.linalg._flapack']"
+    assert done.stdout.strip() == "[]"
+
+
+# a child interpreter's first lines: every import of scipy or a submodule fails
+_BLOCK_SCIPY = """import sys
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split('.')[0] == 'scipy':
+            raise ModuleNotFoundError(f'No module named {name!r}', name=name)
+sys.meta_path.insert(0, _NoScipy())
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    """solve, verify and massbound give the same exit codes and byte-identical
+    artifacts in an interpreter where scipy cannot be imported."""
+    cfg = write_config(tmp_path / "c.json")
+    code = ("import sys, polaron.cli\n"
+            "try:\n    import scipy\nexcept ImportError:\n    print('blocked')\n"
+            "else:\n    print('importable')\n"
+            "print([polaron.cli.main([c, '--config', sys.argv[1], '--out', f'{sys.argv[2]}/{c}'])"
+            " for c in ('solve', 'verify', 'massbound')])")
+    runs = {}
+    for blocked in (False, True):
+        out = tmp_path / ("blocked" if blocked else "importable")
+        done = subprocess.run(
+            [sys.executable, "-c", (_BLOCK_SCIPY if blocked else "") + code, cfg, str(out)],
+            check=True, capture_output=True, text=True, env=_child_env())
+        scipy_state, codes = done.stdout.splitlines()
+        assert scipy_state == ("blocked" if blocked else "importable")
+        runs[blocked] = codes, {f.relative_to(out): f.read_bytes()
+                                for f in sorted(out.rglob("*")) if f.is_file()}
+    assert runs[True] == runs[False]
+    assert {f.parent.name for f in runs[True][1]} == {"solve", "verify", "massbound"}
 
 
 def test_commands_leave_hashlib_unloaded(tmp_path):
@@ -852,14 +885,25 @@ def test_commands_leave_hashlib_unloaded(tmp_path):
 
 
 @pytest.mark.parametrize("first", ["polaron", "scipy.linalg"])
-def test_lapack_module_shared_with_scipy_linalg(first):
-    """polaron's directly loaded LAPACK module is the one scipy.linalg uses,
+def test_lapack_matches_scipy_linalg(first):
+    """polaron's dpttrf/dpttrs from numpy's LAPACK agree bit for bit with
+    scipy.linalg.lapack's (the reference; scipy is a test dependency only) at
+    n = 1, 2, 5 and 3000 and on a matrix that is not positive definite,
     whichever of the two is imported first, and scipy.linalg still works."""
     second = {"polaron": "scipy.linalg", "scipy.linalg": "polaron"}[first]
-    code = (f"import {first}, {second}, numpy as np, polaron.solver as s, scipy.linalg as la; "
-            "assert s.dpttrf is la.lapack.dpttrf and s.dpttrs is la.lapack.dpttrs; "
-            "w = la.eigh_tridiagonal(np.full(3, 2.0), np.full(2, -1.0), eigvals_only=True); "
-            "assert np.allclose(w, 2 - np.sqrt(2) * np.array([1, 0, -1])); "
+    code = (f"import {first}, {second}, numpy as np, polaron.solver as s, scipy.linalg as la\n"
+            "rng = np.random.default_rng(3)\n"
+            "cases = [(rng.uniform(2.5, 4.0, n), rng.uniform(-1.0, 1.0, max(n - 1, 1)))\n"
+            "         for n in (1, 2, 5, 3000)] + [(np.array([1.0, 0.1, 2.0]), np.ones(2))]\n"
+            "for d, e in cases:\n"
+            "    ours, ref = s.dpttrf(d, e), la.lapack.dpttrf(d, e)\n"
+            "    assert all(np.array_equal(a, b) for a, b in zip(ours, ref)), d.size\n"
+            "    rhs = rng.normal(size=d.size)\n"
+            "    ours, ref = s.dpttrs(*ours[:2], rhs), la.lapack.dpttrs(*ref[:2], rhs)\n"
+            "    assert all(np.array_equal(a, b) for a, b in zip(ours, ref)), d.size\n"
+            "assert s.dpttrf(*cases[-1])[2] == 2\n"
+            "w = la.eigh_tridiagonal(np.full(3, 2.0), np.full(2, -1.0), eigvals_only=True)\n"
+            "assert np.allclose(w, 2 - np.sqrt(2) * np.array([1, 0, -1]))\n"
             "print('ok')")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_child_env())

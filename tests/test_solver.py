@@ -1,11 +1,9 @@
-import importlib.machinery
+import ctypes
 import re
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-import scipy
 from scipy.linalg import eigh_tridiagonal
 
 import polaron as pl
@@ -107,15 +105,33 @@ class TestSolvePekar:
         assert factors == solves <= budget
 
     def test_lapack_loader_has_no_fallback(self, monkeypatch):
-        # without scipy's _flapack extension the import fails, naming scipy's version
-        # (only that module is hidden: the version lookup imports others lazily)
-        name = "scipy.linalg._flapack"
-        find_spec = importlib.machinery.PathFinder.find_spec
-        monkeypatch.delitem(sys.modules, name, raising=False)
-        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", classmethod(
-            lambda cls, fullname, *args: None if fullname == name else find_spec(fullname, *args)))
-        with pytest.raises(ImportError, match=re.escape(scipy.__version__)):
-            solver._flapack()
+        # a numpy whose LAPACK exports neither spelling fails, naming that LAPACK
+        # and both symbols it looked for
+        monkeypatch.setattr(solver, "_LAPACK_SPELLINGS", ("missing_{}_64_", "{}$MISSING"))
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
+        with pytest.raises(ImportError, match=re.escape(
+                f"numpy's LAPACK ({lapack}) exports neither missing_dpttrf_64_ "
+                "nor dpttrf$MISSING")):
+            solver._lapack_routine(solver._numpy_lapack, "dpttrf")
+
+    @pytest.mark.parametrize("d, e, b, error", [
+        (np.full(3, 2, dtype=np.float32), np.full(2, -1.0), np.ones(3), ctypes.ArgumentError),
+        (np.full((3, 1), 2.0), np.full(2, -1.0), np.ones(3), ctypes.ArgumentError),
+        (np.full(3, 2.0), np.full(1, -1.0), np.ones(3), ValueError),
+        (np.full(3, 2.0), np.full(2, -1.0), np.ones(4), ValueError),
+        (np.empty(0), np.empty(0), np.empty(0), ValueError),
+    ], ids=["float32", "2-d", "short e", "long b", "no node"])
+    def test_lapack_wrappers_check_their_arrays(self, d, e, b, error):
+        # no pointer reaches LAPACK for an array it would misread or overrun
+        with pytest.raises(error):
+            solver.dpttrs(*solver.dpttrf(d, e)[:2], b)
+
+    def test_lapack_wrappers_copy_strided_input(self):
+        # dpttrf copies its input, so a strided view factors as its contiguous copy
+        d, e = np.full(6, 3.0), np.full(4, -1.0)
+        strided = solver.dpttrf(d[::2], e[::2])
+        contiguous = solver.dpttrf(d[::2].copy(), e[::2].copy())
+        assert all(np.array_equal(a, b) for a, b in zip(strided, contiguous))
 
     def test_two_coulomb_solves_per_iteration(self, monkeypatch):
         # each step solves for the potential of the mixed input density and
