@@ -55,8 +55,7 @@ def _artifact_header(cfg: dict) -> str:
 
 
 def run_solver(cfg: dict) -> PekarState:
-    opts = SolverOptions(grid=(cfg["grid.n"], cfg["grid.rmax"]), tol_psi=cfg["solver.tol_psi"])
-    return solve_pekar(opts)
+    return solve_pekar(SolverOptions(grid=(cfg["grid.n"], cfg["grid.rmax"])))
 
 
 def run_pipeline(cfg: dict) -> tuple[PekarState, MomentumProfile]:

@@ -4,11 +4,10 @@ Example:
 
     {"grid.n": 3000, "grid.rmax": 30.0,
      "momentum.n": 4000, "momentum.pmax": 10.0,
-     "solver.tol_psi": 1e-8,
      "cutoff.shape": "bump", "cutoff.eps_list": [0.5, 0.2, 0.1, 0.05]}
 
 Every key is optional; omitted keys take the defaults above.  The validated
-configuration is that document, a dict of all seven keys.  Validation errors
+configuration is that document, a dict of all six keys.  Validation errors
 name the offending dotted key.
 """
 
@@ -42,7 +41,7 @@ def config_from_dict(doc: dict) -> dict:
         raise ConfigError("config document must be a JSON object")
     # a new dict and list per call, so no caller can change another's defaults
     cfg = {"grid.n": 3000, "grid.rmax": 30.0, "momentum.n": 4000, "momentum.pmax": 10.0,
-           "solver.tol_psi": 1e-8, "cutoff.shape": "bump", "cutoff.eps_list": [0.5, 0.2, 0.1, 0.05]}
+           "cutoff.shape": "bump", "cutoff.eps_list": [0.5, 0.2, 0.1, 0.05]}
     unknown = set(doc) - set(cfg)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
@@ -51,7 +50,7 @@ def config_from_dict(doc: dict) -> dict:
         val = cfg[key]
         if not isinstance(val, int) or isinstance(val, bool) or not 2 <= val <= _MAX_NODES:
             raise ConfigError(f"{key} must be an integer in [2, {_MAX_NODES}], got {val!r}")
-    for key in ("grid.rmax", "momentum.pmax", "solver.tol_psi"):
+    for key in ("grid.rmax", "momentum.pmax"):
         val = cfg[key]
         if not _finite(val) or not val > 0:
             raise ConfigError(f"{key} must be a positive finite number, got {val!r}")

@@ -89,8 +89,8 @@ class TestSolveCommand:
 
     def test_artifacts_embed_only_the_computation_keys(self, tmp_path):
         # the output directory is not part of the configuration: each artifact embeds
-        # the seven keys that decide its numbers, and nothing else
-        keys = {"grid.n", "grid.rmax", "momentum.n", "momentum.pmax", "solver.tol_psi",
+        # the six keys that decide its numbers, and nothing else
+        keys = {"grid.n", "grid.rmax", "momentum.n", "momentum.pmax",
                 "cutoff.shape", "cutoff.eps_list"}
         cfg = write_config(tmp_path / "c.json")
         embedded = []
@@ -146,7 +146,7 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         history = json.loads((tmp_path / "out" / "residual_history.json").read_text())["history"]
         assert len(history) == 5
-        assert history[-1]["dpsi"] <= 1e-8 and history[-1]["scf"] > 1e-8   # solver.tol_psi
+        assert history[-1]["dpsi"] <= 1e-8 and history[-1]["scf"] > 1e-8   # the SCF's stop
 
 
 @pytest.mark.parametrize("command", ["solve", "verify", "massbound"])
@@ -162,7 +162,7 @@ def test_mixing_too_small_to_move_exits_3(tmp_path, capsys, monkeypatch, command
 
 # another valid value for each config key, to vary alone from SMALL_CONFIG
 _VARIED = {"grid.n": 1200, "grid.rmax": 24.0, "momentum.n": 900, "momentum.pmax": 5.5,
-           "solver.tol_psi": 1e-12, "cutoff.shape": "gaussian", "cutoff.eps_list": [0.5, 0.3]}
+           "cutoff.shape": "gaussian", "cutoff.eps_list": [0.5, 0.3]}
 
 
 def _artifact_numbers(doc, tmp_path):
@@ -690,7 +690,6 @@ def test_one_or_two_interior_radial_nodes_exit_cleanly(tmp_path, capsys, n, comm
     assert len(err.splitlines()) <= 1 and "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command,overrides,key", [
     ("solve", {"grid.rmax": 1e-300}, "grid.rmax"),
     ("verify", {"grid.rmax": 1e-300}, "grid.rmax"),
@@ -705,8 +704,8 @@ def test_one_or_two_interior_radial_nodes_exit_cleanly(tmp_path, capsys, n, comm
     ("massbound", {"cutoff.shape": "bump", "cutoff.eps_list": [1e308]}, "cutoff.eps_list"),
     # the χ≡1 endpoint is a row of every massbound table, not a shape
     ("massbound", {"cutoff.shape": "one"}, "cutoff.shape"),
-    # the SCF's damping is a constant and it stops on solver.tol_psi alone: a
-    # config that still sets either former key is refused, not ignored
+    # the SCF's damping and its stop tolerance are constants: a config that still
+    # sets a former key is refused, not ignored
     ("solve", {"solver.mixing": 0.5}, "solver.mixing"),
     ("verify", {"solver.tol_energy": 1e-10}, "solver.tol_energy"),
     # integers past the largest float spell no float: they once overflowed in the
@@ -715,6 +714,10 @@ def test_one_or_two_interior_radial_nodes_exit_cleanly(tmp_path, capsys, n, comm
     ("verify", {"grid.rmax": 10**400}, "grid.rmax"),
     ("massbound", {"cutoff.eps_list": [10**400]}, "cutoff.eps_list"),
     ("solve", {"solver.tol_psi": 10**400}, "solver.tol_psi"),
+    # the stop tolerance is a former key at any value, its old default among them;
+    # at 1e-300 a solve ran all 300 steps on rounding and exited 3
+    ("solve", {"solver.tol_psi": 1e-8}, "solver.tol_psi"),
+    ("verify", {"solver.tol_psi": 1e-300}, "solver.tol_psi"),
 ])
 def test_unrepresentable_scales_exit_2_naming_the_key(tmp_path, capsys, command, overrides, key):
     # these configs once ran into a floating-point fault (exit 3, naming only
@@ -726,7 +729,6 @@ def test_unrepresentable_scales_exit_2_naming_the_key(tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["solve", "verify", "massbound"])
 def test_floating_point_fault_exits_3_with_one_line(tmp_path, capsys, monkeypatch, command):
     # main() runs each command with floating-point faults raised, so a fault
@@ -756,7 +758,6 @@ _POSITIVE = st.one_of(st.floats(1e-300, 1e300), st.sampled_from([1e-300, 1e300])
 _VALID_DOCS = st.fixed_dictionaries({}, optional={
     "grid.n": st.integers(2, 4000), "grid.rmax": _POSITIVE,   # up to the default grid sizes
     "momentum.n": st.integers(2, 4000), "momentum.pmax": _POSITIVE,
-    "solver.tol_psi": _POSITIVE,
     "cutoff.shape": st.sampled_from(["bump", "gaussian"]),
     "cutoff.eps_list": st.lists(_POSITIVE, min_size=1, max_size=4)
                          .map(lambda e: sorted(set(e), reverse=True)),
@@ -771,12 +772,12 @@ _KEYS = ["grid.n", "grid.rmax", "momentum.n", "momentum.pmax", "solver.mixing",
          "solver.tol_energy", "solver.tol_psi", "solver.max_iter", "cutoff.shape",
          "cutoff.eps_list", "output.dir", "grid.npts", ""]
 # a valid document, or one with a single key replaced by junk (or an unknown key,
-# solver.mixing, solver.tol_energy and solver.max_iter among them)
+# the former keys solver.mixing, solver.tol_energy, solver.tol_psi and
+# solver.max_iter among them)
 _CONFIG_DOCS = _VALID_DOCS | st.builds(lambda doc, key, val: {**doc, key: val},
                                        _VALID_DOCS, st.sampled_from(_KEYS), _JUNK)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=50, deadline=None)
 @given(doc=_CONFIG_DOCS, command=st.sampled_from(["solve", "verify", "massbound"]))
 def test_any_config_document_gives_an_exit_code(doc, command):

@@ -12,8 +12,7 @@ class TestConfigFromDict:
     def test_defaults(self):
         assert config_from_dict({}) == {
             "grid.n": 3000, "grid.rmax": 30.0, "momentum.n": 4000, "momentum.pmax": 10.0,
-            "solver.tol_psi": 1e-8, "cutoff.shape": "bump",
-            "cutoff.eps_list": [0.5, 0.2, 0.1, 0.05]}
+            "cutoff.shape": "bump", "cutoff.eps_list": [0.5, 0.2, 0.1, 0.05]}
 
     def test_defaults_are_not_shared(self):
         # each call builds its own defaults: changing one configuration's list
@@ -22,15 +21,15 @@ class TestConfigFromDict:
         assert config_from_dict({})["cutoff.eps_list"] == [0.5, 0.2, 0.1, 0.05]
 
     def test_partial_override(self):
-        cfg = config_from_dict({"grid.n": 500, "solver.tol_psi": 1e-9})
-        assert cfg == {**config_from_dict({}), "grid.n": 500, "solver.tol_psi": 1e-9}
+        cfg = config_from_dict({"grid.n": 500, "cutoff.shape": "gaussian"})
+        assert cfg == {**config_from_dict({}), "grid.n": 500, "cutoff.shape": "gaussian"}
 
     @pytest.mark.parametrize("doc,field", [
         ({"grid.n": 1}, "grid.n"),
         ({"grid.n": 2.5}, "grid.n"),
         ({"grid.rmax": -1.0}, "grid.rmax"),
-        # not config keys (the SCF's damping is fixed and it stops on
-        # solver.tol_psi alone): refused at any value
+        # not config keys (the SCF's damping and its stop tolerance are
+        # fixed): refused at any value
         ({"solver.mixing": 0.5}, "solver.mixing"),
         ({"solver.tol_energy": 1e-10}, "solver.tol_energy"),
         ({"cutoff.shape": "box"}, "cutoff.shape"),
@@ -69,12 +68,15 @@ class TestConfigFromDict:
         # χ ≡ 1 is the endpoint row massbound always appends, not a shape
         ({"cutoff.shape": "one"}, "cutoff.shape"),
         ({"momentum.pmax": 1e40, "cutoff.eps_list": [1e111]}, "cutoff.eps_list"),
-        # integers past the largest float: no float holds them
+        # integers past the largest float: no float holds them (solver.tol_psi
+        # is refused as a former key)
         ({"grid.rmax": 10**400}, "grid.rmax"),
         ({"momentum.pmax": -10**400}, "momentum.pmax"),
         ({"solver.tol_psi": 10**400}, "solver.tol_psi"),
         ({"cutoff.eps_list": [10**400]}, "cutoff.eps_list"),
         ({"cutoff.eps_list": [0.5, 10**309]}, "cutoff.eps_list"),
+        # the former key at its old default
+        ({"solver.tol_psi": 1e-8}, "solver.tol_psi"),
     ])
     def test_invalid_values_name_the_field(self, doc, field):
         with pytest.raises(pl.ConfigError) as exc_info:

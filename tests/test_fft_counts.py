@@ -7,12 +7,15 @@ the rows it is contracted with (G and p²G for Q2, p ψ̂g for the cross
 functional) are transformed together, at the smallest 5-smooth length
 ≥ 2n+1 (8100 at n = 4000), with no inverse transform.  Q2 makes 4 forward
 real transforms, of which the 2 kernel transforms serve a whole cutoff sweep;
-the cross functional makes 2.  A momentum profile transforms the chirp
-kernel once, then each of its three chirp-z rows forward and back on its own
-through one buffer, all at the smallest 5-smooth length ≥ N+M−1.  A change
-that brings back an inverse transform of the shell sums, the 3n+1 extension
-or the 5n+1 window, per-cutoff kernels, a second chirp spectrum, a longer
-chirp-z length or power-of-two padding fails here.
+the cross functional makes 2.  The momentum-space Euler–Lagrange residual
+needs every shell sum s_j: it transforms the integrand's primitive and the
+field forward, one row each, and their product back, at the same length.  A
+momentum profile transforms the chirp kernel once, then each of its three
+chirp-z rows forward and back on its own through one buffer, all at the
+smallest 5-smooth length ≥ N+M−1.  A change that brings back an inverse
+transform of the Q2 or cross shell sums, the 3n+1 extension or the 5n+1
+window, per-cutoff kernels, a second chirp spectrum, a longer chirp-z length
+or power-of-two padding fails here.
 """
 
 import bisect
@@ -74,6 +77,14 @@ def test_cross_expectation_makes_two_forward_and_no_inverse_real_ffts(mp_default
     # the kernel of w k φ(k) ξ(k) and the row p ψ̂g
     assert [(rows, length) for rows, length in fft_calls["rfft"]] == [(1, 8100), (1, 8100)]
     assert not fft_calls["irfft"] and not fft_calls["fft"] and not fft_calls["ifft"]
+
+
+def test_el_residual_momentum_makes_two_forward_and_one_inverse_real_fft(mp_default, fft_calls):
+    pl.el_residual_momentum(mp_default)
+    # the primitive of p ψ̂ and the field w ρ̂/k, one row each, then every s_j from one inverse
+    assert fft_calls["rfft"] == [(1, 8100), (1, 8100)]
+    assert fft_calls["irfft"] == [(1, 8100)]
+    assert not fft_calls["fft"] and not fft_calls["ifft"]
 
 
 def test_momentum_profile_transforms_the_chirp_once(state_default, fft_calls):

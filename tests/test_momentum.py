@@ -143,17 +143,18 @@ class TestCrossExpectation:
         g = pl.RadialTestFunction(lambda p: np.exp(-p))
         assert pl.cross_expectation(mp_default, ZERO, g) == 0.0
 
-    def test_unit_g_reduces_to_radial_integral(self, mp_default):
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_unit_g_reduces_to_radial_integral(self, mp_default, a):
         # ∫dp ψ̂(p+k)ψ̂(p) = ρ̂(k) collapses the double integral; under one rule, the
         # trapezoid rule from k = 0 (the integrand vanishes there), the two agree to
-        # 5.1e-8 on the defaults
-        xi = pl.RadialTestFunction(lambda k: np.exp(-k), name="exp(-k)")
+        # 5.45e-8, 5.07e-8 and 4.50e-8 at ξ = e^{−ak}, a = 0.5, 1, 2, on the defaults
+        xi = pl.RadialTestFunction(lambda k: np.exp(-a * k), name=f"exp(-{a}k)")
         pg = mp_default.pgrid
         rho_hat = mp_default.rho_hat()
         oracle = 4 * np.pi * trapezoid_weights(pg) @ (
-            pg.nodes**2 * mp_default.phi.values * np.exp(-pg.nodes) * rho_hat.values)
+            pg.nodes**2 * mp_default.phi.values * np.exp(-a * pg.nodes) * rho_hat.values)
         val = pl.cross_expectation(mp_default, xi, ONE)
-        assert abs(val - oracle) <= 1e-6 * abs(oracle)
+        assert abs(val - oracle) <= 2e-7 * abs(oracle)
 
     def test_sign_symmetry_of_g(self, mp_default):
         xi = pl.RadialTestFunction(lambda k: np.exp(-k))
