@@ -93,8 +93,9 @@ def _write_state_json(cfg: dict, state: PekarState, out: Path) -> None:
 # |frac − ½| exceeds _MARGIN, four times that bound: D is then z rounded (a z less than
 # 2^−47 below 10^16 gives 10^16 at the next exponent, as %.16e does).  The splits
 # overflow above about 1.3e300, so `_tens` stops at 10^300 and only |x| in
-# [_TINY, _HUGE) is scaled.  Every other field (±0, inf, nan, extreme exponents and a
-# double next to a power of ten whose X `log10` misses) is formatted by `_fmt`.
+# [_TINY, _HUGE) is scaled; ±0 are written as D = 0 and X = 0.  Every other field (inf,
+# nan, extreme exponents and a double next to a power of ten whose X `log10` misses) is
+# formatted by `_fmt`.
 _XMIN, _XMAX = -284, 299                # the decimal exponents `_tens` covers
 _TINY, _HUGE = 1e-283, 1e299            # X from `log10` is one off at most
 _SPLIT = 2.0**27 + 1
@@ -120,20 +121,44 @@ def _tens() -> np.ndarray:
     return ten
 
 
-_NX = 634      # exponent words per separator: decimal exponents −324 … 308, then none
-_WIDTH = 32    # bytes per field, NUL padded: sign in 5, digits and point in 6–23, exponent last
-# profiles.csv rows formatted at a time: a block's temporaries peak at about 90 B per
-# field (the NUL mask 32 B).  A `_csv_rows` call costs about 130 µs even for one row,
-# so a block keeps both tables of a 6000/4000 solve whole
-_BLOCK_ROWS = 8192
+# A field fills a slot of seven 32-bit words, 28 bytes, the most `%.16e` and its
+# separator take (`-1.7976931348623157e+308,`): the sign ("-" or NUL), the first
+# digit, the point and the second digit; digits 3–6, 7–10 and 11–14; digits 15–17
+# and "e"; the exponent's sign and two digits and the separator, or its sign and three
+# digits; and the separator after a three-digit exponent, else NUL.  Each word is one
+# entry of `_words`, at the offsets below.
+_SLOT = 7
+_NX = 633                         # decimal exponents −324 … 308, per separator
+_LEAD, _TRI, _EXP = 10_000, 10_200, 11_200
+_SPILL = _EXP + 2 * _NX
+# profiles.csv rows formatted at a time: a block's temporaries peak at about 100 B per
+# field (the word indices 56 B).  A `_csv_rows` call costs about 55 µs even for one row;
+# blocks of 8192 rows, both tables of a 6000/4000 solve whole, ran no faster and took
+# a one-shot 6000/40 `solve` from 32.2 to 33.7 MB peak RSS
+_BLOCK_ROWS = 2048
 
 
 @functools.cache   # built on first use, not at import
-def _exponents() -> np.ndarray:
-    """A field's last word: "e±XX" and a comma per decimal exponent from −324, then the
-    bare comma after a field `_fmt` writes; from `_NX` on, the same with a newline."""
-    tails = [*(f"e{x:+03d}" for x in range(-324, 309)), ""]
-    words = np.array([t + sep for sep in ",\n" for t in tails], "S8").view(np.uint64)
+def _words() -> np.ndarray:
+    """Every word a field is made of: the four digits of 0 … 9999; from `_LEAD` the sign,
+    first digit, point and second digit of 00 … 99 and then of −00 … −99; from `_TRI`
+    three digits of 000 … 999 and "e"; from `_EXP` the exponent and "," per decimal
+    exponent from −324, then the same with a newline; from `_SPILL` what a three-digit
+    exponent's separator leaves past it.  Made as bytes, so any byte order reads them."""
+    words = np.zeros((_SPILL + 2 * _NX, 4), np.uint8)
+    n = np.arange(10_000, dtype=np.uint16)
+    for k, d in enumerate((1000, 100, 10, 1)):
+        words[:10_000, k] = n // d % 10 + ord("0")
+    lead, tri = words[_LEAD:_TRI], words[_TRI:_EXP]
+    lead[100:, 0] = ord("-")
+    lead[:, 1:4:2] = words[:200, 2:]      # the last two digits of 0 … 199
+    lead[:, 2] = ord(".")
+    tri[:, :3] = words[:1000, 1:]
+    tri[:, 3] = ord("e")
+    tails = [f"{x:+03d}{sep}" for sep in ",\n" for x in range(-324, 309)]
+    tails = np.array(tails, "S8").view(np.uint8).reshape(-1, 2, 4)
+    words[_EXP:_SPILL], words[_SPILL:] = tails[:, 0], tails[:, 1]
+    words = words.view(np.uint32).ravel()
     words.flags.writeable = False   # shared by every call
     return words
 
@@ -174,48 +199,52 @@ def _round17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return D, X + 324, exact
 
 
-def _digit_chars(D: np.ndarray) -> np.ndarray:
-    """The 17 digits of each D in [10^16, 10^17) as characters, most significant first."""
-    dig = np.empty((17, D.size), np.uint8)
-    high = (D // 10**9).astype(np.int32)
-    part = (D - high * np.int64(10**9)).astype(np.int32)
-    for k in range(16, -1, -1):
-        if k == 7:
-            part = high
-        q = part // 10
-        dig[k] = part - q * 10 + 48
-        part = q
-    return dig
-
-
-def _padded_fields(*columns: np.ndarray) -> np.ndarray:
-    """The fields of the columns' lines, row by row, each in `_WIDTH` NUL-padded bytes."""
-    c = len(columns)
-    v = np.stack(columns, axis=1).ravel()
-    D, X, exact = _round17(v)
-    dig = _digit_chars(D)
-    del D   # not needed past here; the field buffer below sets a block's peak
-    buf = np.zeros((v.size, _WIDTH), np.uint8)
-    words = buf.view(np.uint64)
-    buf[np.signbit(v), 5] = ord("-")
-    buf[:, 6] = dig[0]
-    buf[:, 7] = ord(".")
-    buf[:, 8:24] = dig[1:].T
-    X[c - 1::c] += _NX   # the separator: ",", or "\n" after the last column
-    words[:, 3] = _exponents()[X]
-
-    slow = np.flatnonzero(~exact)
-    if slow.size:
-        text = [_fmt(x) for x in v[slow].tolist()]
-        buf[slow, :24] = np.array(text, dtype="S24").view(np.uint8).reshape(-1, 24)
-        words[slow, 3] = _exponents()[_NX - 1 + _NX * (slow % c == c - 1)]
-    return buf
-
-
 def _csv_rows(*columns: np.ndarray) -> bytes:
     """The lines of the columns side by side, each float as `_fmt` writes it."""
-    buf = _padded_fields(*columns)   # its temporaries freed before the bytes are made
-    return buf[buf != 0].tobytes()
+    c = len(columns)
+    v = np.stack(columns, axis=1).ravel()
+    if not v.size:
+        return b""
+    D, X, exact = _round17(v)
+    slow = np.flatnonzero(~exact)
+    ordinary = v[slow] != 0                # true for nan
+    D[slow[~ordinary]] = 0                 # ±0 take the tables, their X is 0
+    slow = slow[ordinary]
+    wide = X.min() <= 324 - 100 or X.max() >= 324 + 100   # a three-digit exponent
+    sign = np.signbit(v)
+
+    # each word's index into `_words`, a row per word
+    idx = np.empty((_SLOT, v.size), np.intp)
+    np.add(X, _EXP, out=idx[5])
+    idx[5, c - 1::c] += _NX                # the separator: ",", or "\n" after the last column
+    np.add(idx[5], _SPILL - _EXP, out=idx[6])
+    part = X                               # free from here on
+    np.floor_divide(D, 10**7, out=idx[2])  # digits 1–10
+    D -= np.multiply(idx[2], 10**7, out=part)   # digits 11–17
+    np.floor_divide(D, 1000, out=idx[3])
+    np.multiply(idx[3], -1000, out=idx[4])
+    idx[4] += D
+    idx[4] += _TRI
+    np.floor_divide(idx[2], 10**4, out=idx[1])  # digits 1–6
+    idx[2] -= np.multiply(idx[1], 10**4, out=part)
+    np.floor_divide(idx[1], 10**4, out=idx[0])
+    idx[1] -= np.multiply(idx[0], 10**4, out=part)
+    idx[0] += _LEAD + 100 * sign
+    del D, X, part, exact
+
+    words = np.take(_words(), idx, mode="clip")
+    del idx                                # each copy frees the last, for a lower peak
+    buf = words.T.copy()                   # field by field
+    del words
+    if slow.size:
+        seps = np.where(slow % c == c - 1, "\n", ",").tolist()
+        text = [_fmt(x) + sep for x, sep in zip(v[slow].tolist(), seps)]
+        buf[slow] = np.array(text, "S28").view(np.uint32).reshape(-1, _SLOT)
+    elif not (wide or sign.any()):
+        # every field 23 bytes after its NUL sign byte: one strided copy
+        return buf.view(np.uint8)[:, 1:24].tobytes()
+    text = buf.view(np.uint8)
+    return text[text != 0].tobytes()
 
 
 def _table(*columns: np.ndarray) -> Iterator[bytes]:

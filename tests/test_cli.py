@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polaron
@@ -247,13 +247,27 @@ def test_csv_rows_write_each_value_as_fmt():
 _BIT_PATTERNS = st.integers(0, 2**64 - 1).map(lambda b: np.uint64(b).view(np.float64).item())
 
 
+# doubles written with two exponent digits: a block of them with no minus sign leaves
+# `_csv_rows` as one strided copy, any other block through the byte mask
+_TWO_DIGIT = st.floats(1e-99, 1e100, exclude_max=True) | st.sampled_from(
+    [0.0, 1e-99, 9.9999999999999997e99, 1e16, 99999999999999999.0, 1e-5])
+
+
 @settings(max_examples=400, deadline=None)
 @given(values=st.lists(_BIT_PATTERNS | st.floats() | st.sampled_from(_EDGES),
                       min_size=1, max_size=40),
+       plain=st.lists(_TWO_DIGIT, min_size=1, max_size=40),
        ncols=st.integers(1, 4))
-def test_csv_rows_match_fmt_on_any_double(values, ncols):
-    # under `main`'s errstate: an overflowing split or a nan cast to int would raise
+@example(values=[0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-100, -1.7976931348623157e308,
+                 np.inf, -np.inf, np.nan, 1.0], plain=[0.0, 1.0, 2.5e-99, 9.5e99], ncols=2)
+def test_csv_rows_match_fmt_on_any_double(values, plain, ncols):
+    # under `main`'s errstate: an overflowing split or a nan cast to int would raise.  Each
+    # example writes a block of any doubles (subnormals, three-digit exponents, inf and
+    # nan among them), and a block of two-digit exponents without and with minus signs,
+    # so both ways out of the kernel, with ±0 in each
     _assert_csv_rows_match_fmt(values, ncols)
+    _assert_csv_rows_match_fmt(plain, ncols)
+    _assert_csv_rows_match_fmt([-x for x in plain], ncols)
 
 
 def _least_multiple_in(a, m, low, high):
@@ -404,17 +418,22 @@ def _profiles_reference(cfg, state, mp):
     ])
 
 
-def test_solve_writes_profiles_as_fmt_of_the_state(tmp_path, monkeypatch):
-    # the whole file, against the line-by-line `_fmt` rendering of the same
-    # state's arrays; and only the zeros at the wall take `_fmt`
+@pytest.mark.parametrize("doc", [SMALL_CONFIG, {"grid.n": 6000, "grid.rmax": 40.0}],
+                         ids=["small", "fine"])
+def test_solve_writes_profiles_as_fmt_of_the_state(tmp_path, monkeypatch, doc):
+    # the whole file, against the line-by-line `_fmt` rendering of the same state's
+    # arrays, on the suite's grids and the benchmark's 6000/40; and no field takes `_fmt`,
+    # not even ψ and ρ at r = rmax, which are zeros
     fallback = []
     monkeypatch.setattr(polaron.cli, "_fmt", lambda x: fallback.append(x) or _fmt(x))
-    cfg = write_config(tmp_path / "c.json")
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    state, mp = run_pipeline(config_from_dict(SMALL_CONFIG))
-    expected = _profiles_reference(config_from_dict(SMALL_CONFIG), state, mp)
-    assert (tmp_path / "out" / "profiles.csv").read_bytes() == expected
-    assert fallback == [0.0, 0.0]   # ψ and ρ at r = rmax, of 7,200 fields
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    cfg = config_from_dict(doc)
+    state, mp = run_pipeline(cfg)
+    assert state.psi.values[-1] == state.rho.values[-1] == 0.0
+    assert (tmp_path / "out" / "profiles.csv").read_bytes() == _profiles_reference(cfg, state, mp)
+    assert fallback == []
 
 
 def _synthetic_profile(n_r, n_p):
@@ -496,7 +515,7 @@ def test_failed_write_leaves_no_artifact(tmp_path, command, limit, artifact):
 def test_import_builds_no_writer_table():
     # the profiles.csv writer's tables are made on its first use, not at every import
     code = ("import polaron.cli as c; "
-            "print(c._exponents.cache_info().currsize, c._tens.cache_info().currsize)")
+            "print(c._words.cache_info().currsize, c._tens.cache_info().currsize)")
     done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                           text=True, env=_child_env())
     assert done.stdout.split() == ["0", "0"]
