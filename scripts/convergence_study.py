@@ -3,7 +3,7 @@
 
 Sweeps (n, rmax) ladders at fixed resolution ratio and prints a CSV table
 of eP, the virial defect and the quartic mass prefactor, so the
-discretization error model C·h² can be read off directly.
+discretization error model C·h⁴ can be read off directly.
 
 Usage:
     python scripts/convergence_study.py [--out convergence.csv]

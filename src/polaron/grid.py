@@ -5,16 +5,16 @@ The origin is never a node: every 3d integral carries an r^2 Jacobian, so the
 integrand extends by zero to r = 0 and no 1/r expression is ever evaluated
 there.
 
-Quadrature is composite trapezoid on the cells [r_1, r_2], ..., [r_{n-1}, r_n]
-plus a right-endpoint rectangle for the origin cell [0, r_1].  The resulting
-weights are
+Quadrature is the trapezoid rule from the origin, whose sample is zero there
+or is added by the caller as a limit:
 
-    w = (3h/2, h, ..., h, h/2),   sum(w) = rmax  (exact),
+    w = (h, ..., h, h/2),   sum(w) = rmax − h/2 (exact).
 
-and the induced bilinear Coulomb form is exactly symmetric (see coulomb.py).
-These weights are the radial grid's rule.  A momentum grid is built here too,
-for its nodes; momentum.py and massbound.py integrate on it by the trapezoid
-rule from p = 0, with the integrand's limit at the origin.
+On an integrand that is even and smooth through 0 (r²ψ², u² and u·(−u″) for
+the odd u = rψ, r sin(pr)ψ) its only error is the far end's, so the rule is
+spectral there (Trefethen and Weideman, SIAM Review 2014).  The radial grid
+(the SCF, the Coulomb solve, the transforms) and the momentum grid
+(momentum.py, massbound.py) integrate with these same weights.
 """
 
 from __future__ import annotations
@@ -65,12 +65,8 @@ class RadialFunction:
 
 
 def build_grid(n: int, rmax: float) -> RadialGrid:
-    """Uniform radial grid r_i = i*rmax/n with trapezoid-type weights.
-
-    The first node absorbs the origin cell [0, h] as a right-endpoint
-    rectangle (integrands vanish there), the last node carries the usual
-    half weight; the weights sum to rmax exactly.  The radial rule only: the
-    momentum layer takes the nodes and h, not these weights.
+    """Uniform radial grid r_i = i*rmax/n with the trapezoid weights from the
+    origin: h at nodes 1..n−1 and h/2 at the last.
 
     Raises ValueError for n < 2 or rmax <= 0.
     """
@@ -81,7 +77,6 @@ def build_grid(n: int, rmax: float) -> RadialGrid:
     h = rmax / n
     nodes = h * np.arange(1, n + 1, dtype=float)
     weights = np.full(n, h)
-    weights[0] = 1.5 * h
     weights[-1] = 0.5 * h
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -94,28 +89,23 @@ def integrate_3d(f: RadialFunction) -> float:
     return float(4.0 * np.pi * ((g.weights * g.nodes**2) @ f.values))
 
 
-def cumulative_primitive(grid: RadialGrid, samples: np.ndarray) -> np.ndarray:
-    """Running integrals C_i = ∫_0^{r_i} g(s) ds, consistent with the grid
-    weights: C_n equals grid.integrate(samples) exactly.
-
-    First cell is the rectangle h*g_1, the rest is cumulative trapezoid.
-    """
-    h = grid.h
-    return h * np.cumsum(samples) + 0.5 * h * (samples[0] - samples)
+# one-sided five-point first derivatives at the first node and at the second, in
+# units of 1/(12h) on the first five samples; the last two nodes take them mirrored
+_EDGE = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0]])
 
 
 def radial_derivative(f: RadialFunction) -> RadialFunction:
-    """Second-order finite-difference df/dr (central interior, one-sided ends).
+    """Fourth-order finite-difference df/dr: the five-point central stencil,
+    one-sided five-point stencils at the two first and the two last nodes.
 
-    Exact on quadratics at every node.  Requires at least 4 nodes.
+    Exact on quartics at every node.  Requires at least 5 nodes.
     """
     g = f.grid
-    if g.n < 4:
-        raise ValueError(f"radial_derivative needs >= 4 nodes, got {g.n}")
+    if g.n < 5:
+        raise ValueError(f"radial_derivative needs >= 5 nodes, got {g.n}")
     v = f.values
-    h = g.h
     out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return RadialFunction(g, out)
+    out[2:-2] = v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]
+    out[:2] = _EDGE @ v[:5]
+    out[:-3:-1] = -(_EDGE @ v[:-6:-1])
+    return RadialFunction(g, out / (12.0 * g.h))

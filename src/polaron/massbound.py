@@ -30,7 +30,7 @@ import numpy as np
 
 from .coulomb import coulomb_bilinear
 from .grid import integrate_3d, radial_derivative
-from .momentum import MomentumProfile, _Shells, _field_weights, _weights
+from .momentum import MomentumProfile, _Shells, _field_weights
 from .solver import PekarState
 
 
@@ -122,9 +122,9 @@ def potential_term(mp: MomentumProfile, cut: CutoffSpec) -> float:
     that of its even extension, c_k Parseval's weights over the half spectrum,
     at the smallest 5-smooth length L ≥ 2n+1: 4 forward real FFTs (the two
     kernels and one 2-row transform of G and p²G), no inverse one.  On the
-    default grids Q2(χ≡1) lies 3.4e-7 (relative) from its position oracle, the
-    radial grid's h_r² error: 1.5e-7 on 6000/40, and within 3e-9 of it on half
-    the momentum nodes.
+    default grids Q2(χ≡1) lies 1.8e-10 (relative) from its position oracle, the
+    momentum grid's h_p⁴ error: the same on 6000/40, and 2.85e-9 on half the
+    momentum nodes.
     """
     return bound_rhs(mp, cut).Q2
 
@@ -150,7 +150,7 @@ def bound_sweep(mp: MomentumProfile, cuts: list[CutoffSpec]) -> list[MassBoundRe
     exact zero, m_lower is the +inf sentinel.
     """
     pg, psi, dpsi = mp.pgrid, mp.psi_hat.values, mp.dpsi_hat.values
-    p, w, p2 = pg.nodes, _weights(pg), pg.nodes**2
+    p, w, p2 = pg.nodes, pg.weights, pg.nodes**2
     pairing = 4.0 * np.pi * w * p**3 * psi * dpsi
     kinetic = 4.0 * np.pi * w * p2 * dpsi**2 * (p2 + mp.mu)
     origin = 8.0 * pg.h * mp.rho_hat0 * w * p2   # Q2's k = 0 shell, weighed by G²
@@ -179,7 +179,8 @@ def kinetic_term_position_oracle(state: PekarState) -> float:
 
         ∫ p²|∇ψ̂|² = ∫ r²|∇ψ|²  and  ∫ |∇ψ̂|² = ∫ r² ψ²,
 
-    so Q1(0) = 4π ∫ r⁴ ψ'² dr + μ · 4π ∫ r⁴ ψ² dr.
+    so Q1(0) = 4π ∫ r⁴ ψ'² dr + μ · 4π ∫ r⁴ ψ² dr, with ψ' by the five-point
+    `radial_derivative`, which errs by O(h⁴) like the state.
     """
     g = state.psi.grid
     r = g.nodes

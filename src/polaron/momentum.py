@@ -42,16 +42,18 @@ with the spectra of the rows it weighs.  Forward real FFTs only: 2 for the
 cross functional, 4 for one Q2, and 2 per cutoff plus 2 kernels made once for
 a cutoff sweep.
 
-Every integral over p or k is the trapezoid rule from the origin (`_weights`):
-h at the nodes 1..n−1, h/2 at the last, and h/2 at p = 0, which is not a node.
+Every integral over p or k is the trapezoid rule from the origin, the grid's own
+weights (grid.py): h at the nodes 1..n−1, h/2 at the last, and h/2 at p = 0, which
+is not a node.
 On integrands even and smooth through 0 it converges spectrally (Trefethen and
 Weideman, SIAM Review 2014).  Most vanish at 0, so the origin adds nothing; three
 do not and add their limit, with ρ̂(0) = ∫ ρ d³x taken from the state: the field
 energy's p² φ² → ρ̂(0)²/(2π²), Q2's k = 0 shell (massbound.py) and the EL
-convolution's.  On the default grids f(χ≡1) of massbound.py is 1.5e-7, and
-1.4e-7 on half the momentum nodes, so what is left is the radial grid's.  With
-`build_grid`'s radial weights (1.5h at the first node) it read 8.9e-7, of which
-an h_p³ term made 7.4e-7.
+convolution's.  On the fourth-order radial grid's 6000/40 state, exact to 1e-13,
+f(χ≡1) of massbound.py is −4.5e-10 on the default 4000 momentum nodes and
+−7.0e-9 on 2000: what is left is Q2's h_p⁴ term, the next Euler–Maclaurin term
+after Gregory's.  On the default grids f(χ≡1) is 4.9e-10, that term plus the
+radial state's 9.4e-10 (its SCF stop and the wall at rmax 30).
 """
 
 from __future__ import annotations
@@ -139,27 +141,18 @@ def momentum_profile(state: PekarState, pgrid: RadialGrid) -> MomentumProfile:
     return mp
 
 
-def _weights(pgrid: RadialGrid) -> np.ndarray:
-    """The trapezoid rule from p = 0 at the nodes 1..n: h, ..., h, h/2.  The origin's
-    weight h/2 multiplies the integrand's p = 0 limit, which the callers whose
-    integrand does not vanish there add themselves."""
-    w = np.full(pgrid.n, pgrid.h)
-    w[-1] = 0.5 * pgrid.h
-    return w
-
-
 def field_energy(mp: MomentumProfile) -> float:
     """∫ φ(p)² d³p = 4π ∫ p² φ² dp, p² φ² → ρ̂(0)²/(2π²) at the origin; equals the
     position-space pair energy D."""
     p, phi = mp.pgrid.nodes, mp.phi.values
     origin = 0.5 * mp.pgrid.h * mp.rho_hat0**2 / (2.0 * np.pi**2)
-    return float(4.0 * np.pi * (_weights(mp.pgrid) @ (p**2 * phi**2) + origin))
+    return float(4.0 * np.pi * (mp.pgrid.weights @ (p**2 * phi**2) + origin))
 
 
 def density_expectation(mp: MomentumProfile, g: RadialTestFunction) -> float:
     """∫ |ψ̂(p)|² g(|p|) d³p."""
     p = mp.pgrid.nodes
-    return float(4.0 * np.pi * (_weights(mp.pgrid) @ (p**2 * mp.psi_hat.values**2 * g(p))))
+    return float(4.0 * np.pi * (mp.pgrid.weights @ (p**2 * mp.psi_hat.values**2 * g(p))))
 
 
 def number_expectation(mp: MomentumProfile, g: RadialTestFunction) -> float:
@@ -191,7 +184,7 @@ class _Shells:
     L−n+1..L−1 without overlap; both are read at j = 1..n.  `field` gives the
     spectra of rows placed at 1..n, and `sums` reads s from one inverse FFT.
 
-    A scalar Σ_j w_j x_j s_j(b, y), w the trapezoid weights (`_weights`), needs
+    A scalar Σ_j w_j x_j s_j(b, y), w the trapezoid weights (`pgrid.weights`), needs
     no inverse FFT.  Written out, s_j is h Σ_il b_i ỹ_l K(i, j, l) less the hold's
     end term, and K, 1 for |i−j| < l < i+j, ½ for l = i+j or l = |i−j| and 0
     otherwise, is symmetric in (i, j, l); so field and integrand trade places
@@ -258,7 +251,7 @@ class _Shells:
         hankel[own] /= 2.0
         toeplitz[own] /= 2.0
         tail = total - np.concatenate((running[-2::-1], [0.0]))   # Σ_{l>n−j} b_l
-        return (hankel.view(float), toeplitz, _gregory(P[-2::-1]), _weights(pg) * tail,
+        return (hankel.view(float), toeplitz, _gregory(P[-2::-1]), pg.weights * tail,
                 P[:0:-1] / 6.0)
 
     def form(self, rows: np.ndarray, *terms: tuple[tuple, int, int]) -> float:
@@ -288,7 +281,7 @@ def _gregory(y: np.ndarray) -> np.ndarray:
 
 def _field_weights(mp: MomentumProfile) -> np.ndarray:
     """w_i ρ̂(k_i)/k_i: the k-side factor of the convolutions with φ(k)/k."""
-    return _weights(mp.pgrid) * mp.rho_hat().values / mp.pgrid.nodes
+    return mp.pgrid.weights * mp.rho_hat().values / mp.pgrid.nodes
 
 
 def cross_expectation(mp: MomentumProfile, xi: RadialTestFunction, g: RadialTestFunction) -> float:
@@ -306,7 +299,7 @@ def cross_expectation(mp: MomentumProfile, xi: RadialTestFunction, g: RadialTest
     pg = mp.pgrid
     p = pg.nodes
     x = p * mp.psi_hat.values * g(p)
-    k_factor = _weights(pg) * mp.rho_hat().values / SQRT2_PI * xi(p)   # w k φ(k) ξ(k)
+    k_factor = pg.weights * mp.rho_hat().values / SQRT2_PI * xi(p)   # w k φ(k) ξ(k)
     shells = _Shells(pg)
     return 8.0 * np.pi**2 * shells.form(x[np.newaxis], (shells.kernel(k_factor), 0, 0))
 
@@ -324,4 +317,4 @@ def el_residual_momentum(mp: MomentumProfile) -> float:
     p = pg.nodes
     conv = _Shells(pg).sums(_field_weights(mp), p * psi) / p + pg.h * mp.rho_hat0 * psi
     defect = (p**2 + mp.mu) * psi - (2.0 / np.pi) * conv
-    return float(np.sqrt(4.0 * np.pi * (_weights(pg) @ (p**2 * defect**2))))
+    return float(np.sqrt(4.0 * np.pi * (pg.weights @ (p**2 * defect**2))))

@@ -12,14 +12,18 @@ Note the factor 2 in the effective potential: the interaction term carries no
 1/2, so differentiating the double integral doubles it.
 
 On the radial reduction u(r) = r ψ(r) with Dirichlet walls u(0) = u(rmax) = 0
-the linearized operator is the symmetric tridiagonal H = −d²/dr² + W, W = −2Φ.
-The SCF starts at the grid's own fixed point as far as stored fits give it:
-the continuum minimizer, its h² and h³ offsets on the grid and the wall's
-boundary layer (`_initial_u`, within 1e-8 in L² of the fixed point on the
-default grid and on 6000/40), and takes 1 step there.  Each step finds its
-lowest eigenpair by inverse iteration warm-started from the current iterate,
-with one solve per shift certified to lie below the spectrum (an O(n) LDLᵀ
-factorization with positive pivots, see `_ground_pair`).  The input density
+the linearized operator is the symmetric pentadiagonal H = K + W, W = −2Φ, K
+the five-point −d²/dr² with odd reflection at the origin and the wall, which
+errs by O(h⁴) (`_apply_kinetic`; the Coulomb solve of coulomb.py inverts the
+same K).  Every integral is the trapezoid rule from the origin (grid.py), on
+which u's odd extension makes the rule spectral, so the discrete T − D is
+stationary at the SCF's fixed point.  The SCF starts at the continuum
+minimizer less the wall's boundary layer (`_initial_u`, within 8.4e-9 in L²
+of the fixed point on the default grid, the box's error, and 3.6e-10 on
+6000/40, the fit's), and takes 1 step there.  Each step finds its lowest
+eigenpair by inverse iteration warm-started from the current iterate, with
+solves whose shift is certified to lie below the spectrum (an O(n) band
+Cholesky factorization that exists, see `_ground_pair`).  The input density
 is then updated by Anderson (Pulay, "DIIS") mixing of the residual
 f_k = ρ_out,k − ρ_in,k with ρ_out,k = |ψ_new|²:
 
@@ -36,86 +40,25 @@ A Sobolev-gradient flow on the same reduced problem, from its own start and
 with neither eigenstep nor mixing, serves as an algorithmically independent
 cross-check on the SCF's own grids (`imaginary_time_oracle`).
 
-LAPACK's `dpttrf`/`dpttrs` come from the LAPACK numpy itself links, bound with
-ctypes on the handle of `numpy.linalg._umath_linalg`, so a run maps one BLAS
-and imports no scipy.  Two ILP64 symbol spellings are tried: `scipy_dpttrf_64_`
-(scipy-openblas64, numpy's wheels on Linux and Intel macOS) and
-`dpttrf$NEWLAPACK$ILP64` (Accelerate, numpy's macOS 14 arm64 wheels).  A numpy
-with neither, such as a conda or distro LP64 build or Windows (unsupported, not
-verified), fails at `import polaron` with an ImportError naming its LAPACK.
+LAPACK's band and tridiagonal routines come from the LAPACK numpy itself links
+(`_lapack`), so a run maps one BLAS and imports no scipy.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coulomb import _newton_potential, coulomb_potential
+from ._lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
+from .coulomb import _potential, coulomb_potential
 from .errors import ConvergenceError, NumericalError
 from .grid import RadialFunction, RadialGrid, build_grid
 
 
-# spellings of a LAPACK routine in numpy's own builds, both ILP64 (64-bit integers)
-_LAPACK_SPELLINGS = ("scipy_{}_64_", "{}$NEWLAPACK$ILP64")
-_INT = ctypes.POINTER(ctypes.c_int64)
-_F64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-
-
-def _lapack_routine(lib: ctypes.CDLL, name: str, *argtypes):
-    """`name` in the first spelling `lib` exports.  No fallback: a numpy
-    whose LAPACK has neither fails, naming that LAPACK and both spellings."""
-    symbols = [spelling.format(name) for spelling in _LAPACK_SPELLINGS]
-    for symbol in symbols:
-        try:
-            routine = lib[symbol]
-        except AttributeError:
-            continue
-        routine.argtypes, routine.restype = argtypes, None
-        return routine
-    lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
-    raise ImportError(f"numpy's LAPACK ({lapack}) exports neither {' nor '.join(symbols)}")
-
-
-# numpy has loaded this module already, and it links numpy's LAPACK
-_numpy_lapack = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-_dpttrf = _lapack_routine(_numpy_lapack, "dpttrf", _INT, _F64, _F64, _INT)
-_dpttrs = _lapack_routine(_numpy_lapack, "dpttrs", _INT, _INT, _F64, _F64, _F64, _INT, _INT)
-
-
-def _order(d: np.ndarray, e: np.ndarray, b: np.ndarray | None = None) -> ctypes.c_int64:
-    """n = len(d) ≥ 1, once e has at least n − 1 entries and b, if given, n.
-    The argtypes then check that each array is 1-d contiguous float64."""
-    n = d.size
-    if not (n >= 1 and e.size >= n - 1 and (b is None or b.size == n)):
-        raise ValueError(f"LAPACK wants n ≥ 1 diagonal, n − 1 off-diagonal and n right-hand "
-                         f"entries, got {n}, {e.size} and {'-' if b is None else b.size}")
-    return ctypes.c_int64(n)
-
-
-def dpttrf(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """LDLᵀ of the symmetric tridiagonal matrix with diagonal d and off-diagonal
-    e[:n−1], in f2py's call shape `d, e, info = dpttrf(d, e)`: new arrays, and
-    info = k > 0 where the k-th pivot is not positive."""
-    n = _order(d, e)
-    d, e, info = d.copy(), e.copy(), ctypes.c_int64()
-    _dpttrf(n, d, e, info)
-    return d, e, info.value
-
-
-def dpttrs(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """Solution of L D Lᵀ x = b from `dpttrf`'s factors, in f2py's call shape
-    `x, info = dpttrs(d, e, b)`; b is not overwritten."""
-    n = _order(d, e, b)
-    x, info = b.copy(), ctypes.c_int64()
-    _dpttrs(n, ctypes.c_int64(1), d, e, x, n, info)
-    return x, info.value
-
-
 # the steps `solve_pekar` and `imaginary_time_oracle` take at most: the flow needs 236
-# on 3000/30 and 6000/40, the SCF at most 18 even at tol_psi 1e-15 on grids from
+# on 3000/30 and 6000/40, the SCF at most 12 even at tol_psi 1e-15 on grids from
 # 300/20 to 40000/40, so only a broken solve reaches it
 _MAX_ITER = 300
 
@@ -126,8 +69,8 @@ class SolverOptions:
 
     grid is (n, rmax); the SCF stops once both the L² change of ψ and the
     relative self-consistency residual are at most tol_psi, or fails after
-    _MAX_ITER steps.  Every solve starts from the stored fits of the grid's
-    fixed point (`_initial_u`); on the default grid it takes 1 step.
+    _MAX_ITER steps.  Every solve starts from the stored fit of the continuum
+    minimizer (`_initial_u`); on the default grid it takes 1 step.
     """
 
     grid: tuple[int, float] = (3000, 30.0)
@@ -155,34 +98,27 @@ class PekarState:
     residual: float
 
 
-# The SCF starts at the grid's own fixed point, to the order of three terms of
-# Richardson's expansion ψ_h = U + h²E + h³F (one universal set: the functional
-# has no parameter) and the wall's boundary layer.  U, E and F are each a sum
-# Σ_k x_k e^{−α_k r²} over the 14 exponents α_k = geomspace(0.004, 0.3, 14).
-# Recipe: solve_pekar at tol_psi 1e-12 on 9600, 19200 and 38400 nodes over
-# rmax 48 gives ψ_h on the common nodes (every 1st, 2nd and 4th) for three h,
-# from which U, E and F follow by solving the 3×3 system at each node; c, d and
-# e are least squares in the 3d L² weights √w·r to U, E and F, all scaled by
-# the factor that makes Σc = 1 (`_normalize_u` rescales anyway).  Relative 3d
-# L² fit errors: U 6.7e-10, E 2.0e-6, F 5.8e-3.  A change of the quadrature
-# weights or the kinetic stencil changes E and F, and they must be refitted.
+# The SCF starts at the continuum minimizer U (the grid's fixed point is within
+# O(h⁴) of it) less the wall's boundary layer.  U is a sum Σ_k c_k e^{−α_k r²}
+# over the 14 exponents α_k = geomspace(0.004, 0.3, 14).  Recipe: solve_pekar at
+# tol_psi 1e-12 on 9600 nodes over rmax 48 gives ψ_h = U + O(h⁴); c is least
+# squares in the 3d L² weights √w·r to it, scaled so that Σc = 1
+# (`_normalize_u` rescales anyway).  The stored c, fitted to the Richardson limit
+# of three-point solves, match that refit to 1.8e-11 (relative 3d L²).
 _START_ALPHA = np.geomspace(0.004, 0.3, 14)
-_START_C = (6.013926246e-08, 1.361912231e-05, 0.0005433489273, 0.00673012994,
-            0.03567964018, 0.101968218, 0.1841559928, 0.2328283937, 0.2159660505,
-            0.1437776107, 0.06208889392, 0.01469839389, 0.001500440075, 4.920812662e-05)
-_START_D = (3.28353e-07, -1.15405e-05, -0.000238817, -0.00241201, -0.00896815,
-            -0.0172435, -0.0148371, 0.00173278, 0.0280494, 0.0450281, 0.0406022,
-            0.0183839, 0.00359346, 0.000226052)
-_START_E = (-0.0007921, 0.006837, -0.03064, 0.09005, -0.2317, 0.4272, -0.7814,
-            1.161, -1.525, 1.836, -1.741, 1.408, -0.7621, 0.2406)
+_START_C = np.array((6.013926246e-08, 1.361912231e-05, 0.0005433489273, 0.00673012994,
+                     0.03567964018, 0.101968218, 0.1841559928, 0.2328283937, 0.2159660505,
+                     0.1437776107, 0.06208889392, 0.01469839389, 0.001500440075,
+                     4.920812662e-05))
+# nodes per block of the (14, block) exponentials: one array op per block, about 0.9 MB
+_START_BLOCK = 8192
 # μ_P = −3e_P, the decay rate² of ψ_P outside the density, where W = −2/r
 _MU_P = 0.32554
-# the h terms and the wall layer apply up to h = 2.5, chosen from step counts
-# against r U alone on 11 boxes 13 to 600 wide at tol_psi 1e-6 to 1e-11: of
-# the 44 solves at each h they took fewer steps in 21 to 44 and more in at
-# most 4 for h from 1 to 2.5, fewer in 19 and more in 7 at h = 3, and more in
-# 16 of 16 at h = 4 (8 boxes, tol_psi 1e-8 and 1e-11)
-_START_H_MAX = 2.5
+# the wall layer applies up to h = 2, chosen from step counts against r U alone on
+# 11 boxes 13 to 600 wide at tol_psi 1e-6 to 1e-11: of the 44 solves at each h it
+# took fewer steps in 6 to 13 and more in at most 1 for h from 0.01 to 1, fewer in
+# 3 and more in 1 at h = 2, and fewer in 0 and more in 2 at h = 2.5
+_START_H_MAX = 2.0
 
 
 def _wall_layer(r: np.ndarray) -> np.ndarray:
@@ -199,26 +135,25 @@ def _wall_layer(r: np.ndarray) -> np.ndarray:
 
 
 def _initial_u(grid: RadialGrid) -> np.ndarray:
-    """r (U + h²E + h³F)(r) from the stored fits above, minus its wall value
-    times the wall layer on r ≥ R/2, so that u = 0 at the wall.  That needs
-    R/2 past the layer's turning point 2/μ_P; on smaller boxes, and on grids
-    with h above _START_H_MAX, the start is r U(r) with u[-1] = 0.
+    """r U(r) from the stored fit above, minus its wall value times the wall
+    layer on r ≥ R/2, so that u = 0 at the wall.  That needs R/2 past the
+    layer's turning point 2/μ_P; on smaller boxes, and on grids with h above
+    _START_H_MAX, the start is r U(r) with u[-1] = 0.
 
     Each exponent is offset by α_0 h², a constant factor `_normalize_u`
-    removes, so the first node does not underflow on coarse grids; the sum is
-    taken term by term, in one n-array.
+    removes, so the first node does not underflow on coarse grids.  The 14
+    terms go as one (14, block) exponential and a matrix-vector product per
+    block of nodes (48 µs on 3000 nodes, against 122 µs term by term).
     """
     r = grid.nodes
-    h = grid.h
     r2 = r * r
-    expand = h <= _START_H_MAX and grid.rmax > 4.0 / _MU_P
-    u = np.zeros_like(r)
-    for alpha, c, d, e in zip(_START_ALPHA, _START_C, _START_D, _START_E):
-        if expand:
-            c += h * h * (d + h * e)
-        u += c * np.exp(_START_ALPHA[0] * r2[0] - alpha * r2)
+    u = np.empty_like(r)
+    for lo in range(0, r.size, _START_BLOCK):
+        block = np.multiply.outer(-_START_ALPHA, r2[lo:lo + _START_BLOCK])
+        block += _START_ALPHA[0] * r2[0]
+        u[lo:lo + _START_BLOCK] = _START_C @ np.exp(block, out=block)
     u *= r
-    if expand:
+    if grid.h <= _START_H_MAX and grid.rmax > 4.0 / _MU_P:
         tail = r.size // 2
         u[tail:] -= u[-1] * _wall_layer(r[tail:])
     u[-1] = 0.0
@@ -234,17 +169,41 @@ def _normalize_u(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _kinetic(x: np.ndarray, h: float) -> np.ndarray:
+    """−u″ on the interior nodes, x = u there, by the five-point stencil
+    (u_{i−2} − 16u_{i−1} + 30u_i − 16u_{i+1} + u_{i+2})/(12h²) with u odd about
+    the origin and about the wall (u_0 = u_n = 0, u_{−1} = −u_1,
+    u_{n+1} = −u_{n−1}), which is K = K₃ + (h²/12)K₃², K₃ the three-point
+    −d²/dr² with zero ends.  Formed as K₃ twice, each from the differences of
+    its input: on a smooth x they cancel exactly (Sterbenz), where the
+    five-point sum errs by about eps·30/(12h²)·|x|."""
+    d = _differences(x)
+    k3 = d[:-1] - d[1:]   # h²K₃x
+    d = _differences(k3)
+    kx = d[:-1] - d[1:]
+    kx /= 12.0
+    kx += k3
+    kx /= h * h
+    return kx
+
+
+def _differences(x: np.ndarray) -> np.ndarray:
+    """x_{i+1} − x_i for i = 0..m, x on nodes 1..m and zero at 0 and m + 1."""
+    d = np.empty(x.size + 1)
+    d[0] = x[0]
+    np.subtract(x[1:], x[:-1], out=d[1:-1])
+    d[-1] = -x[-1]
+    return d
+
+
 def _apply_kinetic(u: np.ndarray, h: float) -> np.ndarray:
-    """−u'' by central differences with u = 0 at both walls."""
-    out = np.empty_like(u)
-    out[1:-1] = (2.0 * u[1:-1] - u[:-2] - u[2:]) / h**2
-    out[0] = (2.0 * u[0] - u[1]) / h**2
-    out[-1] = (2.0 * u[-1] - u[-2]) / h**2
-    return out
+    """−u″ by `_kinetic` on the interior nodes of u, 0 at the wall node."""
+    return np.append(_kinetic(u[:-1], h), 0.0)
 
 
 def _kinetic_energy(grid: RadialGrid, u: np.ndarray) -> float:
-    return 4.0 * np.pi * grid.integrate(u * _apply_kinetic(u, grid.h))
+    """4π ∫ u(−u″) dr on the grid: weight h at every interior node, and u = 0 at the wall."""
+    return 4.0 * np.pi * grid.h * float(u[:-1] @ _kinetic(u[:-1], grid.h))
 
 
 # inverse iteration in `_ground_pair`
@@ -253,43 +212,64 @@ _SHIFT_FLOOR = 1e-10
 _MAX_SHIFTS = 100
 
 
-def _factor_below(diag: np.ndarray, off: np.ndarray, lam: float, delta: float,
-                  w_min: float) -> tuple[np.ndarray, np.ndarray, bool]:
-    """LDLᵀ factors of H − σI at the first σ = λ − 4ᵏδ (k = 0, 1, ...) with
-    positive pivots, plus whether k = 0 passed.
+def _factor_below(diag: np.ndarray, c: float, lam: float, delta: float,
+                  w_min: float) -> tuple[np.ndarray, bool]:
+    """Cholesky factor of H − σI, H the symmetric pentadiagonal matrix with
+    diagonal `diag` and off-diagonals −16c and c, at the first σ = λ − 4ᵏδ
+    (k = 0, 1, ...) where it exists, plus whether k = 0 passed.
 
-    Positive pivots put σ below the lowest eigenvalue λ₀ by Sylvester's law of
-    inertia.  σ = min W is always below λ₀ (−d²/dr² is positive definite);
-    δ grows fourfold per try, so the search reaches it after at most
-    log₄((λ − min W)/δ) + 1 tries.
+    The factor exists if and only if σ lies below the lowest eigenvalue λ₀.
+    σ = min W is always below λ₀ (K is positive definite); δ grows fourfold per
+    try, so the search reaches it after at most log₄((λ − min W)/δ) + 1 tries.
     """
     first = True
-    while lam - delta > w_min:
-        d, e, info = dpttrf(diag - (lam - delta), off)
+    while True:
+        sigma = max(lam - delta, w_min)
+        band = np.empty((3, diag.size), order="F")   # LAPACK's lower band storage
+        np.subtract(diag, sigma, out=band[0])
+        band[1], band[2] = -16.0 * c, c
+        factor, info = dpbtrf(band, overwrite_ab=True)
         if info == 0:
-            return d, e, first
+            return factor, first
+        if sigma == w_min:
+            raise NumericalError(
+                "no shift below the spectrum: H − min(W) is not positive definite")
         delta *= 4.0
         first = False
-    d, e, info = dpttrf(diag - w_min, off)
-    if info != 0:
-        raise NumericalError("no shift below the spectrum: H − min(W) is not positive definite")
-    return d, e, first
 
 
 def _ground_pair(grid: RadialGrid, w_pot: np.ndarray,
                  u: np.ndarray) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of H = −d²/dr² + W on interior nodes r_1..r_{n−1},
-    by inverse iteration from the guess u (the wall value u[-1] is ignored).
+    """Lowest eigenpair of H = K + W on interior nodes r_1..r_{n−1}, K the
+    five-point −d²/dr² of `_apply_kinetic`, by inverse iteration from the guess
+    u (the wall value u[-1] is ignored).
 
-    Each pass makes one solve with H − σI at a new shift σ, which lies δ
-    below the Rayleigh quotient λ of the unit iterate x, δ = max(‖Hx − λx‖,
-    _SHIFT_FLOOR, 4 eps ‖H‖) grown fourfold until `_factor_below` certifies it
-    below λ₀, so the iteration converges to the lowest pair from any guess.
-    (Pivot rounding moves the inertia of H − σI by up to about eps ‖H‖/4,
-    measured for rmax from 1e-6 to 1e3; a smaller δ may never pass.)  The
-    pair (λ, x) is returned once σ passed at its first δ, which proves
-    λ₀ ∈ (λ − δ, λ], and the solve moved x by at most _STEP_TOL: a settled
-    excited pair fails the certificate and iterates on.
+    Each pass solves (H − σI)z = Hx − λx and takes y = x − z, normalized,
+    which is (H − σI)⁻¹x up to its norm.  Hx comes from differences
+    (`_kinetic`), and the solve meets only the residual, so its rounding
+    shrinks with it: the settled iterate then follows a change of W as the
+    linear response predicts (on 16000/30 a 1e-12 change of W moves it by
+    6.8e-13, where a solve with x itself moved it by 5e-12 and left the SCF
+    cycling at a residual of 5e-12).  H − σI is pentadiagonal, solved by its
+    band Cholesky factor (`dpbtrf`), which exists if and only if σ < λ₀, the
+    lowest eigenvalue.  A factor is made at σ = λ − δ, δ below the Rayleigh
+    quotient λ of the unit iterate x, δ = max(‖Hx − λx‖, _SHIFT_FLOOR,
+    4 eps ‖H‖), grown fourfold until the factor exists, so the iteration
+    converges to the lowest pair from any guess.  (Pivot rounding moves the inertia of H − σI by up to
+    about eps ‖H‖/4; a smaller δ may never pass.)  A factor that existed at its
+    first δ serves the next pass too when its solve moved x by at most
+    √_STEP_TOL, which that pass then moves by about √_STEP_TOL times as much;
+    otherwise each pass factors anew.
+
+    How the returned pair is proven lowest: it is returned once a factor that
+    existed at its first δ gives a solve that moves x by at most _STEP_TOL.
+    The factor proves σ < λ₀, and λ₀ ≤ λ, the Rayleigh quotient, so λ₀ lies in
+    (σ, λ], an interval of residual size δ (plus the drift of λ since that
+    factor was made); a settled excited pair, whose first δ cannot pass,
+    iterates on with a factor further down.  The three-point H₃ − σ would
+    certify too, since K ≥ K₃ mode by mode, but only as a preconditioner of
+    H: its 1/3-per-pass contraction of rough components took 6 passes on the
+    default grid, against 2 solves here.
 
     Every call makes at least one solve, so the SCF iterate follows each
     change of W.  A certified x that a solve no longer moves is kept rather
@@ -297,38 +277,44 @@ def _ground_pair(grid: RadialGrid, w_pot: np.ndarray,
     fixed point where its energy change is below rounding.
 
     Limit: when the lowest state is localized away from the guess (a
-    component of ~1e-50 along it) or nearly degenerate (a gap of ~1e-11),
-    inverse iteration can exhaust _MAX_SHIFTS and raise NumericalError where
-    a dense solver returns the pair.  The SCF's W = −2Φ is monotone in r,
-    and no CLI run has been seen to reach this.  Measured from cold guesses
-    with A log-uniform in [1, 1e6] on 10 to 3000 nodes, it raised on none of
-    400 Coulomb-like W = −AΦ_ρ (ρ a sum of 1–5 random Gaussians) and on 71
-    of 200 symmetric wells W = −A cos²(6πr/rmax).
+    component of ~1e-50 along it) or nearly degenerate (a gap of ~1e-11), or
+    when the residual's rounding, about eps·max|W|, over the gap exceeds
+    _STEP_TOL, inverse iteration can exhaust _MAX_SHIFTS and raise
+    NumericalError where a dense solver returns the pair.  The SCF's
+    W = −2Φ is monotone in r and of the size of its gap, and no CLI run has
+    been seen to reach this.  Measured from cold guesses with A log-uniform in
+    [1, 1e6] on 10 to 3000 nodes, it raised on 1 of 200 Coulomb-like
+    W = −AΦ_ρ (ρ a sum of 1–5 random Gaussians; max|W|/gap ≈ 2e5 there) and
+    on 41 of 100 symmetric wells W = −A cos²(6πr/rmax), where the
+    three-point eigenstep, solving with x itself, raised on 0 and 38.
     """
-    h = grid.h
     w_in = w_pot[:-1]
-    diag = 2.0 / h**2 + w_in
+    c = 1.0 / (12.0 * grid.h**2)
+    diag = 30.0 * c + w_in
+    diag[0] -= c    # odd reflection at the origin
+    diag[-1] -= c   # and at the wall
     if not (np.isfinite(diag).all() and np.isfinite(u).all()):
         raise NumericalError("eigenstep got a non-finite potential, grid step or guess")
-    c = -1.0 / h**2
-    off = np.full(max(diag.size - 1, 1), c)  # e[0] even for one node, f2py's shape
     w_min = float(w_in.min())
-    floor = max(_SHIFT_FLOOR, 4.0 * np.finfo(float).eps * (np.abs(diag).max() + 2.0 / h**2))
+    floor = max(_SHIFT_FLOOR, 4.0 * np.finfo(float).eps * (np.abs(diag).max() + 34.0 * c))
     x = u[:-1] / math.sqrt(u[:-1] @ u[:-1])
-    r = np.empty_like(x)  # Hx, then Hx − λx, then the solve's step y − x
+    factor = None
     for _ in range(_MAX_SHIFTS):
-        np.multiply(diag, x, out=r)
-        r[1:] += c * x[:-1]
-        r[:-1] += c * x[1:]
+        r = _kinetic(x, grid.h)   # Hx, then Hx − λx, then the solve's step y − x
+        r += w_in * x
         lam = float(x @ r)
         r -= lam * x
-        d, e, first = _factor_below(diag, off, lam, max(math.sqrt(r @ r), floor), w_min)
-        # (H − σI)⁻¹ is positive definite, so y·x > 0: no sign flip
-        y = dpttrs(d, e, x)[0]
+        if factor is None:
+            factor, first = _factor_below(diag, c, lam, max(math.sqrt(r @ r), floor), w_min)
+        # (H − σI)⁻¹x = (x − (H − σI)⁻¹(Hx − λx))/(λ − σ), positive definite, so y·x > 0
+        y = x - dpbtrs(factor, r, overwrite_b=True)[0]
         y /= math.sqrt(y @ y)
-        np.subtract(y, x, out=r)
-        if first and math.sqrt(r @ r) <= _STEP_TOL:  # certified and still: keep x
+        r = y - x
+        step = math.sqrt(r @ r)
+        if first and step <= _STEP_TOL:  # certified and still: keep x
             return lam, np.append(x, 0.0)
+        if not (first and step <= math.sqrt(_STEP_TOL)):
+            factor = None
         x = y
     raise NumericalError(f"inverse iteration did not settle in {_MAX_SHIFTS} shifts")
 
@@ -338,7 +324,7 @@ def _energies(grid: RadialGrid, u: np.ndarray) -> tuple[float, float, np.ndarray
     Raises ValueError where ρ, Φ or ρΦ is not finite."""
     rho = (u / grid.nodes) ** 2
     T = _kinetic_energy(grid, u)
-    phi = _newton_potential(grid, rho)
+    phi = _potential(grid, rho)
     rho_phi = rho * phi
     if not np.isfinite(rho_phi).all():   # a non-finite ρ or Φ makes ρΦ non-finite
         raise ValueError("values must be finite (no NaN/Inf)")
@@ -398,7 +384,7 @@ def solve_pekar(opts: SolverOptions) -> PekarState:
 
     x = u  # the eigenstep starts from its own last output, so a settled one recurs exactly
     for k in range(1, _MAX_ITER + 1):
-        _, x = _ground_pair(grid, -2.0 * _newton_potential(grid, rho_in), x)
+        _, x = _ground_pair(grid, -2.0 * _potential(grid, rho_in), x)
         u = _normalize_u(grid, x)
         psi = u / grid.nodes
 
@@ -437,12 +423,13 @@ def imaginary_time_oracle(opts: SolverOptions) -> PekarState:
     """Independent minimizer: the Sobolev-gradient flow (Garcia-Ripoll and
     Pérez-García, SIAM J. Sci. Comput. 23 (2001) 1316)
 
-        u ← normalize(u − (1 − δ²/h²)⁻¹ g),  g = Hu − λu,  H = −δ²/h² − 2Φ_u,
+        u ← normalize(u − (1 + K₃)⁻¹ g),  g = Hu − λu,  H = K − 2Φ_u,
 
-    λ = ⟨u, Hu⟩/⟨u, u⟩.  Its preconditioner is constant, so no step is left to
-    tune.  The energy must be non-increasing (up to 1e-12 per step), else
-    NumericalError: with the first node's weight 1.5h, g is not the gradient of
-    the discrete T − D, and on coarse grids the energy rises.  Stops at the
+    λ = ⟨u, Hu⟩/⟨u, u⟩, K the SCF's five-point −d²/dr² and K₃ the three-point
+    one, which K exceeds by at most a third mode by mode.  Its preconditioner is
+    constant, so no step is left to tune.  With the trapezoid weights from the
+    origin g is the gradient of the discrete T − D, and the energy must be
+    non-increasing (up to 1e-12 per step), else NumericalError.  Stops at the
     first of at most _MAX_ITER gradients with 3d L² norm ≤ _FLOW_TOL and returns
     how many it evaluated as `iterations`; reads only opts.grid.
     """
@@ -453,7 +440,7 @@ def imaginary_time_oracle(opts: SolverOptions) -> PekarState:
     u = grid.nodes * np.exp(-5.0 * grid.nodes / 16.0)
     u[-1] = 0.0  # Dirichlet wall
     u = _normalize_u(grid, u)
-    # 1 − δ²/h² on the interior nodes, positive definite (e[0] even for one node)
+    # I + K₃ on the interior nodes, positive definite (e[0] even for one node)
     d, e, _ = dpttrf(np.full(grid.n - 1, 1.0 + 2.0 / h**2), np.full(max(grid.n - 2, 1), -1.0 / h**2))
 
     T, D, rho, phi = _energies(grid, u)

@@ -655,7 +655,8 @@ class TestVerifyCommand:
         assert rows and all(row[-1] == "true" for row in rows)
 
     def test_coarse_grid_fails_with_table(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", {"grid.n": 100})
+        # h = 0.5 fails the virial rows; at h = 0.25 (grid.n 100) every row passes
+        cfg = write_config(tmp_path / "c.json", {"grid.n": 50})
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         lines = (tmp_path / "out" / "verify.csv").read_text().splitlines()
         header = lines[1]
@@ -679,11 +680,13 @@ def test_two_node_momentum_grid_exits_cleanly(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command,code", [("solve", 3), ("verify", 1), ("massbound", 3)])
 def test_nowhere_positive_psi_hat_is_a_sign_fault(tmp_path, capsys, command, code):
-    # ψ̂ is −5.1e-9 and −1.4e-9 at p = 500 and 1000: verify tabulates the
-    # fault as a failed psi_hat_positive row, solve and massbound raise it and
-    # name it as what it is, with no sign change and no rmax advice
+    # p = 627.5 and 1255 lie past the radial grid's Nyquist π/h ≈ 314, where the
+    # transform is ψ̂ at 200π − p and 400π − p (multiples of 2π/h away), negated and
+    # scaled: −8.2e-5 and −2.9e-7.  verify tabulates the fault as a failed
+    # psi_hat_positive row, solve and massbound raise it and name it as what it
+    # is, with no sign change and no rmax advice
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"momentum.n": 2, "momentum.pmax": 1000}))
+    path.write_text(json.dumps({"momentum.n": 2, "momentum.pmax": 1255}))
     out = tmp_path / "out"
     assert main([command, "--config", str(path), "--out", str(out)]) == code
     err = capsys.readouterr().err
@@ -693,7 +696,7 @@ def test_nowhere_positive_psi_hat_is_a_sign_fault(tmp_path, capsys, command, cod
         assert ["psi_hat_positive", zero, one, zero, "false"] in rows and err == ""
     else:
         assert len(err.splitlines()) == 1
-        assert "no positive sample" in err and "p=500" in err and "finer momentum grid" in err
+        assert "no positive sample" in err and "p=627.5" in err and "finer momentum grid" in err
         assert "sign change" not in err and "rmax" not in err
         assert list(out.iterdir()) == []
 
@@ -906,12 +909,12 @@ def test_commands_leave_hashlib_unloaded(tmp_path):
 
 @pytest.mark.parametrize("first", ["polaron", "scipy.linalg"])
 def test_lapack_matches_scipy_linalg(first):
-    """polaron's dpttrf/dpttrs from numpy's LAPACK agree bit for bit with
-    scipy.linalg.lapack's (the reference; scipy is a test dependency only) at
-    n = 1, 2, 5 and 3000 and on a matrix that is not positive definite,
+    """polaron's dpttrf/dpttrs and dpbtrf/dpbtrs from numpy's LAPACK agree bit for
+    bit with scipy.linalg.lapack's (the reference; scipy is a test dependency
+    only) at n = 1, 2, 5 and 3000 and on a matrix that is not positive definite,
     whichever of the two is imported first, and scipy.linalg still works."""
     second = {"polaron": "scipy.linalg", "scipy.linalg": "polaron"}[first]
-    code = (f"import {first}, {second}, numpy as np, polaron.solver as s, scipy.linalg as la\n"
+    code = (f"import {first}, {second}, numpy as np, polaron._lapack as s, scipy.linalg as la\n"
             "rng = np.random.default_rng(3)\n"
             "cases = [(rng.uniform(2.5, 4.0, n), rng.uniform(-1.0, 1.0, max(n - 1, 1)))\n"
             "         for n in (1, 2, 5, 3000)] + [(np.array([1.0, 0.1, 2.0]), np.ones(2))]\n"
@@ -922,6 +925,18 @@ def test_lapack_matches_scipy_linalg(first):
             "    ours, ref = s.dpttrs(*ours[:2], rhs), la.lapack.dpttrs(*ref[:2], rhs)\n"
             "    assert all(np.array_equal(a, b) for a, b in zip(ours, ref)), d.size\n"
             "assert s.dpttrf(*cases[-1])[2] == 2\n"
+            "bands = [np.asfortranarray(np.stack([rng.uniform(6.0, 8.0, n),\n"
+            "                                     rng.uniform(-1.0, 1.0, n),\n"
+            "                                     rng.uniform(-1.0, 1.0, n)]))\n"
+            "         for n in (1, 2, 5, 3000)]\n"
+            "bands.append(np.asfortranarray([[1.0, 0.1, 2.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))\n"
+            "for ab in bands:\n"
+            "    ours, ref = s.dpbtrf(ab), la.lapack.dpbtrf(ab, lower=1)\n"
+            "    assert all(np.array_equal(a, b) for a, b in zip(ours, ref)), ab.shape\n"
+            "    rhs = rng.normal(size=ab.shape[1])\n"
+            "    ours, ref = s.dpbtrs(ours[0], rhs), la.lapack.dpbtrs(ref[0], rhs, lower=1)\n"
+            "    assert all(np.array_equal(a, b) for a, b in zip(ours, ref)), ab.shape\n"
+            "assert s.dpbtrf(bands[-1])[1] == 2\n"
             "w = la.eigh_tridiagonal(np.full(3, 2.0), np.full(2, -1.0), eigvals_only=True)\n"
             "assert np.allclose(w, 2 - np.sqrt(2) * np.array([1, 0, -1]))\n"
             "print('ok')")

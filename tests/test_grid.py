@@ -15,8 +15,11 @@ class TestBuildGrid:
     @given(n=st.integers(min_value=2, max_value=5000),
            rmax=st.floats(min_value=1e-3, max_value=1e3))
     def test_weights_sum_to_rmax(self, n, rmax):
+        # the trapezoid rule from the origin: h at nodes 1..n−1, h/2 at the last, and
+        # the origin's h/2, which goes with the integrand's limit there
         g = pl.build_grid(n, rmax)
-        assert abs(g.weights.sum() - rmax) <= 1e-12 * rmax
+        assert abs(g.weights.sum() + g.h / 2 - rmax) <= 1e-12 * rmax
+        assert np.all(g.weights[:-1] == g.h) and g.weights[-1] == g.h / 2
 
     @pytest.mark.parametrize("n,rmax", [(0, 1.0), (1, 1.0), (3, 0.0), (3, -2.0)])
     def test_invalid_arguments(self, n, rmax):
@@ -87,21 +90,32 @@ class TestRadialDerivative:
         d = pl.radial_derivative(f)
         assert np.allclose(d.values, 2 * a * r + b, rtol=0, atol=1e-10)
 
+    @given(coef=st.lists(st.floats(-3, 3), min_size=5, max_size=5))
+    @settings(max_examples=30)
+    def test_exact_on_quartics(self, coef):
+        # every node, the two first and the two last with their one-sided stencils
+        # included, on the fewest nodes the stencils need
+        for n in (5, 6, 64):
+            g = pl.build_grid(n, 2.0)
+            poly = np.polynomial.Polynomial(coef)
+            d = pl.radial_derivative(pl.RadialFunction(g, poly(g.nodes)))
+            assert np.allclose(d.values, poly.deriv()(g.nodes), rtol=0, atol=1e-9)
+
     def test_constant_gives_zero(self):
         g = pl.build_grid(50, 3.0)
         d = pl.radial_derivative(pl.RadialFunction(g, np.full(50, 2.5)))
         assert np.all(d.values == 0.0)
 
-    def test_second_order_convergence(self):
+    def test_fourth_order_convergence(self):
         errs = []
-        for n in (500, 1000, 2000):
+        for n in (250, 500, 1000):
             g = pl.build_grid(n, 10.0)
             d = pl.radial_derivative(pl.RadialFunction(g, np.exp(-g.nodes)))
             errs.append(np.abs(d.values + np.exp(-g.nodes)).max())
-        assert 3.5 < errs[0] / errs[1] < 4.5
-        assert 3.5 < errs[1] / errs[2] < 4.5
+        assert 14.0 < errs[0] / errs[1] < 18.0
+        assert 14.0 < errs[1] / errs[2] < 18.0
 
     def test_too_few_nodes(self):
-        g = pl.build_grid(3, 1.0)
+        g = pl.build_grid(4, 1.0)
         with pytest.raises(ValueError):
-            pl.radial_derivative(pl.RadialFunction(g, np.ones(3)))
+            pl.radial_derivative(pl.RadialFunction(g, np.ones(4)))

@@ -205,10 +205,13 @@ def test_bound_sweep_matches_the_term_definitions(mp_200, mp_default):
 
 
 class TestKineticTerm:
-    def test_position_space_oracle(self, mp_default, state_default):
-        q1 = pl.kinetic_term(mp_default, _CHI_ONE)
-        oracle = pl.kinetic_term_position_oracle(state_default)
-        assert abs(q1 - oracle) <= 1e-3 * abs(oracle)
+    def test_position_space_oracle(self, mp_default, state_default, mp_fine, state_fine):
+        # the oracle's five-point ψ′ errs by O(h⁴), so the gap is 1.6e-10 on the
+        # default grid and 1.1e-12 on 6000/40
+        for mp, st in ((mp_default, state_default), (mp_fine, state_fine)):
+            q1 = pl.kinetic_term(mp, _CHI_ONE)
+            oracle = pl.kinetic_term_position_oracle(st)
+            assert abs(q1 - oracle) <= 1e-9 * abs(oracle)
 
     def test_positive_on_ladder(self, mp_default):
         for eps in [1.0] + EPS_LADDER:
@@ -226,24 +229,28 @@ class TestPotentialTerm:
         oracle = pl.potential_term_position_oracle(state_default)
         assert abs(q2 - oracle) <= 1e-4 * abs(oracle)
 
-    def test_oracle_gap_second_order(self, mp_default, mp_2000, state_default, mp_fine,
-                                     state_fine):
-        # the gap is the radial grid's, of second order in h_r: it falls 2.25-fold from
-        # 3000/30 to 6000/40 (3.44e-7 to 1.53e-7 relative), (150/100)², while halving
-        # the momentum step moves it by 2.7e-9 (relative, 2000 to 4000 nodes)
+    def test_oracle_gap_fourth_order_in_h_p(self, mp_default, mp_2000, state_default,
+                                            mp_fine, state_fine):
+        # the gap is the momentum grid's, of fourth order in h_p: it falls 15.8-fold
+        # from 2000 to 4000 momentum nodes (2.85e-9 to 1.80e-10 relative), while the
+        # fourth-order radial grid leaves it the same on 3000/30 and 6000/40 to 0.1%
+        # (with the three-point grid it was the radial grid's h_r² term, 3.44e-7 and
+        # 1.53e-7)
         oracle = pl.potential_term_position_oracle(state_default)
         gap_coarse = abs(pl.potential_term(mp_2000, _CHI_ONE) - oracle)
         gap_default = abs(pl.potential_term(mp_default, _CHI_ONE) - oracle)
-        assert abs(gap_coarse - gap_default) <= 1e-8 * abs(oracle)
+        assert gap_coarse >= 12.0 * gap_default
         oracle_fine = pl.potential_term_position_oracle(state_fine)
         gap_fine = abs(pl.potential_term(mp_fine, _CHI_ONE) - oracle_fine)
-        assert gap_default / abs(oracle) >= 2.0 * gap_fine / abs(oracle_fine)
+        rel_default, rel_fine = gap_default / abs(oracle), gap_fine / abs(oracle_fine)
+        assert abs(rel_default - rel_fine) <= 0.01 * rel_fine
 
     def test_oracle_gap_below_the_trapezoid_floor(self, mp_default, state_default):
         # the relative gap on the defaults: 4.1e-6 under the plain trapezoid shell sums,
-        # 6.5e-7 with Gregory's end correction, 3.4e-7 with the trapezoid rule from p = 0
+        # 6.5e-7 with Gregory's end correction, 3.4e-7 with the trapezoid rule from p = 0,
+        # 1.8e-10 on the fourth-order radial grid
         oracle = pl.potential_term_position_oracle(state_default)
-        assert abs(pl.potential_term(mp_default, _CHI_ONE) - oracle) <= 5e-7 * abs(oracle)
+        assert abs(pl.potential_term(mp_default, _CHI_ONE) - oracle) <= 3e-10 * abs(oracle)
 
     def test_three_identity(self, mp_default):
         q1 = pl.kinetic_term(mp_default, _CHI_ONE)
@@ -264,28 +271,42 @@ class TestBoundRhs:
         assert abs(rep.Q1 - rep.Q2 - 3.0) < 1e-3
         assert rep.m_lower == 1.0 / (2.0 * rep.f)
 
-    def test_endpoint_floor(self, mp_default):
-        # f(χ≡1) on the defaults is 1.45e-7 with the trapezoid rule from p = 0, against
-        # 8.9e-7 with the first node's 1.5h weight and 9.4e-6 under plain trapezoid
+    def test_endpoint_floor(self, mp_default, mp_fine):
+        # f(χ≡1) is 4.9e-10 on the defaults and −4.5e-10 on 6000/40, with the
+        # fourth-order radial grid; it was 1.45e-7 on the three-point grid, 8.9e-7 with
+        # the first momentum node's 1.5h weight and 9.4e-6 under plain trapezoid
         # shell sums
-        assert abs(pl.bound_rhs(mp_default, _CHI_ONE).f) <= 3e-7
+        for mp in (mp_default, mp_fine):
+            assert abs(pl.bound_rhs(mp, _CHI_ONE).f) <= 1e-9
 
-    def test_endpoint_floor_is_the_radial_grids(self, mp_default, mp_2000):
-        # f(χ≡1) is 1.389e-7 on 2000 momentum nodes and 1.455e-7 on 4000: what is left
-        # of the floor is the radial grid's (6.1e-6 and 8.9e-7 with the 1.5h weight)
-        f = [pl.bound_rhs(mp, _CHI_ONE).f for mp in (mp_2000, mp_default)]
-        assert abs(f[0] - f[1]) <= 2e-8
+    def test_endpoint_floor_is_the_radial_grids(self, mp_default, mp_2000, state_fine, mp_fine):
+        # f(χ≡1) is the radial state's part plus the momentum grid's h_p⁴ term.  On
+        # 6000/40 the state is exact to 1e-13 and f is the h_p⁴ term alone: −7.03e-9 on
+        # 2000 momentum nodes, −4.50e-10 on 4000 (15.6-fold).  The defaults lie
+        # 9.47e-10 and 9.43e-10 above it on the same momentum grids: that part is the
+        # radial state's (its SCF stop at tol_psi 1e-8 and the wall at rmax 30), and
+        # does not move with the momentum grid
+        fine_2000 = pl.momentum_profile(state_fine, mp_2000.pgrid)
+        f_default = [pl.bound_rhs(mp, _CHI_ONE).f for mp in (mp_2000, mp_default)]
+        f_fine = [pl.bound_rhs(mp, _CHI_ONE).f for mp in (fine_2000, mp_fine)]
+        assert abs(f_fine[0]) >= 12.0 * abs(f_fine[1])
+        radial = [a - b for a, b in zip(f_default, f_fine)]
+        assert abs(radial[0] - radial[1]) <= 2e-11
 
     def test_default_sweep_near_the_continuum(self, mp_default):
-        # the default bump table's f(0.05) is 6.12e-7, 1.31× its continuum value, that
-        # of the Pekar minimizer in an even-tempered Gaussian basis, where every
-        # integral has a closed form (2.9× with the first node's 1.5h weight, 21× under
-        # plain trapezoid shell sums)
-        continuum = 4.682471e-7
+        # the default bump table against its continuum values, those of the Pekar
+        # minimizer in an even-tempered Gaussian basis, where every integral has a
+        # closed form (ROADMAP item 13): f over them is 0.999999, 0.999985, 0.999944 and
+        # 1.000505 at ε = 0.5, 0.2, 0.1 and 0.05.  At 0.05 that is the χ≡1 floor of
+        # `test_endpoint_floor_is_the_radial_grids`, 5e-10 against f = 4.7e-7; f(0.05)
+        # was 1.31× its continuum value on the three-point grid, 2.9× with the first
+        # momentum node's 1.5h weight and 21× under plain trapezoid shell sums
+        continuum = {0.5: 5.379214e-3, 0.2: 1.223602e-4, 0.1: 7.522650e-6, 0.05: 4.682471e-7}
+        bound = {0.5: 1e-4, 0.2: 1e-4, 0.1: 1e-4, 0.05: 1e-3}
         cuts = [pl.CutoffSpec(eps=eps) for eps in pl.config_from_dict({})["cutoff.eps_list"]]
-        assert cuts[-1].eps == 0.05
-        f = pl.bound_sweep(mp_default, cuts)[-1].f
-        assert continuum / 1.5 <= f <= 1.5 * continuum
+        assert [cut.eps for cut in cuts] == list(continuum)
+        for cut, rep in zip(cuts, pl.bound_sweep(mp_default, cuts)):
+            assert abs(rep.f / continuum[cut.eps] - 1.0) <= bound[cut.eps], cut.eps
 
     def test_eps_sequence_monotone(self, mp_default):
         reports = [pl.bound_rhs(mp_default, pl.CutoffSpec(eps=e, shape="bump"))
@@ -337,7 +358,9 @@ class TestMassCoefficient:
         a = pl.mass_coefficient(state_default)
         b = pl.mass_coefficient(state_fine)
         assert abs(a - b) <= 5e-4 * a          # 3 significant digits stable
-        assert abs(a - 0.011351) < 1e-5        # frozen two-resolution value
+        # against the continuum value of ROADMAP item 13: +9.3e-11 on the default grid
+        # (its wall at rmax 30) and +8e-13 on 6000/40
+        assert abs(a - 0.011350965246) <= 2e-10 and abs(b - 0.011350965246) <= 5e-12
 
     def test_momentum_route_agrees(self, mp_default, state_default):
         # Plancherel route: ∫ ρ² d³x = ∫_0^∞ k⁴ φ(k)² dk

@@ -28,9 +28,10 @@ def synthetic_gaussian_profile():
 
 class TestMomentumProfile:
     def test_plancherel(self, mp_default):
-        # 2.8e-8 by the trapezoid rule from p = 0; the first node's old 1.5h weight
-        # added an h_p³ term and read 1.2e-6
-        assert abs(pl.density_expectation(mp_default, ONE) - 1.0) <= 1e-7
+        # 5.3e-15 with the trapezoid rule from the origin on both grids; 2.8e-8 with
+        # the radial grid's first node at weight 1.5h, and 1.2e-6 with the momentum
+        # grid's too
+        assert abs(pl.density_expectation(mp_default, ONE) - 1.0) <= 1e-13
 
     def test_sign_structure(self, mp_default):
         # strictly positive until the quadrature noise floor; once a sign
@@ -42,12 +43,19 @@ class TestMomentumProfile:
             assert np.all(v[first:] < 1e-6 * v.max())
             assert np.all(v[:first] > 0.0)
 
-    def test_fine_state_positive_everywhere(self, mp_fine):
-        assert np.all(mp_fine.psi_hat.values > 0.0)
+    def test_fine_state_positive_above_its_noise_floor(self, mp_fine):
+        # with the trapezoid rule from the origin the transform is spectral, and on
+        # 6000/40 ψ̂ is positive up to p ≈ 3.65 and below 8.2e-11 of its maximum past
+        # it; the first node's old 1.5h weight added an O(h) term that kept it
+        # positive on the whole grid
+        v, p = mp_fine.psi_hat.values, mp_fine.pgrid.nodes
+        assert np.all(v[p < 3.5] > 0.0)
+        assert np.abs(v[p >= 3.5]).max() <= 2e-10 * v.max()
 
     def test_field_energy_equals_pair_energy(self, mp_default, state_default):
+        # 2.2e-12 (6.5e-7 on the three-point radial grid)
         rel = abs(pl.field_energy(mp_default) - state_default.D) / state_default.D
-        assert rel < 1e-4
+        assert rel < 1e-11
 
     def test_phi_definition(self, mp_default, state_default):
         # √2·π·p·φ(p) reproduces the raw density transform pointwise
@@ -73,9 +81,11 @@ class TestMomentumProfile:
         assert abs(dv[0]) < 10 * abs(ratio[1]) * p[0]
 
     def test_nowhere_positive_transform_raises(self, state_default):
-        # at p = 500 and 1000, ψ̂ is −5.1e-9 and −1.4e-9: with no positive
-        # sample, no tail threshold can pass it; the error carries the profile
-        pg = pl.build_grid(2, 1000.0)
+        # p = 627.5 and 1255 lie past the radial grid's Nyquist π/h ≈ 314, where the
+        # transform is ψ̂ at 200π − p and 400π − p, negated and scaled: −8.2e-5 and
+        # −2.9e-7.  With no positive sample, no tail threshold can pass it; the
+        # error carries the profile
+        pg = pl.build_grid(2, 1255.0)
         with pytest.raises(pl.DomainError) as exc_info:
             pl.momentum_profile(state_default, pg)
         assert np.all(exc_info.value.profile.psi_hat.values < 0.0)
@@ -147,14 +157,15 @@ class TestCrossExpectation:
     def test_unit_g_reduces_to_radial_integral(self, mp_default, a):
         # ∫dp ψ̂(p+k)ψ̂(p) = ρ̂(k) collapses the double integral; under one rule, the
         # trapezoid rule from k = 0 (the integrand vanishes there), the two agree to
-        # 5.45e-8, 5.07e-8 and 4.50e-8 at ξ = e^{−ak}, a = 0.5, 1, 2, on the defaults
+        # 2.1e-10, 2.3e-10 and 2.6e-10 at ξ = e^{−ak}, a = 0.5, 1, 2, on the defaults
+        # (5.45e-8, 5.07e-8 and 4.50e-8 on the three-point radial grid)
         xi = pl.RadialTestFunction(lambda k: np.exp(-a * k), name=f"exp(-{a}k)")
         pg = mp_default.pgrid
         rho_hat = mp_default.rho_hat()
         oracle = 4 * np.pi * trapezoid_weights(pg) @ (
             pg.nodes**2 * mp_default.phi.values * np.exp(-a * pg.nodes) * rho_hat.values)
         val = pl.cross_expectation(mp_default, xi, ONE)
-        assert abs(val - oracle) <= 2e-7 * abs(oracle)
+        assert abs(val - oracle) <= 1e-9 * abs(oracle)
 
     def test_sign_symmetry_of_g(self, mp_default):
         xi = pl.RadialTestFunction(lambda k: np.exp(-k))

@@ -1,18 +1,17 @@
-import ctypes
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eig_banded, solve_banded
 
 import polaron as pl
 from conftest import DEFAULT_GRID, psi_distance
-from polaron import solver
+from polaron import _lapack, coulomb, solver
 
-# four-digit ground-state energy, locked against the imaginary-time flow on
-# an independent grid plus refinement (see test_acceptance)
-EP_REFERENCE = -0.1085
+# the Pekar energy in the continuum: the minimizer in an even-tempered Gaussian
+# basis, where every integral has a closed form (ROADMAP item 13); no grid, no box
+EP_REFERENCE = -0.108512805228097
 
 
 class TestSolverOptions:
@@ -31,8 +30,19 @@ class TestSolvePekar:
         assert abs(st.eP + st.T) <= 1e-4 * abs(st.T)
         assert abs(st.mu - 3 * st.T) <= 1e-4 * abs(3 * st.T)
 
-    def test_energy_reference(self, state_default):
-        assert abs(state_default.eP - EP_REFERENCE) < 5e-5
+    def test_energy_reference(self, state_default, state_fine):
+        # measured −2.6e-13 on 6000/40; +5.2e-11 on the default grid, whose wall at
+        # rmax 30 is that much too close (ROADMAP item 6)
+        assert abs(state_fine.eP - EP_REFERENCE) <= 1e-12
+        assert abs(state_default.eP - EP_REFERENCE) <= 1e-10
+
+    def test_fourth_order_ladder(self):
+        # eP at rmax 40 on 250, 500, 1000 and 2000 nodes: each halving of h divides
+        # the change of eP by 16.0 (h⁴), measured 8.29e-8, 5.18e-9 and 3.24e-10
+        eps = [pl.solve_pekar(pl.SolverOptions(grid=(n, 40.0))).eP for n in (250, 500, 1000, 2000)]
+        steps = np.abs(np.diff(eps))
+        assert np.all(steps[:-1] >= 12.0 * steps[1:])
+        assert abs(eps[-1] - EP_REFERENCE) <= 5e-11
 
     def test_bookkeeping_exact(self, state_default):
         st = state_default
@@ -79,44 +89,47 @@ class TestSolvePekar:
 
     @staticmethod
     def _lapack_calls(monkeypatch, opts):
-        """Factorizations (one per shift tried) and triangular solves made by
-        the eigensteps of one solve."""
-        calls = {"dpttrf": 0, "dpttrs": 0}
+        """Band factorizations (one per shift tried) and band solves made by the
+        eigensteps of one solve, and the solve's SCF steps."""
+        calls = {"dpbtrf": 0, "dpbtrs": 0}
         for name in calls:
-            def counted(*args, _name=name, _original=getattr(solver, name)):
+            def counted(*args, _name=name, _original=getattr(solver, name), **kwargs):
                 calls[_name] += 1
-                return _original(*args)
+                return _original(*args, **kwargs)
             monkeypatch.setattr(solver, name, counted)
-        pl.solve_pekar(opts)
-        return calls["dpttrf"], calls["dpttrs"]
+        steps = pl.solve_pekar(opts).iterations
+        return calls["dpbtrf"], calls["dpbtrs"], steps
 
     def test_lapack_call_budget(self, monkeypatch):
-        factors, solves = self._lapack_calls(monkeypatch, pl.SolverOptions(grid=DEFAULT_GRID))
-        assert factors <= 2 and solves <= 2
+        # the default solve takes one SCF step: one factorization, whose first
+        # solve moves the start and whose second finds the iterate still
+        factors, solves, _ = self._lapack_calls(monkeypatch, pl.SolverOptions(grid=DEFAULT_GRID))
+        assert factors <= 1 and solves <= 2
 
-    @pytest.mark.parametrize("grid, budget", [((3000, 30.0), 11), ((6000, 40.0), 13)],
+    @pytest.mark.parametrize("grid, budget", [((3000, 30.0), 16), ((6000, 40.0), 10)],
                              ids=["3000/30", "6000/40"])
     def test_one_factorization_per_solve(self, monkeypatch, grid, budget):
-        # at tol_psi 1e-12 the SCF takes 6 and 7 steps from a warm iterate,
-        # whose shifts all pass at their first δ: each eigenstep pass factors
-        # H − σI once and solves with it once, and no factorization goes unused
-        factors, solves = self._lapack_calls(monkeypatch,
-                                             pl.SolverOptions(grid=grid, tol_psi=1e-12))
-        assert factors == solves <= budget
+        # at tol_psi 1e-12 the SCF takes 9 and 5 steps from a warm iterate, whose
+        # shifts all pass at their first δ: each eigenstep factors H − σI once and
+        # solves with that factor until its iterate is still (15 and 9 solves)
+        factors, solves, steps = self._lapack_calls(monkeypatch,
+                                                    pl.SolverOptions(grid=grid, tol_psi=1e-12))
+        assert factors == steps and steps <= solves <= budget
 
     def test_lapack_loader_has_no_fallback(self, monkeypatch):
         # a numpy whose LAPACK exports neither spelling fails, naming that LAPACK
         # and both symbols it looked for
-        monkeypatch.setattr(solver, "_LAPACK_SPELLINGS", ("missing_{}_64_", "{}$MISSING"))
+        monkeypatch.setattr(_lapack, "_LAPACK_SPELLINGS", ("missing_{}_64_", "{}$MISSING"))
         lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
-        with pytest.raises(ImportError, match=re.escape(
-                f"numpy's LAPACK ({lapack}) exports neither missing_dpttrf_64_ "
-                "nor dpttrf$MISSING")):
-            solver._lapack_routine(solver._numpy_lapack, "dpttrf")
+        for name in ("dpttrf", "dpttrs", "dpbtrf", "dpbtrs"):
+            with pytest.raises(ImportError, match=re.escape(
+                    f"numpy's LAPACK ({lapack}) exports neither missing_{name}_64_ "
+                    f"nor {name}$MISSING")):
+                _lapack._lapack_routine(_lapack._numpy_lapack, name)
 
     @pytest.mark.parametrize("d, e, b, error", [
-        (np.full(3, 2, dtype=np.float32), np.full(2, -1.0), np.ones(3), ctypes.ArgumentError),
-        (np.full((3, 1), 2.0), np.full(2, -1.0), np.ones(3), ctypes.ArgumentError),
+        (np.full(3, 2, dtype=np.float32), np.full(2, -1.0), np.ones(3), ValueError),
+        (np.full((3, 1), 2.0), np.full(2, -1.0), np.ones(3), ValueError),
         (np.full(3, 2.0), np.full(1, -1.0), np.ones(3), ValueError),
         (np.full(3, 2.0), np.full(2, -1.0), np.ones(4), ValueError),
         (np.empty(0), np.empty(0), np.empty(0), ValueError),
@@ -124,27 +137,59 @@ class TestSolvePekar:
     def test_lapack_wrappers_check_their_arrays(self, d, e, b, error):
         # no pointer reaches LAPACK for an array it would misread or overrun
         with pytest.raises(error):
-            solver.dpttrs(*solver.dpttrf(d, e)[:2], b)
+            _lapack.dpttrs(*_lapack.dpttrf(d, e)[:2], b)
+
+    @pytest.mark.parametrize("ab, b", [
+        (np.full((3, 4), 2.0, dtype=np.float32, order="F"), np.ones(4)),
+        (np.full((3, 4), 2.0), np.ones(4)),   # C order, which overwrite_ab does not copy away
+        (np.full(4, 2.0), np.ones(4)),
+        (np.full((3, 0), 2.0, order="F"), np.ones(0)),
+        (np.full((3, 4), 2.0, order="F"), np.ones(5)),
+    ], ids=["float32", "C order", "1-d", "no node", "long b"])
+    def test_band_wrappers_check_their_arrays(self, ab, b):
+        with pytest.raises(ValueError):
+            _lapack.dpbtrs(_lapack.dpbtrf(ab, overwrite_ab=True)[0], b)
 
     def test_lapack_wrappers_copy_strided_input(self):
         # dpttrf copies its input, so a strided view factors as its contiguous copy
         d, e = np.full(6, 3.0), np.full(4, -1.0)
-        strided = solver.dpttrf(d[::2], e[::2])
-        contiguous = solver.dpttrf(d[::2].copy(), e[::2].copy())
+        strided = _lapack.dpttrf(d[::2], e[::2])
+        contiguous = _lapack.dpttrf(d[::2].copy(), e[::2].copy())
         assert all(np.array_equal(a, b) for a, b in zip(strided, contiguous))
+
+    def test_lapack_wrappers_overwrite_only_when_told(self):
+        # a caller that owns its buffer gives it up with overwrite_*=True: the result
+        # is that buffer, with the bits of the copying call, and without the flag
+        # the input is left alone
+        rng = np.random.default_rng(4)
+        d, e, b = rng.uniform(2.5, 4.0, 50), rng.uniform(-1.0, 1.0, 49), rng.normal(size=50)
+        ab = np.asfortranarray(np.stack([rng.uniform(6.0, 8.0, 50), rng.uniform(-1.0, 1.0, 50),
+                                         rng.uniform(-1.0, 1.0, 50)]))
+        calls = [(_lapack.dpttrs, (*_lapack.dpttrf(d, e)[:2], b), {"overwrite_b": True}),
+                 (_lapack.dpbtrf, (ab,), {"overwrite_ab": True}),
+                 (_lapack.dpbtrs, (_lapack.dpbtrf(ab)[0], b), {"overwrite_b": True})]
+        for routine, args, flags in calls:
+            before = [a.copy() for a in args]
+            kept = routine(*args)
+            assert all(np.array_equal(a, c) for a, c in zip(args, before))
+            given = [a.copy(order="K") for a in args]
+            out = routine(*given, **flags)
+            assert all(np.array_equal(a, c) for a, c in zip(out, kept))
+            assert np.shares_memory(out[0], given[-1] if routine in (_lapack.dpttrs,
+                                                                     _lapack.dpbtrs) else given[0])
 
     def test_two_coulomb_solves_per_iteration(self, monkeypatch):
         # each step solves for the potential of the mixed input density and
         # for the energy of the output density
         calls = []
-        original = pl.coulomb._newton_potential   # the array core every solve goes through
+        original = coulomb._potential   # the array core every solve goes through
 
         def counted(grid, rho):
             calls.append(1)
             return original(grid, rho)
 
-        for module in (solver, pl.coulomb):
-            monkeypatch.setattr(module, "_newton_potential", counted)
+        for module in (solver, coulomb):
+            monkeypatch.setattr(module, "_potential", counted)
         st = pl.solve_pekar(pl.SolverOptions(grid=(800, 20.0)))
         assert len(calls) == 2 * st.iterations
 
@@ -184,6 +229,20 @@ class TestSolvePekar:
         with pytest.raises(pl.ConvergenceError) as exc_info:
             pl.solve_pekar(pl.SolverOptions(grid=(400, 15.0)))
         assert len(exc_info.value.history) == 3
+
+
+def test_kinetic_operator_is_the_three_point_one_smoothed():
+    # the five-point stencil with odd reflection at the origin and the wall is
+    # K₃ + (h²/12)K₃², K₃ the three-point −d²/dr² with u_0 = u_n = 0, on one and
+    # two interior nodes too
+    for n in (2, 3, 4, 9, 40):
+        h = 0.3
+        k3 = (2.0 * np.eye(n - 1) - np.eye(n - 1, k=1) - np.eye(n - 1, k=-1)) / h**2
+        k5 = k3 + h**2 / 12.0 * k3 @ k3
+        columns = [solver._apply_kinetic(np.append(e, 0.0), h) for e in np.eye(n - 1)]
+        applied = np.array(columns).T
+        assert np.all(applied[-1] == 0.0)
+        assert np.abs(applied[:-1] - k5).max() <= 1e-14 * np.abs(k5).max()
 
 
 class TestAndersonGamma:
@@ -258,8 +317,8 @@ def _continuum_u(grid):
 
 
 class TestInitialProfiles:
-    """The SCF starts from stored fits of the grid's fixed point and its wall
-    layer; the flow oracle from the least-energy hydrogenic profile."""
+    """The SCF starts from the stored fit of the continuum minimizer less the
+    wall layer; the flow oracle from the least-energy hydrogenic profile."""
 
     @staticmethod
     def _energy(grid, u):
@@ -290,7 +349,8 @@ class TestInitialProfiles:
         assert solver._initial_u(pl.build_grid(500, 20.0))[-1] == 0.0
 
     def test_start_is_near_the_minimizer(self, state_default, state_fine):
-        # measured: 7.1e-9 on 3000/30 and 4.3e-10 on 6000/40
+        # measured: 7.1e-9 on 3000/30, the box's (8.3e-9 from the fixed point on
+        # 1500 to 12000 nodes at rmax 30), and 3.6e-10 on 6000/40, the fit's
         for st in (state_default, state_fine):
             grid = st.psi.grid
             u = solver._normalize_u(grid, solver._initial_u(grid))
@@ -298,42 +358,49 @@ class TestInitialProfiles:
             assert np.sqrt(pl.integrate_3d(st.psi.with_values(diff**2))) <= 2e-8
 
     def test_start_energy_just_above_the_minimum(self, state_default):
-        # Variational check on the start's continuum part r U, 9e-6 from the
-        # fixed point: no profile lies below eP, and its gap is quadratic in
-        # that error (measured 5.2e-9).
+        # Variational check on the start's continuum part r U, which misses the
+        # wall: no profile lies below eP, and its gap is quadratic in that error
+        # (measured 5.7e-9).
         grid = state_default.psi.grid
         gap = self._energy(grid, _continuum_u(grid)) - state_default.eP
         assert 0.0 <= gap <= 1e-7
-        # The full start is within 1e-8 of the fixed point, so its gap is no
-        # longer its quadratic error (~1e-17) but the slope of T − D at the
-        # fixed point: with the first node's weight 1.5h the SCF's fixed point
-        # is not the stationary point of the discrete T − D, and the start's
-        # energy lies 1.5e-13 below eP (with weight h there the slope falls
-        # 20-fold).  So this gap is bounded on both sides.
+        # The full start is 8.4e-9 from the fixed point, and its gap is again its
+        # quadratic error, measured 2.6e-15 against the one-step state: the fixed
+        # point is the stationary point of the discrete T − D, whose evaluation
+        # rounds to about 1e-16.  With the first node's weight 1.5h it was not,
+        # and this gap read −1.5e-13.
         gap = self._energy(grid, solver._initial_u(grid)) - state_default.eP
-        assert abs(gap) <= 1e-12
+        assert 0.0 <= gap <= 1e-12
+
+    def test_fixed_point_is_the_discrete_minimum(self):
+        # T − D along u₀ + t(u_s − u₀), u₀ a tol_psi 1e-13 state and u_s the start
+        # 8.4e-9 away (3d L²), for t from −10 to 10: no linear part beyond the
+        # energy's rounding (slope −1.6e-17 per unit t; −1.5e-13 with the first
+        # node's weight 1.5h, where the SCF's fixed point was not the stationary
+        # point of the T − D that `_energies` evaluates)
+        st = pl.solve_pekar(pl.SolverOptions(grid=DEFAULT_GRID, tol_psi=1e-13))
+        grid = st.psi.grid
+        u0 = grid.nodes * st.psi.values
+        us = solver._normalize_u(grid, solver._initial_u(grid))
+        t = np.linspace(-10.0, 10.0, 21)
+        energy = [self._energy(grid, u0 + ti * (us - u0)) for ti in t]
+        slope = np.polyfit(t, energy, 2)[1]
+        assert abs(slope) <= 1e-15
 
     def test_stored_coefficients_are_the_fit(self):
-        # the recipe above the constants: Richardson's U, E and F from solves
-        # on 9600, 19200 and 38400 nodes over rmax 48, then least squares in
-        # the 3d L² weights √w·r at the stored α_k, scaled so that Σc = 1.
-        # The refit sums match the stored ones (relative 3d L²) to 1.4e-11,
-        # 1.4e-5 and 1.5e-2: E and F carry the solves' rounding times h⁻² and h⁻³
-        states = [pl.solve_pekar(pl.SolverOptions(grid=(n, 48.0), tol_psi=1e-12))
-                  for n in (9600, 19200, 38400)]
-        grid = states[0].psi.grid
-        psi = np.stack([st.psi.values[k - 1::k] for st, k in zip(states, (1, 2, 4))])
-        h = grid.h / np.array([1.0, 2.0, 4.0])
-        uef = np.linalg.solve(np.stack([h**0, h**2, h**3], axis=1), psi)
+        # the recipe above the constants: one solve on 9600 nodes over rmax 48,
+        # whose fixed point is U + O(h⁴) (1.4e-11 at this h), then least squares in
+        # the 3d L² weights √w·r at the stored α_k, scaled so that Σc = 1.  The
+        # refit sum matches the stored one (relative 3d L²) to 1.8e-11; the stored
+        # one was fitted to the Richardson limit of three-point solves
+        st = pl.solve_pekar(pl.SolverOptions(grid=(9600, 48.0), tol_psi=1e-12))
+        grid = st.psi.grid
         sw = np.sqrt(grid.weights) * grid.nodes
         basis = np.exp(-np.outer(grid.nodes**2, solver._START_ALPHA)) * sw[:, None]
-        fit = np.linalg.lstsq(basis, (sw * uef).T, rcond=None)[0].T
-        fit /= fit[0].sum()
-        for coef, stored, tol in ((fit[0], solver._START_C, 1e-9),
-                                  (fit[1], solver._START_D, 1e-4),
-                                  (fit[2], solver._START_E, 5e-2)):
-            stored = basis @ np.array(stored)
-            assert np.linalg.norm(basis @ coef - stored) <= tol * np.linalg.norm(stored)
+        fit = np.linalg.lstsq(basis, sw * st.psi.values, rcond=None)[0]
+        fit /= fit.sum()
+        stored = basis @ np.array(solver._START_C)
+        assert np.linalg.norm(basis @ fit - stored) <= 1e-9 * np.linalg.norm(stored)
 
     def test_start_is_positive_on_the_coarsest_grid(self):
         # on the coarsest grid the config accepts (h = 300) e^{−α r²} underflows
@@ -342,15 +409,15 @@ class TestInitialProfiles:
         assert np.isfinite(u).all() and u[0] > 0.0 and u[1] == 0.0
 
     def test_h_terms_and_wall_layer_only_in_their_range(self):
-        # r U(r) alone above h = 2.5, where the terms cost steps, and on boxes
-        # too small for the wall layer (R/2 not past 2/μ_P, R ≤ 12.29); inside,
-        # up to h = 2.5 (12 nodes on 30), the terms apply, and on grids as fine
-        # as h = 0.1 the subtracted layer takes u to 0 at the wall and leaves it
-        # positive before it
-        for n, rmax in ((1000, 12.28), (800, 1e-3), (3000, 1e-7), (11, 30.0), (2, 600.0)):
+        # r U(r) alone above h = 2 and on boxes too small for the wall layer (R/2
+        # not past 2/μ_P, R ≤ 12.29); inside, up to h = 2 (15 nodes on 30), the
+        # layer applies, and on grids as fine as h = 0.1 it takes u to 0 at the
+        # wall and leaves it positive before it.  (The h² and h³ terms, which
+        # applied up to h = 2.5, went with the three-point kinetic stencil.)
+        for n, rmax in ((1000, 12.28), (800, 1e-3), (3000, 1e-7), (14, 30.0), (2, 600.0)):
             grid = pl.build_grid(n, rmax)
             assert np.allclose(solver._initial_u(grid), _continuum_u(grid), rtol=1e-14, atol=0.0)
-        grid = pl.build_grid(12, 30.0)
+        grid = pl.build_grid(15, 30.0)
         assert not np.allclose(solver._initial_u(grid), _continuum_u(grid), rtol=1e-3, atol=0.0)
         for n, rmax in (DEFAULT_GRID, (300, 30.0)):
             grid = pl.build_grid(n, rmax)
@@ -366,10 +433,12 @@ class TestInitialProfiles:
 
 class TestImaginaryTimeOracle:
     # the Sobolev-gradient flow against the SCF on the SCF's own grids; measured
-    # 4.9e-14 and 3.6e-14 in eP, 1.4e-9 and 1.0e-9 in ψ (3d L²)
+    # 5.1e-16 and 5.1e-16 in eP, 1.5e-9 and 9.9e-10 in ψ (3d L²), where with the
+    # first node's weight 1.5h, a non-stationary fixed point, eP differed by 4.9e-14
+    # and 3.6e-14
     def test_agrees_with_scf(self, flow_pairs):
         for flow, scf in flow_pairs:
-            assert abs(flow.eP - scf.eP) <= 1e-11 * abs(scf.eP)
+            assert abs(flow.eP - scf.eP) <= 1e-14 * abs(scf.eP)
 
     def test_profiles_agree(self, flow_pairs):
         for flow, scf in flow_pairs:
@@ -391,10 +460,15 @@ class TestImaginaryTimeOracle:
         # which it would stop after 21 and 3 gradients, near that start
         assert [flow.iterations for flow, _ in flow_pairs] == [236, 236]
 
-    def test_energy_rise_raises(self):
-        # with the first node's weight 1.5h, g is not the gradient of the
-        # discrete T − D: on this coarse grid the energy rises at step 27
-        with pytest.raises(pl.NumericalError, match="increased by .* at step 27 "):
+    def test_energy_rise_raises(self, monkeypatch):
+        # with the trapezoid weights from the origin g is the gradient of the
+        # discrete T − D, and the flow descends on this coarse grid, where with the
+        # first node's weight 1.5h it rose at step 27; with a kinetic operator of
+        # the wrong sign g points uphill, and the flow raises at its first step
+        assert pl.imaginary_time_oracle(pl.SolverOptions(grid=(100, 6.0))).eP < 0.0
+        kinetic = solver._apply_kinetic
+        monkeypatch.setattr(solver, "_apply_kinetic", lambda u, h: -3.0 * kinetic(u, h))
+        with pytest.raises(pl.NumericalError, match="increased by .* at step 1 "):
             pl.imaginary_time_oracle(pl.SolverOptions(grid=(100, 6.0)))
 
 
@@ -429,20 +503,44 @@ class TestPositionResidual:
 
 
 def _oracle_pairs(grid, w_pot, count):
-    """The `count` lowest eigenpairs of H = −d²/dr² + W on the interior nodes,
-    by LAPACK bisection and inverse iteration (stebz + stein).
+    """The `count` lowest eigenpairs of H = K + W on the interior nodes, K the
+    five-point −d²/dr² with odd reflection at both ends.
 
-    Each λ is the Rayleigh quotient of its vector with −d²/dr² summed as
-    squared differences: stebz's own value carries an error of eps·‖H‖
-    (≈ 1e-11 relative on the state grids), the quotient one of ~1e-15.
+    The eigenvalues are LAPACK's banded ones (dsbevx without vectors, which
+    would take a dense m × m back-transform); each vector is three solves of
+    scipy's banded LU with H − σI, σ below its eigenvalue by 1e-4 of the
+    distance to the next one, from a seeded random start: inverse iteration,
+    converging 1e4-fold per solve.  Each λ is then the Rayleigh quotient of its
+    vector with K = K₃ + (h²/12)K₃² summed as squares, ‖Dx‖²/h² + (h²/12)‖K₃x‖²
+    (D the differences with zero ends): dsbevx's own value carries an error of
+    eps·‖H‖ (≈ 1e-11 relative on the state grids), the quotient one of ~1e-15.
     """
-    h = grid.h
-    diag = 2.0 / h**2 + w_pot[:-1]
-    off = np.full(grid.n - 2, -1.0 / h**2)
-    _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
+    h, m = grid.h, grid.n - 1
+    c = 1.0 / (12.0 * h**2)
+    band = np.zeros((3, m))
+    band[0] = 30.0 * c + w_pot[:-1]
+    band[0, 0] -= c
+    band[0, -1] -= c
+    band[1, :m - 1] = -16.0 * c
+    band[2, :m - 2] = c
+    lams = eig_banded(band, lower=True, eigvals_only=True, select="i",
+                      select_range=(0, min(count, m - 1)))
+    full = np.zeros((5, m))   # H in solve_banded's (2, 2) storage
+    full[0, 2:], full[1, 1:] = band[2, :m - 2], band[1, :m - 1]
+    full[2:] = band
+    rng = np.random.default_rng(2)
     pairs = []
-    for x in vecs.T:
-        kinetic = np.sum(np.diff(np.concatenate(([0.0], x, [0.0])))**2) / h**2
+    for k in range(count):
+        gap = abs(lams[k + 1] - lams[k]) if k + 1 < lams.size else 1.0
+        shifted = full.copy()
+        shifted[2] -= lams[k] - 1e-4 * gap
+        x = rng.standard_normal(m)
+        for _ in range(3):
+            x = solve_banded((2, 2), shifted, x)
+            x /= np.linalg.norm(x)
+        padded = np.concatenate(([0.0], x, [0.0]))
+        k3x = (2.0 * padded[1:-1] - padded[:-2] - padded[2:]) / h**2
+        kinetic = np.sum(np.diff(padded)**2) / h**2 + h**2 / 12.0 * (k3x @ k3x)
         pairs.append((kinetic + w_pot[:-1] @ x**2, x))
     return pairs
 
@@ -565,9 +663,12 @@ def test_scf_stops_on_tol_psi_alone(state_default, state_fine):
 
 
 def test_scf_steps_below_the_eigenstep_resolution():
-    # Below _STEP_TOL (1e-12) the eigenstep keeps a settled iterate, so ρ_out
-    # stops following ρ_in and Anderson's secant model from earlier steps
-    # overshoots: the residual hovers between 1e-13 and 4e-12 until one step
-    # lands under tol_psi.  Measured 15 steps on the default grid at tol_psi
-    # 1e-13 (10 from r U alone); the bound shows a further rise.
-    assert pl.solve_pekar(pl.SolverOptions(grid=DEFAULT_GRID, tol_psi=1e-13)).iterations <= 15
+    # Below _STEP_TOL (1e-12) the eigenstep keeps a settled iterate.  Its Hx from
+    # differences and its solve on the residual leave that iterate a smooth
+    # function of W, so ρ_out follows ρ_in and the SCF converges below the
+    # keep tolerance: 10 steps on the default grid at tol_psi 1e-13, at most 12
+    # at 1e-15 on grids from 300/20 to 40000/40.  With the five-point sum and the
+    # solve on x itself, 16000/30 did not converge in 300 steps at 1e-12, the
+    # residual cycling at 5e-12; the three-point grid took 15 steps here
+    assert pl.solve_pekar(pl.SolverOptions(grid=DEFAULT_GRID, tol_psi=1e-13)).iterations <= 12
+    assert pl.solve_pekar(pl.SolverOptions(grid=(16000, 30.0), tol_psi=1e-12)).iterations <= 12
