@@ -10,12 +10,12 @@ numpy with neither, such as a conda or distro LP64 build or Windows
 (unsupported, not verified), fails at `import polaron` with an ImportError
 naming its LAPACK.
 
-The wrappers keep f2py's call shapes (scipy.linalg.lapack's).  The solves and
-the band factorization copy their input unless the caller gives it up with
-`overwrite_*=True`; either way each array must be float64 and contiguous (C
-order, Fortran order for a band), which `_pointers` checks before its address
-reaches LAPACK.  Arrays pass as bare addresses: numpy's `ndpointer` argument
-check took about 3 µs per array.
+The wrappers keep f2py's call shapes (scipy.linalg.lapack's).  `dpttrf` copies
+its input; the solves and the band factorization work in place, on a buffer
+their caller owns, and return it.  Each array must be float64 and contiguous
+(C order, Fortran order for a band), which `_pointers` checks before its
+address reaches LAPACK.  Arrays pass as bare addresses: numpy's `ndpointer`
+argument check took about 3 µs per array.
 """
 
 from __future__ import annotations
@@ -87,14 +87,12 @@ def dpttrf(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return d, e, info.value
 
 
-def dpttrs(d: np.ndarray, e: np.ndarray, b: np.ndarray,
-           overwrite_b: bool = False) -> tuple[np.ndarray, int]:
+def dpttrs(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     """Solution of L D Lᵀ x = b from `dpttrf`'s factors, in f2py's call shape
-    `x, info = dpttrs(d, e, b)`."""
-    n = _order(d, e, b)
-    x, info = b if overwrite_b else b.copy(), ctypes.c_int64()
-    _dpttrs(n, ctypes.c_int64(1), *_pointers((d, 1), (e, 1), (x, 1)), n, info)
-    return x, info.value
+    `x, info = dpttrs(d, e, b)`; x is b, overwritten."""
+    n, info = _order(d, e, b), ctypes.c_int64()
+    _dpttrs(n, ctypes.c_int64(1), *_pointers((d, 1), (e, 1), (b, 1)), n, info)
+    return b, info.value
 
 
 def _band(ab: np.ndarray) -> tuple[ctypes.c_int64, ctypes.c_int64, ctypes.c_int64]:
@@ -104,24 +102,24 @@ def _band(ab: np.ndarray) -> tuple[ctypes.c_int64, ctypes.c_int64, ctypes.c_int6
     return ctypes.c_int64(ab.shape[1]), ctypes.c_int64(ab.shape[0] - 1), ctypes.c_int64(ab.shape[0])
 
 
-def dpbtrf(ab: np.ndarray, overwrite_ab: bool = False) -> tuple[np.ndarray, int]:
+def dpbtrf(ab: np.ndarray) -> tuple[np.ndarray, int]:
     """Lower Cholesky factor of the symmetric positive definite band matrix in
     LAPACK's lower band storage ab (row 0 the diagonal, row k the k-th
-    subdiagonal), in f2py's call shape `c, info = dpbtrf(ab, lower=1)`, and
-    info = k > 0 where the leading minor of order k is not positive definite."""
+    subdiagonal), in f2py's call shape `c, info = dpbtrf(ab, lower=1)`; c is ab,
+    overwritten, and info = k > 0 where the leading minor of order k is not
+    positive definite."""
     n, kd, ldab = _band(ab)
-    c, info = ab if overwrite_ab else ab.copy(order="F"), ctypes.c_int64()
-    _dpbtrf(b"L", n, kd, *_pointers((c, 2)), ldab, info, 1)
-    return c, info.value
+    info = ctypes.c_int64()
+    _dpbtrf(b"L", n, kd, *_pointers((ab, 2)), ldab, info, 1)
+    return ab, info.value
 
 
-def dpbtrs(c: np.ndarray, b: np.ndarray, overwrite_b: bool = False) -> tuple[np.ndarray, int]:
+def dpbtrs(c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     """Solution of A x = b from `dpbtrf`'s factor c of A, in f2py's call shape
-    `x, info = dpbtrs(c, b, lower=1)`."""
+    `x, info = dpbtrs(c, b, lower=1)`; x is b, overwritten."""
     n, kd, ldab = _band(c)
     if b.size != n.value:
         raise ValueError(f"LAPACK wants {n.value} right-hand entries, got {b.size}")
-    x, info = b if overwrite_b else b.copy(), ctypes.c_int64()
-    pc, px = _pointers((c, 2), (x, 1))
-    _dpbtrs(b"L", n, kd, ctypes.c_int64(1), pc, ldab, px, n, info, 1)
-    return x, info.value
+    (pc, pb), info = _pointers((c, 2), (b, 1)), ctypes.c_int64()
+    _dpbtrs(b"L", n, kd, ctypes.c_int64(1), pc, ldab, pb, n, info, 1)
+    return b, info.value

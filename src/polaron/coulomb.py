@@ -11,7 +11,7 @@ K the five-point −d²/dr² of the kinetic energy (`solver._apply_kinetic`),
 with odd reflection at 0 and at R.  With K₃ the three-point −d²/dr², K =
 K₃ + (h²/12)K₃² = K₃(I + h²K₃/12), so v is K₃⁻¹, two running sums of its
 Green's function, then a tridiagonal solve with I + h²K₃/12, whose factors
-depend on n alone and are made once per grid size.  Q is the grid's
+are one constant on every grid but their first few entries.  Q is the grid's
 trapezoid sum.
 
 K is symmetric, so the pair energy ∬ a(x) b(y) / |x−y| dx dy = ∫ a Φ_b =
@@ -20,8 +20,6 @@ discrete level (up to floating-point roundoff).
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -34,12 +32,17 @@ def coulomb_potential(rho: RadialFunction) -> RadialFunction:
     return RadialFunction(rho.grid, _potential(rho.grid, rho.values))
 
 
-@functools.lru_cache(maxsize=4)
+# dpttrf's LDLᵀ factors of I + h²K₃/12 = tridiag(−1, 14, −1)/12 on 16 nodes.  The
+# pivots d_{k+1} = 14/12 − (1/12)²/d_k contract about 200-fold per step to (7 + √48)/12
+# and reach it to the last bit at d₇, so these and their limit are the factors on any
+# number of nodes.
+_PIVOTS, _MULTIPLIERS, _ = dpttrf(np.full(16, 14.0 / 12.0), np.full(15, -1.0 / 12.0))
+
+
 def _smoothing_factor(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """LDLᵀ factors of the m × m matrix I + h²K₃/12 = tridiag(−1, 14, −1)/12,
-    read-only (e[0] even for one node)."""
-    d, e, _ = dpttrf(np.full(m, 14.0 / 12.0), np.full(max(m - 1, 1), -1.0 / 12.0))
-    d.flags.writeable = e.flags.writeable = False
+    """dpttrf's LDLᵀ factors of the m × m matrix I + h²K₃/12 (e has m entries)."""
+    d, e = np.full(m, _PIVOTS[-1]), np.full(m, _MULTIPLIERS[-1])
+    d[:_PIVOTS.size], e[:_MULTIPLIERS.size] = _PIVOTS[:m], _MULTIPLIERS[:m]
     return d, e
 
 
@@ -59,7 +62,7 @@ def _potential(g: RadialGrid, rho: np.ndarray) -> np.ndarray:
     np.subtract(v[-1] - a[-1] / n, v, out=v)
     v *= i
     v += a
-    v = dpttrs(*_smoothing_factor(n - 1), v, overwrite_b=True)[0]
+    v = dpttrs(*_smoothing_factor(n - 1), v)[0]
     phi = np.empty(n)
     np.divide(v, r[:-1], out=phi[:-1])
     phi[-1] = 0.0

@@ -69,7 +69,7 @@ from .solver import PekarState
 from .transforms import _fft_length, fourier_profile
 
 SQRT2_PI = np.sqrt(2.0) * np.pi
-_TAIL_FLOOR = 1e-6   # ψ̂'s noise floor relative to its maximum (see momentum_profile)
+_TAIL_FLOOR = 1e-6   # ψ̂'s noise floor relative to its maximum ψ̂(0) (see momentum_profile)
 
 
 @dataclass
@@ -115,12 +115,15 @@ def momentum_profile(state: PekarState, pgrid: RadialGrid) -> MomentumProfile:
     quadrature noise floor of double precision, where sign flips of size
     ~1e-8 are unavoidable.  The positivity check is therefore a
     sign-structure check: once the computed transform goes non-positive,
-    everything after must stay below _TAIL_FLOOR·max(ψ̂).  A recovery above
-    that level after a sign change means the noise floor reaches into the
-    structured part of the profile, i.e. rmax is too small for the
-    requested pmax, and raises DomainError; so does a ψ̂ with no positive
-    sample, whose grid starts beyond the floor.  Either DomainError carries
-    the profile as `profile`.  The sub-threshold tail is kept as computed;
+    everything after must stay below _TAIL_FLOOR·ψ̂(0), ψ̂'s maximum for
+    ψ ≥ 0, which the grid has no node for: ψ̂(0) = ∫ ψ d³x / (2π)^{3/2} from
+    the state (or the largest sample, if larger).  On a coarse grid the
+    largest sample can lie far down the profile, where a floor scaled by it
+    would be noise.  A recovery above that level after a sign change means
+    the noise floor reaches into the structured part of the profile, i.e.
+    rmax is too small for the requested pmax, and raises DomainError; so
+    does a ψ̂ with no positive sample, whose grid starts beyond the floor.
+    Either DomainError carries the profile as `profile`.  The sub-threshold tail is kept as computed;
     its contribution to every functional in this module is O(noise²).
     """
     psi_hat, dpsi_hat, rho_hat = fourier_profile(state.psi, pgrid, state.rho)
@@ -134,7 +137,8 @@ def momentum_profile(state: PekarState, pgrid: RadialGrid) -> MomentumProfile:
             f"already lies in the noise floor; use a finer momentum grid (smaller pmax/n)",
             profile=mp)
     first = int(np.argmax(v <= 0.0))   # 0 if there is no sign change
-    if v[first] <= 0.0 and np.any(v[first:] >= _TAIL_FLOOR * v.max()):
+    peak = max(integrate_3d(state.psi) / (2.0 * np.pi) ** 1.5, v.max())
+    if v[first] <= 0.0 and np.any(v[first:] >= _TAIL_FLOOR * peak):
         raise DomainError(
             f"transform sign-indefinite above the noise floor (first sign "
             f"change at p={pgrid.nodes[first]:g}); increase rmax or decrease pmax", profile=mp)

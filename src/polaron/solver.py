@@ -110,8 +110,6 @@ _START_C = np.array((6.013926246e-08, 1.361912231e-05, 0.0005433489273, 0.006730
                      0.03567964018, 0.101968218, 0.1841559928, 0.2328283937, 0.2159660505,
                      0.1437776107, 0.06208889392, 0.01469839389, 0.001500440075,
                      4.920812662e-05))
-# nodes per block of the (14, block) exponentials: one array op per block, about 0.9 MB
-_START_BLOCK = 8192
 # μ_P = −3e_P, the decay rate² of ψ_P outside the density, where W = −2/r
 _MU_P = 0.32554
 # the wall layer applies up to h = 2, chosen from step counts against r U alone on
@@ -141,17 +139,14 @@ def _initial_u(grid: RadialGrid) -> np.ndarray:
     _START_H_MAX, the start is r U(r) with u[-1] = 0.
 
     Each exponent is offset by α_0 h², a constant factor `_normalize_u`
-    removes, so the first node does not underflow on coarse grids.  The 14
-    terms go as one (14, block) exponential and a matrix-vector product per
-    block of nodes (48 µs on 3000 nodes, against 122 µs term by term).
+    removes, so the first node does not underflow on coarse grids; the sum is
+    taken term by term, in one n-array.
     """
     r = grid.nodes
     r2 = r * r
-    u = np.empty_like(r)
-    for lo in range(0, r.size, _START_BLOCK):
-        block = np.multiply.outer(-_START_ALPHA, r2[lo:lo + _START_BLOCK])
-        block += _START_ALPHA[0] * r2[0]
-        u[lo:lo + _START_BLOCK] = _START_C @ np.exp(block, out=block)
+    u = np.zeros_like(r)
+    for alpha, c in zip(_START_ALPHA, _START_C):
+        u += c * np.exp(_START_ALPHA[0] * r2[0] - alpha * r2)
     u *= r
     if grid.h <= _START_H_MAX and grid.rmax > 4.0 / _MU_P:
         tail = r.size // 2
@@ -228,7 +223,7 @@ def _factor_below(diag: np.ndarray, c: float, lam: float, delta: float,
         band = np.empty((3, diag.size), order="F")   # LAPACK's lower band storage
         np.subtract(diag, sigma, out=band[0])
         band[1], band[2] = -16.0 * c, c
-        factor, info = dpbtrf(band, overwrite_ab=True)
+        factor, info = dpbtrf(band)
         if info == 0:
             return factor, first
         if sigma == w_min:
@@ -255,38 +250,43 @@ def _ground_pair(grid: RadialGrid, w_pot: np.ndarray,
     lowest eigenvalue.  A factor is made at σ = λ − δ, δ below the Rayleigh
     quotient λ of the unit iterate x, δ = max(‖Hx − λx‖, _SHIFT_FLOOR,
     4 eps ‖H‖), grown fourfold until the factor exists, so the iteration
-    converges to the lowest pair from any guess.  (Pivot rounding moves the inertia of H − σI by up to
-    about eps ‖H‖/4; a smaller δ may never pass.)  A factor that existed at its
-    first δ serves the next pass too when its solve moved x by at most
-    √_STEP_TOL, which that pass then moves by about √_STEP_TOL times as much;
-    otherwise each pass factors anew.
+    converges to the lowest pair from any guess.  (Pivot rounding moves the
+    inertia of H − σI by up to about eps ‖H‖/4; a smaller δ may never pass.)
+    A factor that existed at its first δ serves the next pass too when its
+    solve moved x by at most √_STEP_TOL, which that pass then moves by about
+    √_STEP_TOL times as much; otherwise each pass factors anew.
 
     How the returned pair is proven lowest: it is returned once a factor that
-    existed at its first δ gives a solve that moves x by at most _STEP_TOL.
-    The factor proves σ < λ₀, and λ₀ ≤ λ, the Rayleigh quotient, so λ₀ lies in
-    (σ, λ], an interval of residual size δ (plus the drift of λ since that
-    factor was made); a settled excited pair, whose first δ cannot pass,
-    iterates on with a factor further down.  The three-point H₃ − σ would
-    certify too, since K ≥ K₃ mode by mode, but only as a preconditioner of
-    H: its 1/3-per-pass contraction of rough components took 6 passes on the
-    default grid, against 2 solves here.
+    existed at its first δ gives a solve that moves x by at most _STEP_TOL, or
+    meets a residual at its own rounding, ‖Hx − λx‖ ≤ 4 eps (max|W| + |λ|),
+    which no further pass can reduce.  The factor proves σ < λ₀, and λ₀ ≤ λ,
+    the Rayleigh quotient, so λ₀ lies in (σ, λ], an interval of residual size
+    δ (plus the drift of λ since that factor was made); a settled excited
+    pair, whose first δ cannot pass, iterates on with a factor further down.
+    The three-point H₃ − σ would certify too, since K ≥ K₃ mode by mode, but
+    only as a preconditioner of H: its 1/3-per-pass contraction of rough
+    components took 6 passes on the default grid, against 2 solves here.
 
     Every call makes at least one solve, so the SCF iterate follows each
     change of W.  A certified x that a solve no longer moves is kept rather
     than replaced by the solve's rounding, so the SCF can reach an exact
     fixed point where its energy change is below rounding.
 
+    On the SCF's W, of the size of its gap, that residual stop is never
+    reached (its bound is about 3e-15); on a W far deeper than its gap the
+    residual's rounding over the gap moves x by more than _STEP_TOL on every
+    pass (2e-12 to 1e-11 at max|W|/gap = 2e5), and there it ends the search.
+
     Limit: when the lowest state is localized away from the guess (a
-    component of ~1e-50 along it) or nearly degenerate (a gap of ~1e-11), or
-    when the residual's rounding, about eps·max|W|, over the gap exceeds
-    _STEP_TOL, inverse iteration can exhaust _MAX_SHIFTS and raise
-    NumericalError where a dense solver returns the pair.  The SCF's
-    W = −2Φ is monotone in r and of the size of its gap, and no CLI run has
-    been seen to reach this.  Measured from cold guesses with A log-uniform in
-    [1, 1e6] on 10 to 3000 nodes, it raised on 1 of 200 Coulomb-like
-    W = −AΦ_ρ (ρ a sum of 1–5 random Gaussians; max|W|/gap ≈ 2e5 there) and
-    on 41 of 100 symmetric wells W = −A cos²(6πr/rmax), where the
-    three-point eigenstep, solving with x itself, raised on 0 and 38.
+    component of ~1e-50 along it) or nearly degenerate (a gap of ~1e-11, yet
+    above the residual's rounding), inverse iteration can exhaust _MAX_SHIFTS
+    and raise NumericalError where a dense solver returns the pair.  Measured
+    from cold guesses with A log-uniform in [1, 1e6] on 10 to 3000 nodes, it
+    raised on 0 of 200 Coulomb-like W = −AΦ_ρ (ρ a sum of 1–5 random
+    Gaussians) and on 2 of 100 symmetric wells W = −A cos²(6πr/rmax), where
+    the three-point eigenstep raised on 0 and 38.  Where the wells' lowest two
+    eigenvalues lie within a few eps (max|W| + |λ|) of each other, the
+    returned λ matched LAPACK's banded λ₀ to 10 eps (max|W| + |λ|).
     """
     w_in = w_pot[:-1]
     c = 1.0 / (12.0 * grid.h**2)
@@ -295,8 +295,9 @@ def _ground_pair(grid: RadialGrid, w_pot: np.ndarray,
     diag[-1] -= c   # and at the wall
     if not (np.isfinite(diag).all() and np.isfinite(u).all()):
         raise NumericalError("eigenstep got a non-finite potential, grid step or guess")
-    w_min = float(w_in.min())
-    floor = max(_SHIFT_FLOOR, 4.0 * np.finfo(float).eps * (np.abs(diag).max() + 34.0 * c))
+    w_min, w_max = float(w_in.min()), float(np.abs(w_in).max())
+    eps = np.finfo(float).eps
+    floor = max(_SHIFT_FLOOR, 4.0 * eps * (np.abs(diag).max() + 34.0 * c))
     x = u[:-1] / math.sqrt(u[:-1] @ u[:-1])
     factor = None
     for _ in range(_MAX_SHIFTS):
@@ -304,14 +305,16 @@ def _ground_pair(grid: RadialGrid, w_pot: np.ndarray,
         r += w_in * x
         lam = float(x @ r)
         r -= lam * x
+        res = math.sqrt(r @ r)
         if factor is None:
-            factor, first = _factor_below(diag, c, lam, max(math.sqrt(r @ r), floor), w_min)
+            factor, first = _factor_below(diag, c, lam, max(res, floor), w_min)
         # (H − σI)⁻¹x = (x − (H − σI)⁻¹(Hx − λx))/(λ − σ), positive definite, so y·x > 0
-        y = x - dpbtrs(factor, r, overwrite_b=True)[0]
+        y = x - dpbtrs(factor, r)[0]
         y /= math.sqrt(y @ y)
         r = y - x
         step = math.sqrt(r @ r)
-        if first and step <= _STEP_TOL:  # certified and still: keep x
+        # certified and still, or certified with a residual at the rounding of W x − λx
+        if first and (step <= _STEP_TOL or res <= 4.0 * eps * (w_max + abs(lam))):
             return lam, np.append(x, 0.0)
         if not (first and step <= math.sqrt(_STEP_TOL)):
             factor = None

@@ -678,6 +678,29 @@ def test_two_node_momentum_grid_exits_cleanly(tmp_path, capsys, command):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, command, code", [
+    ({"cutoff.shape": "bump", "momentum.n": 5}, "solve", 0),
+    ({"cutoff.eps_list": [7.3449589995955], "grid.n": 1224, "momentum.n": 4,
+      "momentum.pmax": 30.28980237378781}, "massbound", 1),
+    ({"grid.rmax": 33.03010210835751, "momentum.n": 3}, "massbound", 1),
+    ({"cutoff.eps_list": [0.9864964010680685, 0.011186900373295453], "momentum.n": 5},
+     "massbound", 1),
+    ({"cutoff.eps_list": [1.5615159702968855, 0.3065370420999122, 0.13358049034000632],
+      "cutoff.shape": "gaussian", "momentum.n": 7}, "solve", 0),
+], ids=["5 nodes", "4 nodes to 30", "3 nodes", "5 nodes, massbound", "7 nodes"])
+def test_coarse_momentum_grid_tail_is_measured_from_psi_hat_at_0(tmp_path, capsys, doc,
+                                                                   command, code):
+    # on a few momentum nodes the largest sample lies far down ψ̂ (on 5 nodes over
+    # pmax 10 it is ψ̂(2) = 5.1e-6 ψ̂(0)), and the wall's ripple at rmax 30, 4.3e-9 of
+    # ψ̂(0) at p = 4, is no sign fault against the floor 1e-6 ψ̂(0).  Measured from the
+    # largest sample instead, these five documents of the exit-code sweep exited 3
+    # with "sign-indefinite ... increase rmax"; they exit as on the three-point grid
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == code
+    assert "sign-indefinite" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,code", [("solve", 3), ("verify", 1), ("massbound", 3)])
 def test_nowhere_positive_psi_hat_is_a_sign_fault(tmp_path, capsys, command, code):
     # p = 627.5 and 1255 lie past the radial grid's Nyquist π/h ≈ 314, where the
@@ -912,7 +935,8 @@ def test_lapack_matches_scipy_linalg(first):
     """polaron's dpttrf/dpttrs and dpbtrf/dpbtrs from numpy's LAPACK agree bit for
     bit with scipy.linalg.lapack's (the reference; scipy is a test dependency
     only) at n = 1, 2, 5 and 3000 and on a matrix that is not positive definite,
-    whichever of the two is imported first, and scipy.linalg still works."""
+    whichever of the two is imported first, and scipy.linalg still works.
+    polaron's solves and band factorization work in place, so they get copies."""
     second = {"polaron": "scipy.linalg", "scipy.linalg": "polaron"}[first]
     code = (f"import {first}, {second}, numpy as np, polaron._lapack as s, scipy.linalg as la\n"
             "rng = np.random.default_rng(3)\n"
@@ -922,7 +946,7 @@ def test_lapack_matches_scipy_linalg(first):
             "    ours, ref = s.dpttrf(d, e), la.lapack.dpttrf(d, e)\n"
             "    assert all(np.array_equal(a, b) for a, b in zip(ours, ref)), d.size\n"
             "    rhs = rng.normal(size=d.size)\n"
-            "    ours, ref = s.dpttrs(*ours[:2], rhs), la.lapack.dpttrs(*ref[:2], rhs)\n"
+            "    ours, ref = s.dpttrs(*ours[:2], rhs.copy()), la.lapack.dpttrs(*ref[:2], rhs)\n"
             "    assert all(np.array_equal(a, b) for a, b in zip(ours, ref)), d.size\n"
             "assert s.dpttrf(*cases[-1])[2] == 2\n"
             "bands = [np.asfortranarray(np.stack([rng.uniform(6.0, 8.0, n),\n"
@@ -931,10 +955,10 @@ def test_lapack_matches_scipy_linalg(first):
             "         for n in (1, 2, 5, 3000)]\n"
             "bands.append(np.asfortranarray([[1.0, 0.1, 2.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))\n"
             "for ab in bands:\n"
-            "    ours, ref = s.dpbtrf(ab), la.lapack.dpbtrf(ab, lower=1)\n"
+            "    ours, ref = s.dpbtrf(ab.copy(order='F')), la.lapack.dpbtrf(ab, lower=1)\n"
             "    assert all(np.array_equal(a, b) for a, b in zip(ours, ref)), ab.shape\n"
             "    rhs = rng.normal(size=ab.shape[1])\n"
-            "    ours, ref = s.dpbtrs(ours[0], rhs), la.lapack.dpbtrs(ref[0], rhs, lower=1)\n"
+            "    ours, ref = s.dpbtrs(ours[0], rhs.copy()), la.lapack.dpbtrs(ref[0], rhs, lower=1)\n"
             "    assert all(np.array_equal(a, b) for a, b in zip(ours, ref)), ab.shape\n"
             "assert s.dpbtrf(bands[-1])[1] == 2\n"
             "w = la.eigh_tridiagonal(np.full(3, 2.0), np.full(2, -1.0), eigvals_only=True)\n"

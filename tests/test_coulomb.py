@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polaron as pl
-from polaron import solver
+from polaron import coulomb, solver
 
 
 def _normalized(grid, values):
@@ -119,3 +119,12 @@ def test_mismatched_grids_rejected():
     b = pl.RadialFunction(pl.build_grid(200, 5.0), np.ones(200))
     with pytest.raises(ValueError):
         pl.coulomb_bilinear(a, b)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 16, 17, 3000, 20000])
+def test_smoothing_factor_is_dpttrfs(m):
+    # the pivots of tridiag(−1, 14, −1)/12 settle to the last bit after seven
+    # entries, so the stored sixteen and their limit are LAPACK's factors of any size
+    d, e, _ = solver.dpttrf(np.full(m, 14.0 / 12.0), np.full(max(m - 1, 1), -1.0 / 12.0))
+    ours = coulomb._smoothing_factor(m)
+    assert np.array_equal(ours[0], d) and np.array_equal(ours[1][:m - 1], e[:m - 1])

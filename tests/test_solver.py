@@ -141,14 +141,14 @@ class TestSolvePekar:
 
     @pytest.mark.parametrize("ab, b", [
         (np.full((3, 4), 2.0, dtype=np.float32, order="F"), np.ones(4)),
-        (np.full((3, 4), 2.0), np.ones(4)),   # C order, which overwrite_ab does not copy away
+        (np.full((3, 4), 2.0), np.ones(4)),   # C order, which LAPACK would read as another band
         (np.full(4, 2.0), np.ones(4)),
         (np.full((3, 0), 2.0, order="F"), np.ones(0)),
         (np.full((3, 4), 2.0, order="F"), np.ones(5)),
     ], ids=["float32", "C order", "1-d", "no node", "long b"])
     def test_band_wrappers_check_their_arrays(self, ab, b):
         with pytest.raises(ValueError):
-            _lapack.dpbtrs(_lapack.dpbtrf(ab, overwrite_ab=True)[0], b)
+            _lapack.dpbtrs(_lapack.dpbtrf(ab)[0], b)
 
     def test_lapack_wrappers_copy_strided_input(self):
         # dpttrf copies its input, so a strided view factors as its contiguous copy
@@ -156,27 +156,6 @@ class TestSolvePekar:
         strided = _lapack.dpttrf(d[::2], e[::2])
         contiguous = _lapack.dpttrf(d[::2].copy(), e[::2].copy())
         assert all(np.array_equal(a, b) for a, b in zip(strided, contiguous))
-
-    def test_lapack_wrappers_overwrite_only_when_told(self):
-        # a caller that owns its buffer gives it up with overwrite_*=True: the result
-        # is that buffer, with the bits of the copying call, and without the flag
-        # the input is left alone
-        rng = np.random.default_rng(4)
-        d, e, b = rng.uniform(2.5, 4.0, 50), rng.uniform(-1.0, 1.0, 49), rng.normal(size=50)
-        ab = np.asfortranarray(np.stack([rng.uniform(6.0, 8.0, 50), rng.uniform(-1.0, 1.0, 50),
-                                         rng.uniform(-1.0, 1.0, 50)]))
-        calls = [(_lapack.dpttrs, (*_lapack.dpttrf(d, e)[:2], b), {"overwrite_b": True}),
-                 (_lapack.dpbtrf, (ab,), {"overwrite_ab": True}),
-                 (_lapack.dpbtrs, (_lapack.dpbtrf(ab)[0], b), {"overwrite_b": True})]
-        for routine, args, flags in calls:
-            before = [a.copy() for a in args]
-            kept = routine(*args)
-            assert all(np.array_equal(a, c) for a, c in zip(args, before))
-            given = [a.copy(order="K") for a in args]
-            out = routine(*given, **flags)
-            assert all(np.array_equal(a, c) for a, c in zip(out, kept))
-            assert np.shares_memory(out[0], given[-1] if routine in (_lapack.dpttrs,
-                                                                     _lapack.dpbtrs) else given[0])
 
     def test_two_coulomb_solves_per_iteration(self, monkeypatch):
         # each step solves for the potential of the mixed input density and
@@ -620,6 +599,27 @@ def test_ground_pair_on_a_density_with_a_negative_tail(state_default):
         assert abs(lam - lam0) <= 1e-12 * abs(lam0)
         x = np.sign(u[:-1] @ x0) * u[:-1]
         assert np.max(np.abs(x - x0)) <= 1e-9
+
+
+def test_ground_pair_on_a_potential_far_deeper_than_its_gap():
+    # W = −3.9e4 Φ_ρ, ρ five Gaussians: max|W| = 2.9e8 against a gap of 1.5e3.  The
+    # residual's rounding, about eps·max|W| = 6e-8, over the gap moved x by 2e-12 to
+    # 1e-11 on every pass, so a step of 1e-12 never came and the eigenstep raised
+    # after _MAX_SHIFTS; it stops once the residual is at that rounding
+    grid = pl.build_grid(2732, 32.13)
+    r = grid.nodes
+    rho = sum(a * np.exp(-((r - c) / s) ** 2) for a, c, s in
+              ((0.99, 9.17, 15.8), (0.75, 0.75, 13.1), (0.85, 14.16, 10.6), (0.13, 13.94, 7.7),
+               (0.28, 3.35, 4.5)))
+    w = -3.9e4 * pl.coulomb_potential(pl.RadialFunction(grid, rho)).values
+    (lam0, x0), (lam1, _) = _oracle_pairs(grid, w, 2)
+    assert np.abs(w).max() / (lam1 - lam0) > 1e5
+    for u0 in (r * np.exp(-r / grid.rmax), solver._initial_u(grid)):
+        u0[-1] = 0.0
+        lam, u = solver._ground_pair(grid, w, u0)
+        assert abs(lam - lam0) <= 1e-14 * abs(lam0)
+        x = np.sign(u[:-1] @ x0) * u[:-1]
+        assert np.max(np.abs(x - x0)) <= 1e-10
 
 
 def test_ground_pair_rejects_non_finite_input():
