@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, load_config
-from .coulomb import coulomb_potential
 from .errors import ConvergenceError, DomainError, NumericalError
 from .grid import build_grid
 from .massbound import _CHI_ONE, CutoffSpec, bound_rhs, bound_sweep
@@ -265,11 +264,10 @@ def _write_artifact(path: Path, chunks: Iterable[bytes]) -> None:
 
 
 def _write_profiles_csv(cfg: dict, state: PekarState, mp: MomentumProfile, out: Path) -> None:
-    phi_pos = coulomb_potential(state.rho)
     g, pg = state.psi.grid, mp.pgrid
     _write_artifact(out / "profiles.csv", itertools.chain(
         [f"{_artifact_header(cfg)}r,psi,rho,Phi\n".encode()],
-        _table(g.nodes, state.psi.values, state.rho.values, phi_pos.values),
+        _table(g.nodes, state.psi.values, state.rho.values, state.phi.values),
         [b"\np,psi_hat,dpsi_hat,phi\n"],
         _table(pg.nodes, mp.psi_hat.values, mp.dpsi_hat.values, mp.phi.values)))
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 
 # Upper bound on the grid sizes, far above any grid the paper's numbers need: on 10^6
-# nodes over rmax 40 a `solve` and a `verify` with momentum.n 10^3 each peak at 161 MB
+# nodes over rmax 40 a `solve` and a `verify` with momentum.n 10^3 each peak at 168 MB
 # (ru_maxrss), and profiles.csv takes about 92 B per node.
 _MAX_NODES = 10**7
 

@@ -30,17 +30,16 @@ is ever needed between nodes.  Each shell integral is the trapezoid rule on
 Gregory-corrected samples (see `_Shells`), so it errs by O((pmax/n)³).
 Everywhere a 1/k would meet the field profile, the finite combination
 k φ(k) = ρ̂(k)/(√2 π) is used instead.
-With the primitive shifted by its last value, each sum splits into a Hankel
-and a Toeplitz correlation of length-n arrays, so one circular length ≥ 2n+1
-holds both without wrap-around (the smallest 5-smooth one, 8100 at n = 4000).
-Only the EL residual needs every sum, and reads them from an inverse FFT.  A
-scalar that weighs the sums with grid samples (the cross functional here, Q2
-in massbound.py) needs none: by the exchange identity of `_Shells`, field and
-integrand trade places up to O(n) end terms, the field's primitive becomes a
-Fourier-diagonal kernel, and the scalar is that kernel contracted by Parseval
-with the spectra of the rows it weighs.  Forward real FFTs only: 2 for the
-cross functional, 4 for one Q2, and 2 per cutoff plus 2 kernels made once for
-a cutoff sweep.
+By the exchange identity of `_Shells`, field and integrand trade places up to
+O(n) end terms, and the field's primitive becomes the one kernel of every sum,
+Fourier-diagonal (one forward FFT per field).  A scalar that weighs the sums
+with grid samples (the cross functional here, Q2 in massbound.py) is that
+kernel contracted by Parseval with the spectra of the rows it weighs; the EL
+residual needs every sum and reads them from one inverse FFT.  The kernel's
+Hankel and Toeplitz parts share one circular length ≥ 2n+1 without wrap-around
+(the smallest 5-smooth one, 8100 at n = 4000).  Real FFTs: 2 forward for the
+cross functional, 4 for one Q2, 2 per cutoff plus 2 kernels made once for a
+cutoff sweep, and 2 forward and 1 inverse for the EL residual.
 
 Every integral over p or k is the trapezoid rule from the origin, the grid's own
 weights (grid.py): h at the nodes 1..n−1, h/2 at the last, and h/2 at p = 0, which
@@ -179,43 +178,40 @@ class _Shells:
     between two nodes, the second differences that ỹ takes off y telescope to
     (h²/12)[F′] at both ends, the trapezoid rule's leading Euler–Maclaurin
     error (Gregory's end correction), so the sums err by O(h³), not O(h²).
-    The constant A[n] cancels in each difference, so s = H − T with
-    Ã = A − A[n], which vanishes from n on: the Hankel part
-    H_j = Σ_i b_i Ã[i+j] and the Toeplitz part T_j = Σ_i b_i Ã[|i−j|].  With b
-    at indices 1..n, H is a circular correlation whose indices i + j ≤ 2n stay
-    below a length L ≥ 2n+1 (`size`, the smallest 5-smooth one), and T a
-    circular convolution with Ã's even extension, which fills 0..n−1 and
-    L−n+1..L−1 without overlap; both are read at j = 1..n.  `field` gives the
-    spectra of rows placed at 1..n, and `sums` reads s from one inverse FFT.
 
-    A scalar Σ_j w_j x_j s_j(b, y), w the trapezoid weights (`pgrid.weights`), needs
-    no inverse FFT.  Written out, s_j is h Σ_il b_i ỹ_l K(i, j, l) less the hold's
-    end term, and K, 1 for |i−j| < l < i+j, ½ for l = i+j or l = |i−j| and 0
-    otherwise, is symmetric in (i, j, l); so field and integrand trade places
-    (the exchange identity):
-
-        Σ_j w_j x_j s_j(b, y) = h Σ_jl x_j ỹ_l (P[j+l] − P[|j−l|])
-            + (h/2) [x_n Σ_l ỹ_l P[n−l] − ỹ_n Σ_j w_j x_j Σ_{l>n−j} b_l],
-
-    with P the trapezoid primitive of b shifted by its total, P[m] =
-    −h (Σ_{i>m} b_i + b_m/2) on 0..n and zero beyond.  The end terms are the
-    last node's half weight (x_n) and the primitive's hold at A[n] (ỹ_n); the
-    first node has the bulk's weight h, and the first cell is the bulk's
-    trapezoid.  The stencil S: y ↦ ỹ is symmetric, so in the first line it
-    moves onto P by parts: with D_j[l] = P[j+l] − P[|j−l|] (D_j[0] = 0,
-    D_j[n+1] = −P[n+1−j]), Σ_l ỹ_l D_j[l] = Σ_l y_l (S D_j)[l] − y_n P[n+1−j]/12,
+    Written out, s_j is h Σ_il b_i ỹ_l K(i, j, l) less the hold's end term, and
+    K, 1 for |i−j| < l < i+j, ½ for l = i+j or l = |i−j| and 0 otherwise, is
+    symmetric in (i, j, l); so field and integrand trade places (the exchange
+    identity), and s_j = Σ_l ỹ_l D_j[l] − (h/2) ỹ_n Σ_{l>n−j} b_l with D_j[l] =
+    P[j+l] − P[|j−l|], P the trapezoid primitive of b shifted by its total, P[m] =
+    −h (Σ_{i>m} b_i + b_m/2) on 0..n and zero beyond.  The stencil S: y ↦ ỹ is
+    symmetric, so it moves onto D_j by parts (D_j[0] = 0, D_j[n+1] = −P[n+1−j]),
     and (S D_j)[l] = SP[j+l] − SP[|j−l|], SP the stencil of P (zero beyond n) on
-    0..n+1, at 0 taken on P's even extension: the bulk is the first line's with
-    SP for P, less (h y_n/12) Σ_j x_j P[n+1−j].  In the second line S moves
-    onto the vector P[n−l] that ỹ meets.  `kernel(b)` makes SP's spectrum (one
-    forward FFT); `form` contracts it with the spectra of x and y by Parseval,
-    the Hankel part as Re(F x · F y · conj F SP), the Toeplitz part with SP's
-    even extension.
+    0..n+1, at 0 taken on P's even extension:
+
+        s_j = Σ_l y_l (SP[j+l] − SP[|j−l|]) − y_n P[n+1−j]/12 − (h/2) ỹ_n Σ_{l>n−j} b_l.
+
+    With y at indices 1..n, the Hankel part Σ_l y_l SP[j+l] is a circular
+    correlation whose indices j + l ≤ 2n stay below a length L ≥ 2n+1 (`size`,
+    the smallest 5-smooth one), and the Toeplitz part Σ_l y_l SP[|j−l|] a
+    circular convolution with SP's even extension, whose halves overlap only
+    where the window j = 1..n never reads.  `kernel(b)` makes SP's spectrum (one
+    forward FFT) and the end vectors, `field` the spectra of rows placed at
+    1..n, and `vector` reads every s_j from one inverse FFT.  A scalar
+    Σ_j w_j x_j s_j(b, y), w the trapezoid weights (`pgrid.weights`), needs none:
+    `form` contracts SP's spectrum with the spectra of x and y by Parseval, the
+    Hankel part as Re(F x · F y · conj F SP), the Toeplitz part with SP's even
+    extension, and adds what x_n's half weight and the end vectors leave,
+
+        (h/2) [x_n Σ_l ỹ_l P[n−l] − ỹ_n Σ_j w_j x_j Σ_{l>n−j} b_l − (y_n/6) Σ_j x_j P[n+1−j]],
+
+    the first with the stencil moved onto the vector P[n−l] that ỹ meets.
     """
 
     def __init__(self, pgrid: RadialGrid):
         self.pgrid = pgrid
         self.size = _fft_length(2 * pgrid.n + 1)
+        self.own = [0, self.size // 2][:2 - self.size % 2]   # 0, and L/2 for an even L
 
     def field(self, rows: np.ndarray) -> np.ndarray:
         """Spectra of the rows of `rows`, each placed at indices 1..n (zero at 0
@@ -224,24 +220,11 @@ class _Shells:
         padded[..., 1:] = rows
         return np.fft.rfft(padded, self.size)
 
-    def sums(self, b: np.ndarray, integrand: np.ndarray) -> np.ndarray:
-        """s_j, j = 1..n: the Hankel correlation conj(F b)·F Ã less the Toeplitz
-        convolution F b·Ê, Ê = 2 Re F Ã − Ã[0] the spectrum of Ã's even
-        extension, under one inverse FFT."""
-        y = _gregory(integrand)
-        A = self.pgrid.h * (np.cumsum(y) - 0.5 * y)   # the trapezoid rule from A[0] = 0
-        shifted = np.concatenate(([0.0], A[:-1])) - A[-1]
-        spectrum, field = np.fft.rfft(shifted, self.size), self.field(b)
-        even = 2.0 * spectrum.real - shifted[0]
-        # the length is passed on because a 5-smooth length may be odd
-        return np.fft.irfft(field.conj() * spectrum - field * even, self.size)[1:self.pgrid.n + 1]
-
     def kernel(self, b: np.ndarray) -> tuple:
-        """The field b's primitive P as `form` contracts it: the spectra of SP and
-        of its even extension, weighed for Parseval's sum over the half spectrum
-        (h c_k / L, c_k = 1 at the frequencies that are their own conjugates and
-        2 elsewhere), and the vectors of the end terms, the stencil's on those
-        that ỹ meets."""
+        """The field b's primitive P as `form` and `vector` contract it: the spectra of
+        SP and of its even extension, weighed for Parseval's sum over the half spectrum
+        (h c_k / L, c_k = 1 at the frequencies that are their own conjugates and 2
+        elsewhere), the stencil on P[n−l], Σ_{l>n−j} b_l and P[n+1−j]/6."""
         pg, L = self.pgrid, self.size
         running = np.cumsum(b)
         total = running[-1]
@@ -251,12 +234,24 @@ class _Shells:
         scaled = SP * (2.0 * pg.h / L)
         hankel = np.fft.rfft(scaled, L)
         toeplitz = 2.0 * hankel.real - scaled[0]
-        own = [0, L // 2][:2 - L % 2]   # 0, and L/2 for an even L
-        hankel[own] /= 2.0
-        toeplitz[own] /= 2.0
+        hankel[self.own] /= 2.0
+        toeplitz[self.own] /= 2.0
         tail = total - np.concatenate((running[-2::-1], [0.0]))   # Σ_{l>n−j} b_l
-        return (hankel.view(float), toeplitz, _gregory(P[-2::-1]), pg.weights * tail,
-                P[:0:-1] / 6.0)
+        return hankel.view(float), toeplitz, _gregory(P[-2::-1]), tail, P[:0:-1] / 6.0
+
+    def vector(self, kernel: tuple, y: np.ndarray) -> np.ndarray:
+        """s_j(b, y), j = 1..n, for `kernel(b)`: the Hankel correlation conj(F y)·F SP
+        less the Toeplitz convolution F y·(F SP's even extension) under one inverse
+        FFT, with F y scaled by L/(h c_k) to undo the kernel's Parseval weights, then
+        the two end vectors."""
+        hankel, toeplitz, _, tail, spill = kernel
+        pg, L = self.pgrid, self.size
+        spectrum = self.field(y) * (0.5 * L / pg.h)
+        spectrum[self.own] *= 2.0
+        # the length is passed on because a 5-smooth length may be odd
+        s = np.fft.irfft(spectrum.conj() * hankel.view(complex) - spectrum * toeplitz, L)
+        yn = (14.0 * y[-1] - y[-2]) / 12.0   # ỹ_n
+        return s[1:pg.n + 1] - 0.5 * (y[-1] * spill + pg.h * yn * tail)
 
     def form(self, rows: np.ndarray, *terms: tuple[tuple, int, int]) -> float:
         """Σ over terms (kernel of b, i, k) of Σ_j w_j x_j s_j(b, y), x = rows[i]
@@ -264,13 +259,14 @@ class _Shells:
         spectra = self.field(rows)
         halves = spectra.view(float)   # real and imaginary parts, interleaved
         total = 0.0
-        for (hankel, toeplitz, last, wtail, spill), i, k in terms:
+        for (hankel, toeplitz, last, tail, spill), i, k in terms:
             x, y = rows[i], rows[k]
             bulk = ((spectra[i] * spectra[k]).view(float) @ hankel
                     - (toeplitz @ (halves[i] * halves[k]).reshape(-1, 2)).sum())
             yn = (14.0 * y[-1] - y[-2]) / 12.0   # ỹ_n
             # the last term takes off (h y_n/12) Σ_j x_j P[n+1−j], which SP's bulk adds
-            ends = x[-1] * (y @ last) - yn * (x @ wtail) - y[-1] * (x @ spill)
+            ends = (x[-1] * (y @ last) - yn * (x @ (self.pgrid.weights * tail))
+                    - y[-1] * (x @ spill))
             total += bulk + 0.5 * self.pgrid.h * ends
         return float(total)
 
@@ -319,6 +315,7 @@ def el_residual_momentum(mp: MomentumProfile) -> float:
     """
     pg, psi = mp.pgrid, mp.psi_hat.values
     p = pg.nodes
-    conv = _Shells(pg).sums(_field_weights(mp), p * psi) / p + pg.h * mp.rho_hat0 * psi
+    shells = _Shells(pg)
+    conv = shells.vector(shells.kernel(_field_weights(mp)), p * psi) / p + pg.h * mp.rho_hat0 * psi
     defect = (p**2 + mp.mu) * psi - (2.0 / np.pi) * conv
     return float(np.sqrt(4.0 * np.pi * (pg.weights @ (p**2 * defect**2))))

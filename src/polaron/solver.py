@@ -34,7 +34,7 @@ where Δ are the differences between successive steps over the last
 Pulay's DIIS equations on the unit-scaled rows Δf_j/‖Δf_j‖.  With no history
 this is the linear step (1 − β) ρ_in,k + β ρ_out,k.  Only ρ is mixed: each
 step solves for the input potential Φ of ρ_in,k, and a second Coulomb solve
-gives the energy of ρ_out,k.
+gives the energy of ρ_out,k; the returned state keeps that Φ.
 
 A Sobolev-gradient flow on the same reduced problem, from its own start and
 with neither eigenstep nor mixing, serves as an algorithmically independent
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
-from .coulomb import _potential, coulomb_potential
+from .coulomb import _potential
 from .errors import ConvergenceError, NumericalError
 from .grid import RadialFunction, RadialGrid, build_grid
 
@@ -85,11 +85,12 @@ class SolverOptions:
 class PekarState:
     """Converged minimizer with its energy decomposition.
 
-    T = ∫|∇ψ|², D = ∬ρρ/|x−y|, eP = T − D, μ = D − eP = 2D − T.
+    T = ∫|∇ψ|², D = ∬ρρ/|x−y| = ∫ρΦ, eP = T − D, μ = D − eP = 2D − T.
     """
 
     psi: RadialFunction
     rho: RadialFunction
+    phi: RadialFunction   # Φ_ρ, the Coulomb potential of ρ (coulomb.py) that D is from
     T: float
     D: float
     eP: float
@@ -335,12 +336,13 @@ def _energies(grid: RadialGrid, u: np.ndarray) -> tuple[float, float, np.ndarray
 
 
 def _state_from_u(grid: RadialGrid, u: np.ndarray, T: float, D: float, rho: np.ndarray,
-                  iterations: int, residual: float) -> PekarState:
-    """Package u with the energies T, D and density ρ that `_energies` gave for it."""
+                  phi: np.ndarray, iterations: int, residual: float) -> PekarState:
+    """Package u with the T, D, ρ and Φ that `_energies` gave for it."""
     psi = RadialFunction(grid, u / grid.nodes)
     return PekarState(
         psi=psi,
         rho=RadialFunction(grid, rho),
+        phi=RadialFunction(grid, phi),
         T=T,
         D=D,
         eP=T - D,
@@ -391,7 +393,7 @@ def solve_pekar(opts: SolverOptions) -> PekarState:
         u = _normalize_u(grid, x)
         psi = u / grid.nodes
 
-        T, D, rho, _ = _energies(grid, u)
+        T, D, rho, phi = _energies(grid, u)
         e_new = T - D
         dpsi = np.sqrt(4.0 * np.pi * grid.integrate((u - grid.nodes * psi_prev) ** 2))
         res = rho - rho_in
@@ -399,7 +401,7 @@ def solve_pekar(opts: SolverOptions) -> PekarState:
         history.append((e_new, dpsi, scf))
 
         if max(dpsi, scf) <= opts.tol_psi:
-            return _state_from_u(grid, u, T, D, rho, iterations=k, residual=dpsi)
+            return _state_from_u(grid, u, T, D, rho, phi, iterations=k, residual=dpsi)
 
         if k > 1:
             steps = [rho_in - rho_prev + _BETA * (res - res_prev), *steps[:_DEPTH - 1]]
@@ -453,7 +455,7 @@ def imaginary_time_oracle(opts: SolverOptions) -> PekarState:
         g[-1] = 0.0  # the wall is pinned, not an equation
         g_norm = math.sqrt(4.0 * np.pi * grid.integrate(g**2))
         if g_norm <= _FLOW_TOL:
-            return _state_from_u(grid, u, T, D, rho, iterations=k, residual=g_norm)
+            return _state_from_u(grid, u, T, D, rho, phi, iterations=k, residual=g_norm)
         u[:-1] -= dpttrs(d, e, g[:-1])[0]
         u = _normalize_u(grid, u)
 
@@ -475,9 +477,8 @@ def el_residual_position(state: PekarState) -> float:
     """
     grid = state.psi.grid
     u = grid.nodes * state.psi.values
-    phi = coulomb_potential(state.rho)
     lam = state.T - 2.0 * state.D
-    res = _apply_kinetic(u, grid.h) - 2.0 * phi.values * u - lam * u
+    res = _apply_kinetic(u, grid.h) - 2.0 * state.phi.values * u - lam * u
     # the last node is pinned by the Dirichlet wall, not an equation
     res[-1] = 0.0
     return float(np.sqrt(4.0 * np.pi * grid.integrate(res**2)))

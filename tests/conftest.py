@@ -76,5 +76,5 @@ def gaussian_impostor_state():
     dpsi = pl.radial_derivative(psi)
     T = pl.integrate_3d(dpsi.with_values(dpsi.values**2))
     D = pl.coulomb_bilinear(rho, rho)
-    return pl.PekarState(psi=psi, rho=rho, T=T, D=D, eP=T - D, mu=2 * D - T,
-                         iterations=0, residual=np.inf)
+    return pl.PekarState(psi=psi, rho=rho, phi=pl.coulomb_potential(rho), T=T, D=D,
+                         eP=T - D, mu=2 * D - T, iterations=0, residual=np.inf)

@@ -436,13 +436,33 @@ def test_solve_writes_profiles_as_fmt_of_the_state(tmp_path, monkeypatch, doc):
     assert fallback == []
 
 
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_one_coulomb_solve_per_density(tmp_path, monkeypatch, command):
+    # the default solve's one SCF step solves for its input and its output density;
+    # the state keeps the second Φ, which verify's position-space EL residual and
+    # solve's profiles.csv read instead of solving again
+    calls = []
+    original = polaron.coulomb._potential   # the array core every solve goes through
+
+    def counted(grid, rho):
+        calls.append(grid.n)
+        return original(grid, rho)
+
+    for module in (polaron.solver, polaron.coulomb):
+        monkeypatch.setattr(module, "_potential", counted)
+    path = tmp_path / "c.json"
+    path.write_text("{}")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [3000, 3000]
+
+
 def _synthetic_profile(n_r, n_p):
     """A hydrogenic state and momentum profile on n_r radial and n_p momentum nodes."""
     g, pg = polaron.build_grid(n_r, 25.0), polaron.build_grid(n_p, 6.0)
     psi = polaron.RadialFunction(g, np.exp(-g.nodes) / np.sqrt(np.pi))
     rho = psi.with_values(psi.values**2)
-    state = polaron.PekarState(psi=psi, rho=rho, T=1.0, D=1.0, eP=0.0, mu=1.0,
-                               iterations=1, residual=0.0)
+    state = polaron.PekarState(psi=psi, rho=rho, phi=polaron.coulomb_potential(rho), T=1.0,
+                               D=1.0, eP=0.0, mu=1.0, iterations=1, residual=0.0)
     q = 1 + pg.nodes**2
     mp = polaron.MomentumProfile(pgrid=pg, psi_hat=polaron.RadialFunction(pg, q**-2),
                                  dpsi_hat=polaron.RadialFunction(pg, -4 * pg.nodes * q**-3),

@@ -100,8 +100,9 @@ def test_bilinear_symmetry(w1, w2, a1, a2):
 
 
 def test_potential_is_linear_in_the_density():
-    # the SCF carries Φ of its mixed density as the mix of the potentials it
-    # already has, which rests on this identity (a negative tail included)
+    # Φ is linear in ρ to rounding, a negative tail included, so the pair energy
+    # ∫ a Φ_b of `coulomb_bilinear` and Q2's position oracle is bilinear (the SCF
+    # solves for each mixed density anew and does not rest on this)
     g = pl.build_grid(3000, 30.0)
     r = g.nodes
     rng = np.random.default_rng(11)

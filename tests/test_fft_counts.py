@@ -1,15 +1,15 @@
 """FFT budget of the two FFT-heavy layers, counted by wrapping numpy.fft.
 
-Q2 and the cross functional are scalar shell sums, which the exchange
-identity of `momentum._Shells` turns into Fourier-diagonal quadratic forms:
-the field's primitive is the kernel, one forward transform per field, and
-the rows it is contracted with (G and p²G for Q2, p ψ̂g for the cross
-functional) are transformed together, at the smallest 5-smooth length
-≥ 2n+1 (8100 at n = 4000), with no inverse transform.  Q2 makes 4 forward
-real transforms, of which the 2 kernel transforms serve a whole cutoff sweep;
-the cross functional makes 2.  The momentum-space Euler–Lagrange residual
-needs every shell sum s_j: it transforms the integrand's primitive and the
-field forward, one row each, and their product back, at the same length.  A
+By the exchange identity of `momentum._Shells`, every shell sum is the
+field's primitive, one forward transform per field (the kernel), contracted
+with rows transformed together, at the smallest 5-smooth length ≥ 2n+1 (8100
+at n = 4000).  Q2 and the cross functional are scalars, Fourier-diagonal
+quadratic forms with no inverse transform: Q2 makes 4 forward real
+transforms, of which the 2 kernel transforms serve a whole cutoff sweep (its
+rows are G and p²G); the cross functional makes 2 (its row is p ψ̂g).  The
+momentum-space Euler–Lagrange residual needs every s_j: it transforms the
+field's kernel and the row p ψ̂ forward, one row each, and reads every s_j
+from one inverse transform of their products, at the same length.  A
 momentum profile transforms the chirp kernel once, then each of its three
 chirp-z rows forward and back on its own through one buffer, all at the
 smallest 5-smooth length ≥ N+M−1.  A change that brings back an inverse
@@ -81,7 +81,7 @@ def test_cross_expectation_makes_two_forward_and_no_inverse_real_ffts(mp_default
 
 def test_el_residual_momentum_makes_two_forward_and_one_inverse_real_fft(mp_default, fft_calls):
     pl.el_residual_momentum(mp_default)
-    # the primitive of p ψ̂ and the field w ρ̂/k, one row each, then every s_j from one inverse
+    # the kernel of the field w ρ̂/k and the row p ψ̂, one row each, then every s_j from one inverse
     assert fft_calls["rfft"] == [(1, 8100), (1, 8100)]
     assert fft_calls["irfft"] == [(1, 8100)]
     assert not fft_calls["fft"] and not fft_calls["ifft"]

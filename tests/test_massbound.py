@@ -361,7 +361,8 @@ class TestMassCoefficient:
     def test_gaussian_closed_form(self):
         g = pl.build_grid(3000, 12.0)
         psi = pl.RadialFunction(g, np.pi**-0.75 * np.exp(-g.nodes**2 / 2))
-        state = pl.PekarState(psi=psi, rho=psi.with_values(psi.values**2),
+        rho = psi.with_values(psi.values**2)
+        state = pl.PekarState(psi=psi, rho=rho, phi=pl.coulomb_potential(rho),
                               T=1.5, D=0.0, eP=1.5, mu=-1.5,
                               iterations=0, residual=0.0)
         exact = (8 * np.pi / 3) * (2 * np.pi) ** -1.5
@@ -392,8 +393,9 @@ class TestMassCoefficient:
 
         def coeff(vals):
             psi = pl.RadialFunction(g, vals)
+            rho = psi.with_values(vals**2)
             return pl.mass_coefficient(pl.PekarState(
-                psi=psi, rho=psi.with_values(vals**2), T=0, D=0, eP=0, mu=0,
+                psi=psi, rho=rho, phi=pl.coulomb_potential(rho), T=0, D=0, eP=0, mu=0,
                 iterations=0, residual=0.0))
 
         assert abs(coeff(psi2) - lam**3 * coeff(psi1)) < 1e-5 * coeff(psi2)

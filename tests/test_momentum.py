@@ -193,17 +193,39 @@ def _direct_shell_sum(grid, a, integrand):
 
 
 def test_shell_sum_matches_direct_loop():
-    # the FFT sum against the direct loop; an off-by-one in the read window or the
-    # circular length shows first at tiny n, and a wrap in the Hankel or the
-    # Toeplitz part where the length is exactly 2n+1 (9, 25, 125 at n = 4, 12, 62)
+    # every s_j from the field's kernel against the direct loop: the two end vectors
+    # show at every n (random rows: y_n ≠ 0), an off-by-one in the read window, the
+    # circular length or the undone Parseval weights (an even or odd length, 5 and 8
+    # at n = 2, 3) first at tiny n, and a wrap in the Hankel or the Toeplitz part
+    # where the length is exactly 2n+1 (9, 25, 125 at n = 4, 12, 62)
     for n in (2, 3, 4, 5, 12, 62, 200):
         grid = pl.build_grid(n, 3.0)
         rng = np.random.default_rng(7)
         a = rng.standard_normal(n)
         integrand = rng.standard_normal(n)
         direct = _direct_shell_sum(grid, a, integrand)
-        fast = _Shells(grid).sums(a, integrand)
+        shells = _Shells(grid)
+        fast = shells.vector(shells.kernel(a), integrand)
         assert np.abs(fast - direct).max() <= 1e-12 * np.abs(direct).max(), n
+
+
+def test_el_residual_momentum_matches_direct_sums():
+    # the residual against its O(n²) definition on a random profile, end to end: the
+    # 1/p, the read window of the sums and the k = 0 shell's limit 2ρ̂(0)ψ̂(p) at the
+    # origin's weight h/2
+    for n in (12, 62):
+        pg = pl.build_grid(n, 4.0)
+        p, w = pg.nodes, trapezoid_weights(pg)
+        psi, phi = np.random.default_rng(n).standard_normal((2, n))
+        mu, rho_hat0 = 0.7, 1.3
+        mp = pl.MomentumProfile(pgrid=pg, psi_hat=pl.RadialFunction(pg, psi),
+                                dpsi_hat=pl.RadialFunction(pg, np.zeros(n)),
+                                phi=pl.RadialFunction(pg, phi), mu=mu, rho_hat0=rho_hat0)
+        rho_hat = SQRT2_PI * p * phi
+        conv = _direct_shell_sum(pg, w * rho_hat / p, p * psi) / p + 0.5 * pg.h * 2 * rho_hat0 * psi
+        defect = (p**2 + mu) * psi - (2 / np.pi) * conv
+        direct = np.sqrt(4 * np.pi * w @ (p**2 * defect**2))
+        assert abs(pl.el_residual_momentum(mp) - direct) <= 1e-12 * direct, n
 
 
 def test_form_matches_direct_pair_sum():

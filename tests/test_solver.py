@@ -473,8 +473,8 @@ class TestPositionResidual:
                 (r * psi_vals) * pl.solver._apply_kinetic(r * psi_vals, grid.h))
             D = pl.coulomb_bilinear(rho, rho)
             return pl.el_residual_position(pl.PekarState(
-                psi=psi, rho=rho, T=T, D=D, eP=T - D, mu=2 * D - T,
-                iterations=0, residual=0.0))
+                psi=psi, rho=rho, phi=pl.coulomb_potential(rho), T=T, D=D, eP=T - D,
+                mu=2 * D - T, iterations=0, residual=0.0))
 
         r1 = residual_with(1e-3)
         r2 = residual_with(5e-4)
